@@ -48,6 +48,12 @@ class MalformedTableError(ValueError):
     """A multiplication table violating symmetry or the unit rows."""
 
 
+def _unit_row_value(i: int, j: int, k: int):
+    """s(i,j,k) forced by the unit rows (1 if the other index is k, else
+    0) when i or j is 0; None on the stored entries."""
+    return int((i or j) == k) if i == 0 or j == 0 else None
+
+
 @lru_cache(maxsize=None)
 def associator_coeff(n: int, i: int, j: int, k: int, l: int) -> Poly:
     """Coefficient of v_l in (v_j v_i) v_k - v_j (v_i v_k) for the generic
@@ -89,14 +95,7 @@ def based_ideal_generators(n: int) -> IdealPresentation:
                             associator_coeff(n, i, j, k, l),
                             f"assoc({i},{j},{k}|{l})",
                         )
-    return IdealPresentation(
-        n=n,
-        flavor="based_algebra",
-        generators=tuple(dd.gens),
-        labels=tuple(dd.labels),
-        dropped_zero=dd.dropped_zero,
-        dropped_duplicate=dd.dropped_duplicate,
-    )
+    return dd.presentation(n, "based_algebra")
 
 
 # -- multiplication tables -------------------------------------------------------
@@ -111,24 +110,26 @@ class MulTable:
 
     def __init__(self, n: int, entries: dict):
         self.n = n
-        self.entries = {}
+        given = {}
         for (i, j, k), v in entries.items():
             if not (1 <= i <= self.n and 1 <= j <= self.n and 0 <= k <= self.n):
                 raise MalformedTableError(f"entry index ({i},{j},{k}) out of range")
             key = pair(i, j) + (k,)
-            if key in self.entries and self.entries[key] != v:
+            if given.setdefault(key, v) != v:
                 raise MalformedTableError(
                     f"conflicting symmetric entries at {key}"
                 )
-            if v.is_zero if isinstance(v, Poly) else v == 0:
-                continue
-            self.entries[key] = v
+        self.entries = {
+            key: v
+            for key, v in given.items()
+            if not (v.is_zero if isinstance(v, Poly) else v == 0)
+        }
 
     def value(self, i: int, j: int, k: int):
         """s(i,j,k) with the unit rows and symmetry applied."""
         if not (0 <= i <= self.n and 0 <= j <= self.n and 0 <= k <= self.n):
             raise MalformedTableError(f"index ({i},{j},{k}) out of range")
-        if i == 0 or j == 0:
+        if i == 0 or j == 0:  # _unit_row_value, inlined on the oracle's hot path
             other = j if i == 0 else i
             return Fraction(1) if other == k else Fraction(0)
         return self.entries.get(pair(i, j) + (k,), Fraction(0))
@@ -156,10 +157,9 @@ class MulTable:
         entries = {}
         for (i, j, k), v in full.items():
             v = Fraction(v) if not isinstance(v, Poly) else v
-            if i == 0 or j == 0:
-                other = j if i == 0 else i
-                expected = Fraction(1) if other == k else Fraction(0)
-                if v != expected:
+            unit = _unit_row_value(i, j, k)
+            if unit is not None:
+                if v != unit:
                     raise MalformedTableError(
                         f"unit row violated at ({i},{j},{k})={v}"
                     )
@@ -171,14 +171,6 @@ class MulTable:
                 )
             entries[(i, j, k)] = v
         return cls(n, entries)
-
-    def as_full_dict(self) -> dict:
-        return {
-            (i, j, k): self.value(i, j, k)
-            for i in range(self.n + 1)
-            for j in range(self.n + 1)
-            for k in range(self.n + 1)
-        }
 
 
 def associativity_residual(table: MulTable) -> dict:
@@ -214,10 +206,9 @@ def is_associative(table: MulTable) -> bool:
 
 def _pi_value(n: int, i: int, j: int, k: int) -> Poly:
     ring = PolyRing.get(n)
-    if (i == 0 and j != k) or (j == 0 and i != k):
-        return ring.zero()
-    if (i == 0 and j == k) or (j == 0 and i == k):
-        return ring.one()
+    unit = _unit_row_value(i, j, k)
+    if unit is not None:
+        return ring.const(unit)
     if k == 0:
         return diagonal_sum(n, i, j) * Fraction(-1, n - 1)
     return ring.t(i, j, k)
@@ -255,9 +246,9 @@ def _unit_sym_table(n: int) -> dict:
     sub = {}
     for v in ring.s_variables():
         _, i, j, k = v
-        if i == 0 or j == 0:
-            other = j if i == 0 else i
-            sub[v] = ring.one() if other == k else ring.zero()
+        unit = _unit_row_value(i, j, k)
+        if unit is not None:
+            sub[v] = ring.const(unit)
         elif i > j:
             sub[v] = ring.s(j, i, k)
     return sub

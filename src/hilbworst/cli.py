@@ -20,12 +20,22 @@ from . import based, dgla, ideal, lifting, oracle, subspaces, taylor
 SCHEMA = "hilbworst/1"
 
 
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def _emit(doc: dict, out) -> None:
-    out.write(json.dumps(doc, sort_keys=True) + "\n")
+    out.write(_dumps(doc))
 
 
-def _poly_texts(polys, fmt: str) -> list:
-    return [p.text(cas=(fmt == "cas")) for p in polys]
+def _family_doc(n: int, flavor: str, fmt: str) -> dict:
+    gens = lifting.universal_family(n, flavor)
+    return {
+        "schema": SCHEMA,
+        "n": n,
+        "flavor": flavor,
+        "generators": [g.text(cas=(fmt == "cas")) for g in gens],
+    }
 
 
 def _presentation_doc(pres, fmt: str) -> dict:
@@ -51,18 +61,11 @@ def cmd_gens(args, out) -> int:
 
 
 def cmd_family(args, out) -> int:
-    gens = lifting.universal_family(args.n, args.flavor)
     if args.format == "text":
-        for g in gens:
+        for g in lifting.universal_family(args.n, args.flavor):
             out.write(g.text() + "\n")
     else:
-        doc = {
-            "schema": SCHEMA,
-            "n": args.n,
-            "flavor": args.flavor,
-            "generators": _poly_texts(gens, args.format),
-        }
-        _emit(doc, out)
+        _emit(_family_doc(args.n, args.flavor, args.format), out)
     return 0
 
 
@@ -91,9 +94,7 @@ def cmd_subspaces(args, out) -> int:
 
 
 def cmd_table(args, out) -> int:
-    data = json.loads(Path(args.input).read_text())
-    n = data["n"]
-    tvals = {(i, j, k): Fraction(v) for i, j, k, v in data.get("t", [])}
+    n, tvals = args.point
     table = based.table_from_point(tvals, n)
     residuals = based.associativity_residual(table)
     doc = based.table_to_json_dict(table)
@@ -225,44 +226,67 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_export(args, out) -> int:
+    n, fmt = args.n, args.format
+    docs = {}
+    for flavor in ("hilbert", "miniversal"):
+        pres = ideal.ideal_generators(n, flavor)
+        docs[f"gens_{flavor}_n{n}.json"] = _presentation_doc(pres, fmt)
+        docs[f"family_{flavor}_n{n}.json"] = _family_doc(n, flavor, fmt)
+    dims = taylor.tangent_dims(n)
+    docs[f"tangent_n{n}.json"] = {
+        "schema": SCHEMA,
+        "n": n,
+        "hom_dim": dims.hom_dim,
+        "t1_dim": dims.t1_dim,
+    }
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for flavor in ("hilbert", "miniversal"):
-        pres = ideal.ideal_generators(args.n, flavor)
-        path = outdir / f"gens_{flavor}_n{args.n}.json"
-        path.write_text(
-            json.dumps(_presentation_doc(pres, args.format), sort_keys=True) + "\n"
-        )
-        written.append(path.name)
-        fam = {
-            "schema": SCHEMA,
-            "n": args.n,
-            "flavor": flavor,
-            "generators": _poly_texts(
-                lifting.universal_family(args.n, flavor), args.format
-            ),
-        }
-        path = outdir / f"family_{flavor}_n{args.n}.json"
-        path.write_text(json.dumps(fam, sort_keys=True) + "\n")
-        written.append(path.name)
-    dims = taylor.tangent_dims(args.n)
-    path = outdir / f"tangent_n{args.n}.json"
-    path.write_text(
-        json.dumps(
-            {
-                "schema": SCHEMA,
-                "n": args.n,
-                "hom_dim": dims.hom_dim,
-                "t1_dim": dims.t1_dim,
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    written.append(path.name)
-    _emit({"schema": SCHEMA, "written": sorted(written)}, out)
+    for name, doc in docs.items():
+        (outdir / name).write_text(_dumps(doc))
+    _emit({"schema": SCHEMA, "written": sorted(docs)}, out)
     return 0
+
+
+def _read_point(path: str) -> tuple:
+    """argparse type: (n, {(i, j, k): Fraction}) from a table input file.
+    Parsed with the flags, so a malformed file is a usage error before any
+    output file is opened."""
+    error = argparse.ArgumentTypeError
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    n = data.get("n") if isinstance(data, dict) else None
+    if type(n) is not int or n < 2:
+        raise error(f'{path}: "n" must be an integer >= 2')
+    tvals = {}
+    for row in data.get("t", []):
+        try:
+            i, j, k, v = row
+            tvals[(i, j, k)] = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise error(f'{path}: t entry {row!r} is not [i, j, k, "p/q"]') from None
+        if not all(type(x) is int and 1 <= x <= n for x in (i, j, k)):
+            raise error(f"{path}: t entry {row!r} has an index outside 1..{n}")
+    return n, tvals
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_AMBIENT_N = _int_at_least(3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, flavor=False):
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_AMBIENT_N, required=True)
         p.add_argument(
             "--format", choices=("json", "text", "cas"), default="json"
         )
@@ -297,21 +321,21 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("family", help="universal family"), flavor=True)
 
     p = sub.add_parser("verify", help="run verification pipelines")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_AMBIENT_N, required=True)
     p.add_argument(
         "--route",
         choices=("classical", "dgla", "based", "oracle", "all"),
         default="all",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("subspaces", help="linear subspace report")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_AMBIENT_N, required=True)
     p.add_argument(
         "--list",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         help="enumerate up to this many optimal subspaces",
     )
@@ -319,7 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("table", help="multiplication table at a parameter point")
-    p.add_argument("input", help='JSON file {"n": ..., "t": [[i,j,k,"p/q"], ...]}')
+    p.add_argument(
+        "point",
+        metavar="input",
+        type=_read_point,
+        help='JSON file {"n": ..., "t": [[i,j,k,"p/q"], ...]}',
+    )
     p.add_argument("--out", default=None)
 
     common(sub.add_parser("export", help="write generator/family/tangent bundle"))

@@ -18,6 +18,15 @@ Requiring that square to be a coboundary yields the quadratic constraint
 system (``kuranishi_quadratic_locus``); by the internal grading no higher
 corrections can contribute, so this locus is the whole base space.
 
+The first-order data (f1 and the syzygy lift r1) and the comparison of
+x-coefficients (``lifting.coefficient_system``) are shared with the
+classical route, so the two routes do not check each other there.  What
+this route still checks on its own is everything around them: closedness
+of the derivation against the differential of the resolution, the square
+computed by the Leibniz rule against ``obstruction_quadric`` directly, the
+vanishing on the exterior-square summand, and the span of the locus against
+the independently enumerated ``ideal_generators(n, "miniversal")``.
+
 Throughout this module the diagonal parameters t(i,i,i) are set to zero by
 default (the miniversal normalization); pass miniversal=False to keep them,
 which computes the corresponding chart of the full Hilbert functor instead.
@@ -30,12 +39,16 @@ from functools import lru_cache
 
 from .ideal import (
     IdealPresentation,
-    _Dedup,
+    degree2_rank,
     membership,
+    miniversal_restriction,
     set_diagonal_zero,
+    span_equal_degree2,
 )
 from .lifting import (
-    f1_image,
+    build_f,
+    build_r,
+    coefficient_system,
     quadratic_tail,
     second_order_obstruction,
 )
@@ -54,7 +67,6 @@ from .taylor import (
     pair,
     r_map,
     reduce_mod_squares,
-    wedge_elt,
     wedge_symbols,
     zero_elt,
 )
@@ -146,34 +158,19 @@ def _maybe_restrict(p: Poly, miniversal: bool) -> Poly:
 @lru_cache(maxsize=None)
 def first_order_derivation(n: int, miniversal: bool = True) -> DerivationTrunc:
     """The closed degree-1 derivation inducing the generic first-order
-    deformation: e[l,m] goes to the generic linear form, a shared-index
-    wedge to the first-order syzygy lift, and a disjoint wedge to the
-    trivial Koszul lift."""
-    if n < 3:
-        raise ValueError(f"ambient n must be >= 3, got {n}")
-    ring = PolyRing.get(n)
+    deformation: e[l,m] goes to its first-order image f1, every wedge to
+    its first-order syzygy lift r1 (the shared-index formula, or the
+    trivial Koszul lift on disjoint pairs), both taken from
+    :mod:`.lifting` with the diagonal parameters restricted."""
     e_images = {
-        (E_NS, i, j): _maybe_restrict(f1_image(n, i, j), miniversal)
-        for i, j in basis_pairs(n)
+        sym: _maybe_restrict(p, miniversal) for sym, p in build_f(n).order(1).items()
     }
-    wedge_images = {}
-    for sym in wedge_symbols(n):
-        _, p, q = sym
-        if is_koszul(sym):
-            val = e_elt(n, *p, coeff=-e_images[(E_NS,) + q]) + e_elt(
-                n, *q, coeff=e_images[(E_NS,) + p]
-            )
-        else:
-            i, j, k = nonkoszul_triple(sym)
-            val = zero_elt(n)
-            for lam in range(1, n + 1):
-                val = val + e_elt(
-                    n, k, lam, coeff=_maybe_restrict(ring.t(i, j, lam), miniversal)
-                )
-                val = val - e_elt(
-                    n, j, lam, coeff=_maybe_restrict(ring.t(i, k, lam), miniversal)
-                )
-        wedge_images[sym] = val
+    wedge_images = {
+        sym: FreeModElt(
+            n, {s: _maybe_restrict(c, miniversal) for s, c in elt.terms()}
+        )
+        for sym, elt in build_r(n).order(1).items()
+    }
     return DerivationTrunc(
         n=n, miniversal=miniversal, e_images=e_images, wedge_images=wedge_images
     )
@@ -240,50 +237,18 @@ def kuranishi_quadratic_locus(n: int, miniversal: bool = True) -> KuranishiSyste
     quotient for every shared-index wedge.
 
     Only the constant (in x) part of psi survives reduction, so comparing
-    x-coefficients gives: vanishing of the quadrics with l outside {j,k},
-    and agreement constraints among the candidate values of psi.  The
-    quadratic term is the only part of the Kuranishi map that the internal
-    grading allows, so these equations cut out the whole base."""
+    x-coefficients (``coefficient_system`` with sign -1) gives: vanishing
+    of the quadrics with l outside {j,k}, and agreement constraints among
+    the candidate values of psi.  The quadratic term is the only part of
+    the Kuranishi map that the internal grading allows, so these equations
+    cut out the whole base."""
     cup = cup_product(n, miniversal)
-    ring = PolyRing.get(n)
-    dd = _Dedup()
-    candidates: dict = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                w = wedge_elt(n, (i, j), (i, k))
-                sym = next(iter(w.symbols()))
-                sign = w.coefficient(sym).constant_value()
-                value = cup.wedge_values[sym] * sign
-                by_x = value.split_by_x()
-                for l in range(1, n + 1):
-                    coeff = by_x.get(((ring.x_var(l), 1),), ring.zero())
-                    if l == k:
-                        # -psi(e_ij) = coeff
-                        candidates.setdefault(pair(i, j), []).append(
-                            (f"wedge({i};{j},{k})", -coeff)
-                        )
-                    elif l == j:
-                        candidates.setdefault(pair(i, k), []).append(
-                            (f"wedge({i};{j},{k})", coeff)
-                        )
-                    else:
-                        dd.add(coeff, f"vanish({i};{j},{k}|{l})")
-    psi = {}
-    for pr in basis_pairs(n):
-        cands = candidates.get(pr, [])
-        for (lab_a, a), (lab_b, b) in zip(cands, cands[1:]):
-            dd.add(a - b, f"match[{lab_a}~{lab_b}]@e[{pr[0]},{pr[1]}]")
-        tail = quadratic_tail(n, *pr)
-        psi[pr] = -_maybe_restrict(tail, miniversal)
-    equations = IdealPresentation(
-        n=n,
-        flavor="miniversal" if miniversal else "hilbert",
-        generators=tuple(dd.gens),
-        labels=tuple(dd.labels),
-        dropped_zero=dd.dropped_zero,
-        dropped_duplicate=dd.dropped_duplicate,
-    )
+    flavor = "miniversal" if miniversal else "hilbert"
+    equations, _ = coefficient_system(n, cup.wedge_values, flavor, sign=-1)
+    psi = {
+        pr: -_maybe_restrict(quadratic_tail(n, *pr), miniversal)
+        for pr in basis_pairs(n)
+    }
     return KuranishiSystem(equations=equations, psi=psi)
 
 
@@ -323,20 +288,7 @@ def compare_classical_dgla(n: int) -> RouteComparison:
     """Mutual containment of the degree-2 spans: the classical second-order
     constraints with the diagonal parameters zeroed, against the quadratic
     locus of this module."""
-    from .ideal import span_equal_degree2, degree2_rank
-
-    classical = second_order_obstruction(n).equations
-    dd = _Dedup()
-    for g, lab in zip(classical.generators, classical.labels):
-        dd.add(set_diagonal_zero(g), lab)
-    classical_mini = IdealPresentation(
-        n=n,
-        flavor="miniversal",
-        generators=tuple(dd.gens),
-        labels=tuple(dd.labels),
-        dropped_zero=dd.dropped_zero,
-        dropped_duplicate=dd.dropped_duplicate,
-    )
+    classical_mini = miniversal_restriction(second_order_obstruction(n).equations)
     dgla_sys = kuranishi_quadratic_locus(n).equations
     equal, _ = span_equal_degree2(classical_mini, dgla_sys)
     return RouteComparison(

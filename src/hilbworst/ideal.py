@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .linalg import BlockedSpan
 from .poly import (
@@ -88,14 +89,12 @@ def diagonal_sum(n: int, i: int, j: int) -> Poly:
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """Ordered generator list with provenance labels and dedup metadata."""
+    """Ordered generator list with provenance labels."""
 
     n: int
     flavor: str
     generators: tuple
     labels: tuple = ()
-    dropped_zero: int = 0
-    dropped_duplicate: int = 0
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -121,30 +120,54 @@ class _Dedup:
     def __init__(self):
         self.gens: list = []
         self.labels: list = []
-        self.seen: dict = {}
-        self.dropped_zero = 0
-        self.dropped_duplicate = 0
+        self.seen: set = set()
 
     def add(self, g: Poly, label: str):
-        if g.is_zero:
-            self.dropped_zero += 1
+        if g.is_zero or g in self.seen or (-g) in self.seen:
             return
-        if g in self.seen or (-g) in self.seen:
-            self.dropped_duplicate += 1
-            return
-        self.seen[g] = len(self.gens)
+        self.seen.add(g)
         self.gens.append(g)
         self.labels.append(label)
 
-
-def _substitute_diagonal_zero(g: Poly, n: int) -> Poly:
-    ring = PolyRing.get(n)
-    return g.substitute({ring.t_var(i, i, i): 0 for i in range(1, n + 1)})
+    def presentation(self, n: int, flavor: str) -> IdealPresentation:
+        return IdealPresentation(
+            n=n, flavor=flavor, generators=tuple(self.gens), labels=tuple(self.labels)
+        )
 
 
 def set_diagonal_zero(p: Poly) -> Poly:
     """Substitute t(i,i,i) -> 0 for all i (miniversal restriction)."""
-    return _substitute_diagonal_zero(p, p.n)
+    ring = PolyRing.get(p.n)
+    return p.substitute({ring.t_var(i, i, i): 0 for i in range(1, p.n + 1)})
+
+
+def miniversal_restriction(pres: IdealPresentation) -> IdealPresentation:
+    """The presentation with t(i,i,i) set to 0, deduplicated again."""
+    dd = _Dedup()
+    for g, lab in zip(pres.generators, pres.labels):
+        dd.add(set_diagonal_zero(g), lab)
+    return dd.presentation(pres.n, "miniversal")
+
+
+def _quadric_generators(n: int, swapped: bool) -> IdealPresentation:
+    """Quadrics q(i,j,k|l) for j,k,l distinct, then the differences
+    q(i,j,k|k) - q(a,b,l|l) for j != k, b != l, where (a, b) is (i, j), or
+    (j, i) when swapped."""
+    if n < 3:
+        raise ValueError(f"ambient n must be >= 3, got {n}")
+    dd = _Dedup()
+    indices = list(product(range(1, n + 1), repeat=4))
+    for i, j, k, l in indices:
+        if j != k and k != l and j != l:
+            dd.add(obstruction_quadric(n, i, j, k, l), f"q({i},{j},{k}|{l})")
+    for i, j, k, l in indices:
+        a, b = (j, i) if swapped else (i, j)
+        if j != k and b != l:
+            diff = obstruction_quadric(n, i, j, k, k) - obstruction_quadric(
+                n, a, b, l, l
+            )
+            dd.add(diff, f"q({i},{j},{k}|{k})-q({a},{b},{l}|{l})")
+    return dd.presentation(n, "hilbert")
 
 
 @lru_cache(maxsize=None)
@@ -156,89 +179,18 @@ def ideal_generators(n: int, flavor: str = "hilbert") -> IdealPresentation:
     q(i,j,k|k) - q(i,j,l|l) for j != k, j != l.  flavor "miniversal": the
     same generators with t(i,i,i) set to 0.
     """
-    if n < 3:
-        raise ValueError(f"ambient n must be >= 3, got {n}")
     if flavor not in ("hilbert", "miniversal"):
         raise ValueError(f"unsupported flavor {flavor!r}")
-    dd = _Dedup()
-    rng = range(1, n + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if j != k and k != l and j != l:
-                        dd.add(
-                            obstruction_quadric(n, i, j, k, l),
-                            f"q({i},{j},{k}|{l})",
-                        )
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if j != k and j != l:
-                        dd.add(
-                            obstruction_quadric(n, i, j, k, k)
-                            - obstruction_quadric(n, i, j, l, l),
-                            f"q({i},{j},{k}|{k})-q({i},{j},{l}|{l})",
-                        )
-    pres = IdealPresentation(
-        n=n,
-        flavor="hilbert",
-        generators=tuple(dd.gens),
-        labels=tuple(dd.labels),
-        dropped_zero=dd.dropped_zero,
-        dropped_duplicate=dd.dropped_duplicate,
-    )
-    if flavor == "hilbert":
-        return pres
-    mini = _Dedup()
-    for g, lab in zip(pres.generators, pres.labels):
-        mini.add(_substitute_diagonal_zero(g, n), lab)
-    return IdealPresentation(
-        n=n,
-        flavor="miniversal",
-        generators=tuple(mini.gens),
-        labels=tuple(mini.labels),
-        dropped_zero=pres.dropped_zero + mini.dropped_zero,
-        dropped_duplicate=pres.dropped_duplicate + mini.dropped_duplicate,
-    )
+    if flavor == "miniversal":
+        return miniversal_restriction(ideal_generators(n))
+    return _quadric_generators(n, swapped=False)
 
 
 @lru_cache(maxsize=None)
 def alternate_generators(n: int) -> IdealPresentation:
     """Equivalent presentation with the difference family q(i,j,k|k) -
     q(j,i,l|l), j != k, i != l; spans the same degree-2 space."""
-    if n < 3:
-        raise ValueError(f"ambient n must be >= 3, got {n}")
-    dd = _Dedup()
-    rng = range(1, n + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if j != k and k != l and j != l:
-                        dd.add(
-                            obstruction_quadric(n, i, j, k, l),
-                            f"q({i},{j},{k}|{l})",
-                        )
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if j != k and i != l:
-                        dd.add(
-                            obstruction_quadric(n, i, j, k, k)
-                            - obstruction_quadric(n, j, i, l, l),
-                            f"q({i},{j},{k}|{k})-q({j},{i},{l}|{l})",
-                        )
-    return IdealPresentation(
-        n=n,
-        flavor="hilbert",
-        generators=tuple(dd.gens),
-        labels=tuple(dd.labels),
-        dropped_zero=dd.dropped_zero,
-        dropped_duplicate=dd.dropped_duplicate,
-    )
+    return _quadric_generators(n, swapped=True)
 
 
 # -- membership ----------------------------------------------------------------
@@ -334,31 +286,20 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
     d = p.degree("t")
     if d < 2:
         return Membership(member=False, degree=d, residual=p)
+    if d > 3:
+        raise UnsupportedDegreeError(f"membership not supported in t-degree {d}")
+    span = _degree2_span(pres) if d == 2 else _degree3_span(pres)
+    residual, used = span.reduce(p.terms_dict())
+    if residual:
+        return Membership(member=False, degree=d, residual=Poly(p.n, residual))
+    ring = PolyRing.get(p.n)
     if d == 2:
-        residual, used = _degree2_span(pres).reduce(p.terms_dict())
-        if residual:
-            return Membership(
-                member=False, degree=2, residual=Poly(p.n, residual)
-            )
-        ring = PolyRing.get(p.n)
-        mults = {idx: ring.const(c) for idx, c in sorted(used.items())}
-        return Membership(member=True, degree=2, multipliers=mults)
-    if d == 3:
-        residual, used = _degree3_span(pres).reduce(p.terms_dict())
-        if residual:
-            return Membership(
-                member=False, degree=3, residual=Poly(p.n, residual)
-            )
-        ring = PolyRing.get(p.n)
-        mults: dict = {}
+        mults = {idx: ring.const(c) for idx, c in used.items()}
+    else:
+        mults = {}
         for (v, idx), c in used.items():
             mults[idx] = mults.get(idx, ring.zero()) + ring.var_poly(v) * c
-        return Membership(
-            member=True,
-            degree=3,
-            multipliers={i: m for i, m in sorted(mults.items())},
-        )
-    raise UnsupportedDegreeError(f"membership not supported in t-degree {d}")
+    return Membership(member=True, degree=d, multipliers=dict(sorted(mults.items())))
 
 
 def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
@@ -388,21 +329,14 @@ def span_equal_degree2(
     Returns (equal, certs) where certs, when requested, holds the two lists
     of Membership certificates (a's generators in span(b) and vice versa).
     """
-    certs_ab = []
-    certs_ba = []
-    for g in a.generators:
-        m = membership(g, b)
-        if not m.member:
-            return False, None
-        if certificates:
-            certs_ab.append(m)
-    for g in b.generators:
-        m = membership(g, a)
-        if not m.member:
-            return False, None
-        if certificates:
-            certs_ba.append(m)
-    return True, (certs_ab, certs_ba) if certificates else None
+    certs = ([], [])
+    for src, dst, out in ((a, b, certs[0]), (b, a, certs[1])):
+        for g in src.generators:
+            m = membership(g, dst)
+            if not m.member:
+                return False, None
+            out.append(m)
+    return True, certs if certificates else None
 
 
 def evaluate_generators(pres: IdealPresentation, assignment: dict) -> list:

@@ -168,18 +168,16 @@ class ObstructionSystem:
     candidates: dict  # pair -> tuple of (label, candidate Poly)
 
 
-@lru_cache(maxsize=None)
-def second_order_obstruction(n: int) -> ObstructionSystem:
-    """Expand (f1.r1 + f2.r0) = 0 on each shared-index wedge with unknown
-    quadratic tails and compare x-coefficients.
+def coefficient_system(n: int, wedge_value: dict, flavor: str, sign: int):
+    """Compare x-coefficients of ``wedge_value`` on every shared-index wedge
+    e[i,j]^e[i,k], j < k: the value must equal
+    sign * (x_k c(e_ij) - x_j c(e_ik)) for one correction c per pair.
 
-    Coefficients away from the two special indices must vanish outright;
-    the two special coefficients determine the tails, and equating the
-    candidate expressions for one tail across wedges yields the difference
-    constraints.  The collected system spans the same degree-2 space as the
-    generator presentation."""
-    f = build_f(n)
-    r = build_r(n)
+    Coefficients of x_l with l outside {j, k} must vanish outright; the two
+    others are candidate values of c, and equating the candidates for one
+    pair across wedges yields the difference constraints.  Returns the
+    deduplicated presentation and the candidates, pair -> tuple of
+    (label, candidate Poly)."""
     ring = PolyRing.get(n)
     dd = _Dedup()
     candidates: dict = {}
@@ -188,40 +186,44 @@ def second_order_obstruction(n: int) -> ObstructionSystem:
             for k in range(j + 1, n + 1):
                 w = wedge_elt(n, (i, j), (i, k))
                 sym = next(iter(w.symbols()))
-                sign = w.coefficient(sym).constant_value()
-                prod = apply_images(f.order(1), r.order(1)[sym]) * sign
-                by_x = prod.split_by_x()
+                orient = w.coefficient(sym).constant_value()
+                by_x = (wedge_value[sym] * orient).split_by_x()
+                label = f"wedge({i};{j},{k})"
+                special = {k: (pair(i, j), sign), j: (pair(i, k), -sign)}
                 for l in range(1, n + 1):
                     coeff = by_x.get(((ring.x_var(l), 1),), ring.zero())
-                    if l == k:
-                        candidates.setdefault(pair(i, j), []).append(
-                            (f"wedge({i};{j},{k})", coeff)
-                        )
-                    elif l == j:
-                        candidates.setdefault(pair(i, k), []).append(
-                            (f"wedge({i};{j},{k})", -coeff)
-                        )
+                    if l in special:
+                        pr, s = special[l]
+                        candidates.setdefault(pr, []).append((label, coeff * s))
                     else:
                         dd.add(coeff, f"vanish({i};{j},{k}|{l})")
-    tails = {}
     for pr in basis_pairs(n):
         cands = candidates.get(pr, [])
         for (lab_a, a), (lab_b, b) in zip(cands, cands[1:]):
             dd.add(a - b, f"match[{lab_a}~{lab_b}]@e[{pr[0]},{pr[1]}]")
-        tails[pr] = quadratic_tail(n, *pr)
-    equations = IdealPresentation(
-        n=n,
-        flavor="hilbert",
-        generators=tuple(dd.gens),
-        labels=tuple(dd.labels),
-        dropped_zero=dd.dropped_zero,
-        dropped_duplicate=dd.dropped_duplicate,
-    )
-    return ObstructionSystem(
-        equations=equations,
-        tails=tails,
-        candidates={p: tuple(c) for p, c in candidates.items()},
-    )
+    return dd.presentation(n, flavor), {p: tuple(c) for p, c in candidates.items()}
+
+
+@lru_cache(maxsize=None)
+def second_order_obstruction(n: int) -> ObstructionSystem:
+    """Expand (f1.r1 + f2.r0) = 0 on each shared-index wedge with unknown
+    quadratic tails and compare the x-coefficients of f1.r1
+    (``coefficient_system`` with sign +1, so the candidates are the tails).
+
+    Coefficients away from the two special indices must vanish outright;
+    equating the candidate expressions for one tail across wedges yields
+    the difference constraints.  The collected system spans the same
+    degree-2 space as the generator presentation."""
+    f1 = build_f(n).order(1)
+    r1 = build_r(n).order(1)
+    products = {
+        sym: apply_images(f1, r1[sym])
+        for sym in wedge_symbols(n)
+        if not is_koszul(sym)
+    }
+    equations, candidates = coefficient_system(n, products, "hilbert", sign=1)
+    tails = {pr: quadratic_tail(n, *pr) for pr in basis_pairs(n)}
+    return ObstructionSystem(equations=equations, tails=tails, candidates=candidates)
 
 
 # -- the universal family ----------------------------------------------------------

@@ -446,9 +446,6 @@ class PolyRing:
 
     # -- variable enumerations (fixed order) ----------------------------------
 
-    def x_variables(self) -> list:
-        return [(X_KIND, i) for i in range(1, self.n + 1)]
-
     def t_variables(self) -> list:
         n = self.n
         return [

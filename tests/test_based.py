@@ -84,6 +84,15 @@ def test_malformed_tables_rejected():
         MulTable.from_full(3, {(0, 1, 2): Fraction(1)})
     with pytest.raises(MalformedTableError):
         MulTable(3, {(0, 1, 1): Fraction(1)})
+    # conflicting symmetric entries, the zero one first or last
+    with pytest.raises(MalformedTableError):
+        MulTable(3, {(1, 2, 1): 0, (2, 1, 1): 5})
+    with pytest.raises(MalformedTableError):
+        MulTable(3, {(1, 2, 1): 5, (2, 1, 1): 0})
+    agreeing = MulTable(
+        3, {(1, 2, 1): 0, (2, 1, 1): 0, (1, 3, 2): 4, (3, 1, 2): 4}
+    )
+    assert agreeing.value(2, 1, 1) == 0 and agreeing.value(3, 1, 2) == 4
 
 
 def test_projection_cases():

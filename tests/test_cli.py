@@ -84,6 +84,36 @@ def test_table_detects_non_associative_point(tmp_path, capsys):
     assert docs[0]["nonzero_residuals"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # no such file
+        "{",
+        "[3]",
+        '{"t": [[1, 1, 1, "-1"]]}',  # missing "n"
+        '{"n": 1}',
+        '{"n": "3"}',
+        '{"n": 3, "t": [[1, 2, 9, "1"]]}',
+        '{"n": 3, "t": [[0, 2, 1, "1"]]}',
+        '{"n": 3, "t": [[1, 2, "1"]]}',
+        '{"n": 3, "t": [[1, 2, 3, "1/0"]]}',
+    ],
+)
+def test_table_malformed_input_usage_error(text, tmp_path, capsys):
+    src = tmp_path / "point.json"
+    if text is not None:
+        src.write_text(text)
+    dest = tmp_path / "out.json"
+    dest.write_text("kept")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", str(src), "--out", str(dest)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and str(src) in captured.err
+    assert captured.out == ""
+    assert dest.read_text() == "kept"  # no output file truncated
+
+
 def test_verify_route_exit_codes(capsys):
     rc, docs = run_json(
         capsys, ["verify", "--n", "3", "--route", "oracle", "--samples", "12"]
@@ -128,13 +158,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert any(d["status"] == "fail" for d in docs)
 
 
-def test_bad_flags_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["gens"])  # missing --n
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "3", "--route", "bogus"])
-    assert exc.value.code == 2
+BAD_FLAGS = [
+    ["gens"],  # missing --n
+    ["verify", "--n", "3", "--route", "bogus"],
+    ["gens", "--n", "2"],
+    ["family", "--n", "2"],
+    ["verify", "--n", "2"],
+    ["subspaces", "--n", "2"],
+    ["export", "--n", "2"],
+    ["gens", "--n", "three"],
+    ["verify", "--n", "3", "--route", "oracle", "--samples", "0"],
+    ["verify", "--n", "3", "--route", "oracle", "--samples", "-5"],
+    ["subspaces", "--n", "5", "--list", "-1"],
+]
+
+
+def test_bad_flags_usage_error(capsys):
+    for argv in BAD_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err, argv
+        assert captured.out == "", argv
 
 
 def test_export_writes_bundle(tmp_path, capsys):
