@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ideal import (
+    GradedSpan,
     IdealPresentation,
     _Dedup,
     diagonal_sum,
@@ -264,22 +265,17 @@ def reduce_unit_sym(p: Poly, n: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _reduced_assoc_span(n: int):
+def _reduced_assoc_span(n: int) -> GradedSpan:
     """Span of the reduced associator coefficients with positive indices,
     used to certify embedded generators modulo the substitution sub-ideal."""
-    from .ideal import _new_span
-
-    span = _new_span(n)
-    tags = {}
+    span = GradedSpan(n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 for l in range(n + 1):
                     g = reduce_unit_sym(associator_coeff(n, i, j, k, l), n)
-                    tag = (i, j, k, l)
-                    if span.insert(g.terms_dict(), tag=tag):
-                        tags[tag] = g
-    return span, tags
+                    span.insert(g.terms_dict(), (i, j, k, l))
+    return span
 
 
 @dataclass
@@ -327,7 +323,7 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
         else:
             report.pi_degree3 += 1
 
-    span, _ = _reduced_assoc_span(n)
+    span = _reduced_assoc_span(n)
     for g, lab in zip(chart.generators, chart.labels):
         emb = reduce_unit_sym(params_to_structure(g, n), n)
         residual, _ = span.reduce(emb.terms_dict())

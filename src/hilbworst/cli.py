@@ -114,28 +114,34 @@ def _check(name: str, n: int, ok: bool, detail: str = "") -> dict:
     return doc
 
 
+def _certified(name: str, n: int, certify) -> dict:
+    """An ok check if certify() returns; a failed one carrying the message
+    if it raises CertificateError (a certificate the theory requires is
+    missing)."""
+    try:
+        certify()
+    except ideal.CertificateError as exc:
+        return _check(name, n, False, detail=str(exc))
+    return _check(name, n, True)
+
+
+def _syzygy_certificates(n: int) -> None:
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
+                lifting.syzygy_certificate(n, i, j, k)
+
+
 def _route_classical(n: int):
     res = lifting.first_order_residual(n)
     yield _check("first_order_residual", n, all(p.is_zero for p in res.values()))
     system = lifting.second_order_obstruction(n)
     equal, _ = ideal.span_equal_degree2(system.equations, ideal.ideal_generators(n))
     yield _check("second_order_span", n, equal)
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                cert = lifting.syzygy_certificate(n, i, j, k)
-                ok = ok and cert.member
-    yield _check("cubic_syzygy_certificates", n, ok)
-    yield _check("flatness", n, lifting.flatness_residual(n).ok)
+    yield _certified("cubic_syzygy_certificates", n, lambda: _syzygy_certificates(n))
+    yield _certified("flatness", n, lambda: lifting.flatness_residual(n))
     koszul = lifting.koszul_full_residual(n)
     yield _check("koszul_trivial_lift", n, all(p.is_zero for p in koszul.values()))
-
-
-def _sym_name(sym) -> str:
-    from .taylor import FreeModElt
-
-    return FreeModElt._sym_text(sym) if isinstance(sym, tuple) and sym else str(sym)
 
 
 def _route_dgla(n: int):
@@ -143,7 +149,7 @@ def _route_dgla(n: int):
     closed = dgla.closedness_residual(n)
     for sym, res in sorted(closed.items(), key=lambda kv: (kv[0][0], str(kv[0]))):
         doc = _check("derivation_closedness", n, res.is_zero)
-        doc["generator"] = _sym_name(sym)
+        doc["generator"] = taylor.FreeModElt._sym_text(sym)
         doc["residual"] = res.text()
         yield doc
     cup = dgla.cup_product(n)
@@ -157,12 +163,12 @@ def _route_dgla(n: int):
             ) * R.x(l)
         residual = value - expected
         doc = _check("cup_product", n, residual.is_zero)
-        doc["generator"] = _sym_name(sym)
+        doc["generator"] = taylor.FreeModElt._sym_text(sym)
         doc["residual"] = residual.text()
         yield doc
     for sym, q in sorted(cup.curly_values.items()):
         doc = _check("cup_product_exterior_square", n, q.is_zero)
-        doc["generator"] = _sym_name(sym)
+        doc["generator"] = taylor.FreeModElt._sym_text(sym)
         doc["residual"] = q.rep.text()
         yield doc
     locus = dgla.kuranishi_quadratic_locus(n).equations

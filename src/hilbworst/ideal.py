@@ -21,16 +21,18 @@ rational (resp. linear-form) multipliers.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
-from .linalg import BlockedSpan
+from .linalg import EchelonSpan
 from .poly import (
     Poly,
     PolyRing,
     mono_degree,
+    mono_mul,
     mono_multidegree,
     mono_sort_key,
 )
@@ -89,12 +91,16 @@ def diagonal_sum(n: int, i: int, j: int) -> Poly:
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """Ordered generator list with provenance labels."""
+    """Ordered generator list with provenance labels, and the membership
+    spans built from it (``span``)."""
 
     n: int
     flavor: str
     generators: tuple
     labels: tuple = ()
+    # t-degree -> GradedSpan, built on first use and dropped with the
+    # presentation; outside equality, hashing and repr
+    _spans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -102,6 +108,27 @@ class IdealPresentation:
 
     def __len__(self):
         return len(self.generators)
+
+    def span(self, d: int) -> GradedSpan:
+        """Span of the products m*g in t-degree d, for every generator g and
+        every t-monomial m of degree d-2, inserted generator by generator in
+        ``t_variables()`` order and tagged (m, generator index)."""
+        span = self._spans.get(d)
+        if span is None:
+            _require_quadratic_presentation(self)
+            ring = PolyRing.get(self.n)
+            # combinations come out sorted, so counting gives the monomial
+            monos = [
+                tuple(Counter(vs).items())
+                for vs in combinations_with_replacement(ring.t_variables(), d - 2)
+            ]
+            span = GradedSpan(self.n)
+            for idx, g in enumerate(self.generators):
+                terms = g.terms_dict().items()
+                for m in monos:
+                    span.insert({mono_mul(m, gm): c for gm, c in terms}, (m, idx))
+            self._spans[d] = span
+        return span
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,15 +223,57 @@ def alternate_generators(n: int) -> IdealPresentation:
 # -- membership ----------------------------------------------------------------
 
 
-def _block_key_factory(n: int):
-    def block_of_key(mono):
-        return (mono_degree(mono, "t"), mono_multidegree(mono, n))
+class GradedSpan:
+    """Tracked echelon spans split into blocks by (t-degree, torus
+    multidegree), with pivots taken in descending graded-lex order.
 
-    return block_of_key
+    Every inserted vector must lie in one block (rows are homogeneous); a
+    query may mix blocks and is reduced block by block, with one combined
+    certificate.
+    """
 
+    def __init__(self, n: int):
+        self.n = n
+        self.blocks: dict = {}  # block key -> EchelonSpan
 
-def _new_span(n: int) -> BlockedSpan:
-    return BlockedSpan(_block_key_factory(n), track=True, keysort=mono_sort_key)
+    @property
+    def rank(self) -> int:
+        return sum(s.rank for s in self.blocks.values())
+
+    def _split(self, vec: dict) -> dict:
+        parts: dict = {}
+        for m, c in vec.items():
+            if c:
+                key = (mono_degree(m, "t"), mono_multidegree(m, self.n))
+                parts.setdefault(key, {})[m] = Fraction(c)
+        return parts
+
+    def insert(self, vec: dict, tag) -> bool:
+        """Add a vector to its block; False if it was already contained."""
+        parts = self._split(vec)
+        if not parts:
+            return False
+        if len(parts) != 1:
+            raise ValueError("inserted vector spans several blocks")
+        ((key, part),) = parts.items()
+        span = self.blocks.get(key)
+        if span is None:
+            span = self.blocks[key] = EchelonSpan(track=True, keysort=mono_sort_key)
+        return span.insert(part, tag)
+
+    def reduce(self, vec: dict):
+        """Return (residual, used) with vec = sum(used[tag]*input) + residual."""
+        residual: dict = {}
+        used: dict = {}
+        for key, part in self._split(vec).items():
+            span = self.blocks.get(key)
+            if span is None:
+                residual.update(part)
+                continue
+            r, u = span.reduce(part)
+            residual.update(r)
+            used.update(u)
+        return residual, used
 
 
 def _require_quadratic_presentation(pres: IdealPresentation):
@@ -214,26 +283,6 @@ def _require_quadratic_presentation(pres: IdealPresentation):
                 "membership requires a presentation generated by homogeneous "
                 "quadrics in the deformation parameters"
             )
-
-
-@lru_cache(maxsize=None)
-def _degree2_span(pres: IdealPresentation) -> BlockedSpan:
-    _require_quadratic_presentation(pres)
-    span = _new_span(pres.n)
-    for idx, g in enumerate(pres.generators):
-        span.insert(g.terms_dict(), tag=idx)
-    return span
-
-
-@lru_cache(maxsize=None)
-def _degree3_span(pres: IdealPresentation) -> BlockedSpan:
-    _require_quadratic_presentation(pres)
-    ring = PolyRing.get(pres.n)
-    span = _new_span(pres.n)
-    for idx, g in enumerate(pres.generators):
-        for v in ring.t_variables():
-            span.insert((g * ring.var_poly(v)).terms_dict(), tag=(v, idx))
-    return span
 
 
 @dataclass
@@ -288,18 +337,14 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
         return Membership(member=False, degree=d, residual=p)
     if d > 3:
         raise UnsupportedDegreeError(f"membership not supported in t-degree {d}")
-    span = _degree2_span(pres) if d == 2 else _degree3_span(pres)
-    residual, used = span.reduce(p.terms_dict())
+    residual, used = pres.span(d).reduce(p.terms_dict())
     if residual:
         return Membership(member=False, degree=d, residual=Poly(p.n, residual))
-    ring = PolyRing.get(p.n)
-    if d == 2:
-        mults = {idx: ring.const(c) for idx, c in used.items()}
-    else:
-        mults = {}
-        for (v, idx), c in used.items():
-            mults[idx] = mults.get(idx, ring.zero()) + ring.var_poly(v) * c
-    return Membership(member=True, degree=d, multipliers=dict(sorted(mults.items())))
+    terms: dict = {}
+    for (m, idx), c in used.items():
+        terms.setdefault(idx, {})[m] = c
+    mults = {idx: Poly(p.n, terms[idx]) for idx in sorted(terms)}
+    return Membership(member=True, degree=d, multipliers=mults)
 
 
 def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
@@ -311,23 +356,22 @@ def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
     if not (p.is_homogeneous("t") and p.degree("t") == 2):
         raise UnsupportedDegreeError("normal form defined for quadrics only")
     pres = ideal_generators(n, flavor)
-    residual, _ = _degree2_span(pres).reduce(p.terms_dict())
+    residual, _ = pres.span(2).reduce(p.terms_dict())
     return Poly(p.n, residual)
 
 
 def degree2_rank(pres: IdealPresentation) -> int:
     """Dimension of the degree-2 span; len(pres) minus this counts the
     linear dependencies kept in the presentation."""
-    return _degree2_span(pres).rank
+    return pres.span(2).rank
 
 
-def span_equal_degree2(
-    a: IdealPresentation, b: IdealPresentation, certificates: bool = False
-):
+def span_equal_degree2(a: IdealPresentation, b: IdealPresentation):
     """Mutual containment of the degree-2 spans of two presentations.
 
-    Returns (equal, certs) where certs, when requested, holds the two lists
-    of Membership certificates (a's generators in span(b) and vice versa).
+    Returns (equal, certs): when equal, certs holds the two lists of
+    Membership certificates (a's generators in span(b) and vice versa),
+    otherwise it is None.
     """
     certs = ([], [])
     for src, dst, out in ((a, b, certs[0]), (b, a, certs[1])):
@@ -336,16 +380,13 @@ def span_equal_degree2(
             if not m.member:
                 return False, None
             out.append(m)
-    return True, certs if certificates else None
-
-
-def evaluate_generators(pres: IdealPresentation, assignment: dict) -> list:
-    """Evaluate every generator at a (t-variable -> rational) assignment."""
-    ring = PolyRing.get(pres.n)
-    full = {v: Fraction(0) for v in ring.t_variables()}
-    full.update(assignment)
-    return [g.evaluate(full) for g in pres.generators]
+    return True, certs
 
 
 def vanishes_at(pres: IdealPresentation, assignment: dict) -> bool:
-    return all(v == 0 for v in evaluate_generators(pres, assignment))
+    """Every generator evaluates to zero at a (t-variable -> rational)
+    assignment; t-variables it leaves out are 0.  Stops at the first
+    generator that does not vanish."""
+    full = dict.fromkeys(PolyRing.get(pres.n).t_variables(), Fraction(0))
+    full.update(assignment)
+    return all(g.evaluate(full) == 0 for g in pres.generators)

@@ -6,10 +6,6 @@ inserted row, an exact expression in terms of the original input vectors;
 reducing a query vector then yields either a zero residual together with an
 explicit certificate (the query as a rational combination of the inputs) or
 a nonzero residual, which is a proof of non-membership.
-
-BlockedSpan routes rows and queries into independent EchelonSpans keyed by a
-caller-supplied block function (here: a multidegree).  Membership problems
-in this package are multigraded, so blocking keeps every elimination tiny.
 """
 
 from __future__ import annotations
@@ -85,63 +81,6 @@ class EchelonSpan:
         return True
 
 
-class BlockedSpan:
-    """Echelon spans split along a block key of the vector keys.
-
-    All keys of any single inserted vector must fall in one block (rows are
-    homogeneous); query vectors may mix blocks and are split automatically.
-    """
-
-    def __init__(self, block_of_key, track: bool = False, keysort=None):
-        self._block_of_key = block_of_key
-        self._track = track
-        self._keysort = keysort
-        self._blocks: dict = {}
-
-    @property
-    def rank(self) -> int:
-        return sum(s.rank for s in self._blocks.values())
-
-    @property
-    def dependent(self) -> int:
-        return sum(s.dependent for s in self._blocks.values())
-
-    def _split(self, vec: dict) -> dict:
-        parts: dict = {}
-        for k, c in vec.items():
-            if c:
-                parts.setdefault(self._block_of_key(k), {})[k] = Fraction(c)
-        return parts
-
-    def insert(self, vec: dict, tag=None) -> bool:
-        parts = self._split(vec)
-        if not parts:
-            return False
-        if len(parts) != 1:
-            raise ValueError("inserted vector spans several blocks")
-        ((bk, part),) = parts.items()
-        span = self._blocks.get(bk)
-        if span is None:
-            span = self._blocks[bk] = EchelonSpan(
-                track=self._track, keysort=self._keysort
-            )
-        return span.insert(part, tag)
-
-    def reduce(self, vec: dict):
-        residual: dict = {}
-        used: dict | None = {} if self._track else None
-        for bk, part in self._split(vec).items():
-            span = self._blocks.get(bk)
-            if span is None:
-                residual.update(part)
-                continue
-            r, u = span.reduce(part)
-            residual.update(r)
-            if used is not None and u:
-                used.update(u)
-        return residual, used
-
-
 def solve_dense(matrix: list, rhs: list):
     """Solve A X = B exactly for a square rational A and columns B.
 
@@ -151,7 +90,6 @@ def solve_dense(matrix: list, rhs: list):
     m = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]
     cols = [[Fraction(x) for x in col] for col in rhs]
-    perm = list(range(m))
     for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col]), None)
         if piv is None:
@@ -160,7 +98,6 @@ def solve_dense(matrix: list, rhs: list):
             a[col], a[piv] = a[piv], a[col]
             for c in cols:
                 c[col], c[piv] = c[piv], c[col]
-            perm[col], perm[piv] = perm[piv], perm[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for c in cols:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .based import is_associative, t_assignment, table_from_point
-from .ideal import ideal_generators
+from .ideal import ideal_generators, vanishes_at
 from .lifting import universal_family
 from .linalg import EchelonSpan, solve_dense
 from .poly import PolyRing, mono_degree, mono_sort_key
@@ -95,10 +95,7 @@ def fiber_check(tvals: dict, n: int) -> FiberReport:
 
 def symbolic_member(tvals: dict, n: int) -> bool:
     """Every generator of the chart ideal vanishes at the point."""
-    assignment = t_assignment(n, tvals)
-    return all(
-        g.evaluate(assignment) == 0 for g in ideal_generators(n).generators
-    )
+    return vanishes_at(ideal_generators(n), t_assignment(n, tvals))
 
 
 def small_fraction(rng: random.Random, bound: int = 10) -> Fraction:

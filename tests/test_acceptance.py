@@ -75,7 +75,7 @@ def test_criterion_2_generator_replacement():
         for n in (3, 4, 5):
             main = ideal_generators(n)
             alt = alternate_generators(n)
-            equal, (ab, ba) = span_equal_degree2(main, alt, certificates=True)
+            equal, (ab, ba) = span_equal_degree2(main, alt)
             assert equal
             for g, cert in zip(main.generators, ab):
                 assert cert.verify(g, alt)

@@ -158,6 +158,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert any(d["status"] == "fail" for d in docs)
 
 
+def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
+    # cubic queries answered as non-members: the syzygy and flatness
+    # certificates go missing, and verify reports that instead of raising
+    import hilbworst.lifting as lifting
+    from hilbworst.ideal import Membership
+
+    real = lifting.membership
+
+    def no_cubics(p, pres):
+        if p.degree("t") == 3:
+            return Membership(member=False, degree=3, residual=p)
+        return real(p, pres)
+
+    monkeypatch.setattr(lifting, "membership", no_cubics)
+    rc = main(["verify", "--n", "3", "--route", "classical"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "verification failed: classical/cubic_syzygy_certificates" in captured.err
+    docs = {d["check"]: d for d in map(json.loads, captured.out.splitlines())}
+    assert docs["cubic_syzygy_certificates"]["status"] == "fail"
+    assert "no degree-3 certificate" in docs["cubic_syzygy_certificates"]["detail"]
+    assert docs["flatness"]["status"] == "fail"
+    assert docs["flatness"]["detail"] == "flatness certification failed at n=3"
+    assert docs["koszul_trivial_lift"]["status"] == "ok"
+
+
 BAD_FLAGS = [
     ["gens"],  # missing --n
     ["verify", "--n", "3", "--route", "bogus"],

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hilbworst.ideal import (
+    GradedSpan,
+    IdealPresentation,
     Membership,
     UnsupportedDegreeError,
     alternate_generators,
@@ -105,7 +107,7 @@ def test_alternate_presentation_contains_equal_index_generators():
 def test_alternate_span_equality_with_certificates(n):
     main = ideal_generators(n)
     alt = alternate_generators(n)
-    equal, (certs_ab, certs_ba) = span_equal_degree2(main, alt, certificates=True)
+    equal, (certs_ab, certs_ba) = span_equal_degree2(main, alt)
     assert equal
     for g, cert in zip(main.generators, certs_ab):
         assert cert.verify(g, alt)
@@ -157,6 +159,52 @@ def test_membership_non_member_quadric():
     cert = membership(q, pres)
     assert not cert.member
     assert not cert.residual.is_zero
+
+
+def test_blocked_span_routes_by_key():
+    R = PolyRing.get(3)
+    a = R.t(1, 1, 1) * R.t(1, 1, 1)  # t-degree 2, multidegree (2, 0, 0)
+    b = R.t(1, 1, 1) * R.t(1, 2, 2)  # the same block
+    c = R.t(1, 1, 1) * R.t(1, 2, 3)  # t-degree 2, multidegree (2, 1, -1)
+    span = GradedSpan(3)
+    span.insert(c.terms_dict(), "r0")
+    span.insert((a + b).terms_dict(), "r1")
+    residual, used = span.reduce((2 * c + a + b).terms_dict())
+    assert not residual
+    assert used == {"r0": 2, "r1": 1}
+    with pytest.raises(ValueError):
+        span.insert((a + c).terms_dict(), "r2")
+
+
+@pytest.mark.parametrize("n, rank, blocks", [(3, 235, 37), (4, 2364, 176)])
+def test_degree3_span_rank_and_blocks(n, rank, blocks):
+    span = ideal_generators(n).span(3)
+    assert (span.rank, len(span.blocks)) == (rank, blocks)
+
+
+def _fresh_copy(pres):
+    return IdealPresentation(pres.n, pres.flavor, pres.generators, pres.labels)
+
+
+def test_span_cache_outside_equality_hash_and_repr():
+    built, bare = _fresh_copy(ideal_generators(3)), _fresh_copy(ideal_generators(3))
+    built.span(2)
+    assert built == bare
+    assert hash(built) == hash(bare)
+    assert repr(built) == repr(bare)
+
+
+def test_membership_reuses_the_presentation_span(monkeypatch):
+    pres = _fresh_copy(ideal_generators(3))
+    g = obstruction_quadric(3, 1, 2, 3, 1)
+    cubic = g * PolyRing.get(3).t(1, 2, 3)
+    assert membership(g, pres).member and membership(cubic, pres).member
+
+    def rebuild(*args):
+        raise AssertionError("span built twice")
+
+    monkeypatch.setattr(GradedSpan, "insert", rebuild)
+    assert membership(2 * g, pres).member and membership(2 * cubic, pres).member
 
 
 def test_normal_forms():

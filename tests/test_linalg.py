@@ -1,10 +1,8 @@
-"""Echelon spans, certificates, blocked reduction and dense solving."""
+"""Echelon spans, certificates and dense solving."""
 
 from fractions import Fraction
 
-import pytest
-
-from hilbworst.linalg import BlockedSpan, EchelonSpan, solve_dense
+from hilbworst.linalg import EchelonSpan, solve_dense
 
 
 def F(x):
@@ -44,17 +42,6 @@ def test_certificates_roundtrip():
         for k, v in rows[tag].items():
             recombined[k] = recombined.get(k, F(0)) + coeff * v
     assert {k: v for k, v in recombined.items() if v} == query
-
-
-def test_blocked_span_routes_by_key():
-    span = BlockedSpan(block_of_key=lambda k: k[0], track=True)
-    span.insert({(0, "a"): F(1)}, tag="r0")
-    span.insert({(1, "a"): F(1), (1, "b"): F(1)}, tag="r1")
-    residual, used = span.reduce({(0, "a"): F(2), (1, "a"): F(1), (1, "b"): F(1)})
-    assert not residual
-    assert used == {"r0": F(2), "r1": F(1)}
-    with pytest.raises(ValueError):
-        span.insert({(0, "a"): F(1), (1, "a"): F(1)})
 
 
 def test_solve_dense():
