@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,26 @@ def test_table_detects_non_associative_point(tmp_path, capsys):
     assert rc == 0
     assert docs[0]["associative"] is False
     assert docs[0]["nonzero_residuals"]
+
+
+# point file -> sha256 of the ``table`` stdout
+TABLE_GOLDEN = {
+    '{"n": 3, "t": [[1, 1, 1, "-1"]]}': (
+        "d2387a9d6e0e72fd254dd6103c719e4ebc1c0205868f8b5a7acdf037816ada98"
+    ),
+    '{"n": 3, "t": [[1, 1, 2, "1"], [2, 2, 1, "1"]]}': (
+        "cc15255f393972f79fab282579c9cc4fd1bdc68fa6a0f594574d25c065319496"
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(TABLE_GOLDEN))
+def test_table_output_is_golden(point, tmp_path, capsys):
+    src = tmp_path / "point.json"
+    src.write_text(point)
+    assert main(["table", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_GOLDEN[point]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Golden output: sha256 digests and exit codes of the command-line output,
-and of the obstruction systems the command line never prints.
+and of the obstruction systems and cup products the command line never
+prints.
 
 JSON and text output are promised to be byte-identical across runs and
 across refactors; these digests pin that promise.  The six ``verify``
@@ -16,6 +17,7 @@ import pytest
 
 from hilbworst import dgla, lifting
 from hilbworst.cli import main
+from hilbworst.taylor import FreeModElt
 
 BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
@@ -71,6 +73,14 @@ KURANISHI_GOLDEN = {
     (4, False): "bd815849f07045057c5225fc5e6377eddbbc9db8db0ed510a547cdbc902662ae",
 }
 
+# (n, miniversal) -> sha256 of cup_product(n, miniversal) rendered by cup_text
+CUP_GOLDEN = {
+    (3, True): "08d5a4709c32ad94170ba3ece92602e5a9f6ea1ef33f1b42430b51ed15e04e8f",
+    (3, False): "c37ea87e5ffbf4f05e2abcdf77d6e33484b2780b192dc2cd7d8acf2523011b3c",
+    (4, True): "20acb6a07626adec941b37c56ef8feed1aed5409569b18752236cf37f62eb77c",
+    (4, False): "6c8b81067c0a61738eedd87ea0c85d06fcc058c4b1e66f512931a8f58e3fba3e",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -115,6 +125,15 @@ def kuranishi_text(n: int, miniversal: bool) -> str:
     return text
 
 
+def cup_text(n: int, miniversal: bool) -> str:
+    """Wedge values, then exterior-square representatives, in sorted
+    symbol order."""
+    cup = dgla.cup_product(n, miniversal)
+    values = [(s, v.text()) for s, v in sorted(cup.wedge_values.items())]
+    values += [(s, q.rep.text()) for s, q in sorted(cup.curly_values.items())]
+    return "".join(f"{FreeModElt._sym_text(s)}: {t}\n" for s, t in values)
+
+
 @pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
 def test_cli_output_is_golden(argv, capsys, tmp_path):
     assert cli_digest(argv, capsys, tmp_path) == CLI_GOLDEN[argv]
@@ -128,6 +147,11 @@ def test_second_order_obstruction_is_golden(n):
 @pytest.mark.parametrize("n,miniversal", sorted(KURANISHI_GOLDEN))
 def test_kuranishi_locus_is_golden(n, miniversal):
     assert _sha(kuranishi_text(n, miniversal)) == KURANISHI_GOLDEN[n, miniversal]
+
+
+@pytest.mark.parametrize("n,miniversal", sorted(CUP_GOLDEN))
+def test_cup_product_is_golden(n, miniversal):
+    assert _sha(cup_text(n, miniversal)) == CUP_GOLDEN[n, miniversal]
 
 
 def test_verify_digests_match_the_benchmark():
