@@ -97,12 +97,13 @@ def cmd_table(args, out) -> int:
     n, tvals = args.point
     table = based.table_from_point(tvals, n)
     residuals = based.associativity_residual(table)
-    doc = based.table_to_json_dict(table)
-    doc["schema"] = SCHEMA
-    doc["associative"] = based.is_associative(table)
-    doc["nonzero_residuals"] = sorted(
+    nonzero = sorted(
         list(key) for key, vec in residuals.items() if any(v != 0 for v in vec)
     )
+    doc = based.table_to_json_dict(table)
+    doc["schema"] = SCHEMA
+    doc["associative"] = not nonzero
+    doc["nonzero_residuals"] = nonzero
     _emit(doc, out)
     return 0
 
@@ -126,10 +127,26 @@ def _certified(name: str, n: int, certify) -> dict:
 
 
 def _syzygy_certificates(n: int) -> None:
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                lifting.syzygy_certificate(n, i, j, k)
+    """Certify every cubic syzygy; if any certificate is missing, raise one
+    CertificateError naming how many are and the first triple."""
+    triples = [
+        (i, j, k)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for k in range(j + 1, n + 1)
+    ]
+    missing = []
+    for ijk in triples:
+        try:
+            lifting.syzygy_certificate(n, *ijk)
+        except ideal.CertificateError:
+            missing.append(ijk)
+    if missing:
+        i, j, k = missing[0]
+        raise ideal.CertificateError(
+            f"no degree-3 certificate for {len(missing)} of {len(triples)} "
+            f"cubics at n={n}, first at ({i},{j},{k})"
+        )
 
 
 def _route_classical(n: int):

@@ -10,7 +10,9 @@ throughout: r is not the Koszul differential.
 
 A degree-1 derivation is fixed by its values on the free generators (the
 e-symbols and the wedge symbols); values on the exterior-square summand
-follow from the graded Leibniz rule.  The first-order deformation
+follow from the graded Leibniz rule.  It is kept as one plain table from
+symbols to values and applied by module-linear extension
+(``lifting.apply_images``).  The first-order deformation
 ``first_order_derivation`` reproduces the classical first-order data, is
 closed for the induced differential, and its square on the shared-index
 wedges is the generic associativity combination sum_l q(i,j,k|l) x_l.
@@ -46,6 +48,7 @@ from .ideal import (
     span_equal_degree2,
 )
 from .lifting import (
+    apply_images,
     build_f,
     build_r,
     coefficient_system,
@@ -56,99 +59,38 @@ from .poly import Poly, PolyRing
 from .taylor import (
     CURLY_NS,
     E_NS,
+    WEDGE_NS,
     FreeModElt,
     QuotientElt,
     basis_pairs,
-    e_elt,
     f_map,
     is_koszul,
     koszul_differential,
+    leibniz_value,
     nonkoszul_triple,
     pair,
     r_map,
     reduce_mod_squares,
     wedge_symbols,
-    zero_elt,
 )
 
 
-@dataclass(frozen=True)
-class TruncatedResolution:
-    """The degree >= -2 part of the resolution; the differential is f on
-    degree -1, r on the free wedge summand and the Koszul differential on
-    the exterior-square summand of degree -2."""
-
-    n: int
-
-    def e_symbols(self) -> list:
-        return [(E_NS, i, j) for i, j in basis_pairs(self.n)]
-
-    def wedge_gens(self) -> list:
-        return wedge_symbols(self.n, "w")
-
-    def curly_gens(self) -> list:
-        return wedge_symbols(self.n, CURLY_NS)
-
-    def differential_p1(self, elt: FreeModElt) -> Poly:
-        return f_map(elt)
-
-    def differential_p2(self, elt: FreeModElt) -> FreeModElt:
-        wedge_part = FreeModElt(
-            self.n, {s: c for s, c in elt.terms() if s[0] == "w"}
-        )
-        curly_part = FreeModElt(
-            self.n, {s: c for s, c in elt.terms() if s[0] == CURLY_NS}
-        )
-        return r_map(wedge_part) + koszul_differential(curly_part)
-
-    def square_zero_check(self) -> bool:
-        """d.d vanishes on every degree -2 generator."""
-        for sym in self.wedge_gens() + self.curly_gens():
-            elt = FreeModElt(self.n, {sym: PolyRing.get(self.n).one()})
-            if not self.differential_p1(self.differential_p2(elt)).is_zero:
-                return False
-        return True
+def _degree2_generators(n: int) -> list:
+    """The degree -2 generators: the wedge symbols, then the
+    exterior-square symbols."""
+    return wedge_symbols(n) + wedge_symbols(n, CURLY_NS)
 
 
-@dataclass(frozen=True)
-class DerivationTrunc:
-    """Degree-1 derivation of the truncated resolution, given on the free
-    generators; exterior-square values follow from the Leibniz rule
-    D(a*b) = D(a)*b + (-1)^deg(a) a*D(b)."""
+def _differential(n: int, sym) -> FreeModElt:
+    """The differential on one degree -2 generator: r on a wedge symbol,
+    the Koszul differential on an exterior-square symbol."""
+    gen = FreeModElt(n, {sym: PolyRing.get(n).one()})
+    return r_map(gen) if sym[0] == WEDGE_NS else koszul_differential(gen)
 
-    n: int
-    miniversal: bool
-    e_images: dict  # e-symbol -> Poly (degree 0 value)
-    wedge_images: dict  # wedge symbol -> FreeModElt over e (degree -1 value)
 
-    def on_e(self, sym) -> Poly:
-        return self.e_images[sym]
-
-    def on_wedge(self, sym) -> FreeModElt:
-        return self.wedge_images[sym]
-
-    def on_curly(self, sym) -> FreeModElt:
-        """Leibniz value on e_p v e_q: D(e_p) e_q - D(e_q) e_p (degree-0
-        coefficients commute past degree -1 generators without sign)."""
-        _, p, q = sym
-        return e_elt(self.n, *q, coeff=self.e_images[(E_NS,) + p]) - e_elt(
-            self.n, *p, coeff=self.e_images[(E_NS,) + q]
-        )
-
-    def apply_p1(self, elt: FreeModElt) -> Poly:
-        """On polynomial combinations of e-symbols; the derivation kills
-        degree 0 (nothing lives in degree 1), so coefficients pass through."""
-        total = PolyRing.get(self.n).zero()
-        for sym, c in elt.terms():
-            total = total + c * self.e_images[sym]
-        return total
-
-    def apply_p2(self, elt: FreeModElt) -> FreeModElt:
-        total = zero_elt(self.n)
-        for sym, c in elt.terms():
-            val = self.on_wedge(sym) if sym[0] == "w" else self.on_curly(sym)
-            total = total + val.scale(c)
-        return total
+def square_zero_check(n: int) -> bool:
+    """d.d vanishes on every degree -2 generator."""
+    return all(f_map(_differential(n, sym)).is_zero for sym in _degree2_generators(n))
 
 
 def _maybe_restrict(p: Poly, miniversal: bool) -> Poly:
@@ -156,24 +98,22 @@ def _maybe_restrict(p: Poly, miniversal: bool) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def first_order_derivation(n: int, miniversal: bool = True) -> DerivationTrunc:
+def first_order_derivation(n: int, miniversal: bool = True) -> dict:
     """The closed degree-1 derivation inducing the generic first-order
-    deformation: e[l,m] goes to its first-order image f1, every wedge to
-    its first-order syzygy lift r1 (the shared-index formula, or the
-    trivial Koszul lift on disjoint pairs), both taken from
-    :mod:`.lifting` with the diagonal parameters restricted."""
-    e_images = {
-        sym: _maybe_restrict(p, miniversal) for sym, p in build_f(n).order(1).items()
-    }
-    wedge_images = {
-        sym: FreeModElt(
+    deformation, as one table over the e-, wedge and exterior-square
+    symbols: e[l,m] goes to its first-order image f1 (a Poly), every wedge
+    to its first-order syzygy lift r1 (the shared-index formula, or the
+    trivial Koszul lift on disjoint pairs), both taken from :mod:`.lifting`
+    with the diagonal parameters restricted, and e_p v e_q to its Leibniz
+    value D(e_p) e_q - D(e_q) e_p."""
+    der = {sym: _maybe_restrict(p, miniversal) for sym, p in build_f(n)[1].items()}
+    for sym, elt in build_r(n)[1].items():
+        der[sym] = FreeModElt(
             n, {s: _maybe_restrict(c, miniversal) for s, c in elt.terms()}
         )
-        for sym, elt in build_r(n).order(1).items()
-    }
-    return DerivationTrunc(
-        n=n, miniversal=miniversal, e_images=e_images, wedge_images=wedge_images
-    )
+    for sym in wedge_symbols(n, CURLY_NS):
+        der[sym] = leibniz_value(n, sym, der.__getitem__)
+    return der
 
 
 def closedness_residual(n: int, miniversal: bool = True) -> dict:
@@ -183,17 +123,11 @@ def closedness_residual(n: int, miniversal: bool = True) -> dict:
     On e-generators both summands vanish for structural reasons (nothing in
     degree 1, and the derivation kills degree 0), recorded as exact zeros.
     """
-    res = TruncatedResolution(n)
     der = first_order_derivation(n, miniversal)
-    ring = PolyRing.get(n)
-    out: dict = {}
-    for sym in res.e_symbols():
-        out[sym] = ring.zero()
-    for sym in res.wedge_gens() + res.curly_gens():
-        elt = FreeModElt(n, {sym: ring.one()})
-        d_of_D = res.differential_p1(der.apply_p2(elt))
-        D_of_d = der.apply_p1(res.differential_p2(elt))
-        out[sym] = d_of_D + D_of_d
+    zero = PolyRing.get(n).zero()
+    out: dict = {(E_NS,) + p: zero for p in basis_pairs(n)}
+    for sym in _degree2_generators(n):
+        out[sym] = f_map(der[sym]) + apply_images(der, _differential(n, sym))
     return out
 
 
@@ -211,14 +145,15 @@ def cup_product(n: int, miniversal: bool = True) -> CupReport:
     miniversal normalization); on the exterior-square summand its image in
     the quotient algebra vanishes."""
     der = first_order_derivation(n, miniversal)
-    wedge_values = {}
-    curly_values = {}
-    for sym in wedge_symbols(n):
-        if is_koszul(sym):
-            continue
-        wedge_values[sym] = der.apply_p1(der.on_wedge(sym))
-    for sym in wedge_symbols(n, CURLY_NS):
-        curly_values[sym] = QuotientElt.from_poly(der.apply_p1(der.on_curly(sym)))
+    wedge_values = {
+        sym: apply_images(der, der[sym])
+        for sym in wedge_symbols(n)
+        if not is_koszul(sym)
+    }
+    curly_values = {
+        sym: QuotientElt.from_poly(apply_images(der, der[sym]))
+        for sym in wedge_symbols(n, CURLY_NS)
+    }
     return CupReport(
         n=n, miniversal=miniversal, wedge_values=wedge_values, curly_values=curly_values
     )

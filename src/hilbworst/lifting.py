@@ -35,6 +35,7 @@ from .ideal import (
 )
 from .poly import Poly, PolyRing
 from .taylor import (
+    E_NS,
     FreeModElt,
     basis_pairs,
     e_elt,
@@ -47,24 +48,6 @@ from .taylor import (
     wedge_symbols,
     zero_elt,
 )
-
-
-@dataclass(frozen=True)
-class PerturbedMap:
-    """Images of basis symbols, graded by order in the deformation
-    parameters; ``orders[d]`` maps symbols to their t-degree-d piece."""
-
-    orders: tuple
-
-    def order(self, d: int) -> dict:
-        return self.orders[d] if d < len(self.orders) else {}
-
-    def image(self, sym):
-        parts = [o[sym] for o in self.orders if sym in o]
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
 
 
 # -- generator perturbations -------------------------------------------------
@@ -85,22 +68,21 @@ def quadratic_tail(n: int, l: int, m: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def build_f(n: int) -> PerturbedMap:
-    """Full perturbed generator map: orders 0, 1 and 2 on every e[i,j]."""
+def build_f(n: int) -> tuple:
+    """Full perturbed generator map as its order tables (f0, f1, f2): order
+    d maps every e[i,j] to its t-degree-d piece."""
     if n < 3:
         raise ValueError(f"ambient n must be >= 3, got {n}")
-    f0 = {(("e",) + p): pair_product(n, p) for p in basis_pairs(n)}
-    f1 = {(("e",) + p): f1_image(n, *p) for p in basis_pairs(n)}
-    f2 = {(("e",) + p): quadratic_tail(n, *p) for p in basis_pairs(n)}
-    return PerturbedMap(orders=(f0, f1, f2))
+    f0 = {(E_NS,) + p: pair_product(n, p) for p in basis_pairs(n)}
+    f1 = {(E_NS,) + p: f1_image(n, *p) for p in basis_pairs(n)}
+    f2 = {(E_NS,) + p: quadratic_tail(n, *p) for p in basis_pairs(n)}
+    return f0, f1, f2
 
 
 def apply_images(images: dict, elt: FreeModElt) -> Poly:
-    """Module-linear application of a symbol -> Poly table."""
-    total = PolyRing.get(elt.n).zero()
-    for sym, c in elt.terms():
-        total = total + c * images[sym]
-    return total
+    """Module-linear application of a table with Poly values on the
+    e-symbols."""
+    return elt.apply_linear(images.__getitem__, PolyRing.get(elt.n).zero(), E_NS)
 
 
 # -- syzygy perturbations ------------------------------------------------------
@@ -131,9 +113,10 @@ def r1_symbol(n: int, sym) -> FreeModElt:
 
 
 @lru_cache(maxsize=None)
-def build_r(n: int) -> PerturbedMap:
-    """Perturbed syzygy map: order 0 is the divided Koszul relation, order 1
-    the lift above.  No higher orders exist for degree reasons."""
+def build_r(n: int) -> tuple:
+    """Perturbed syzygy map as its order tables (r0, r1) on the wedge
+    symbols: order 0 is the divided Koszul relation, order 1 the lift above.
+    No higher orders exist for degree reasons."""
     if n < 3:
         raise ValueError(f"ambient n must be >= 3, got {n}")
     r0 = {}
@@ -141,7 +124,7 @@ def build_r(n: int) -> PerturbedMap:
     for sym in wedge_symbols(n):
         r0[sym] = r_symbol(n, sym[1], sym[2])
         r1[sym] = r1_symbol(n, sym)
-    return PerturbedMap(orders=(r0, r1))
+    return r0, r1
 
 
 # -- residual computations -------------------------------------------------------
@@ -149,14 +132,12 @@ def build_r(n: int) -> PerturbedMap:
 
 def first_order_residual(n: int) -> dict:
     """f0.r1 + f1.r0 on every wedge symbol; contract: identically zero."""
-    f = build_f(n)
-    r = build_r(n)
-    out = {}
-    for sym in wedge_symbols(n):
-        out[sym] = apply_images(f.order(0), r.order(1)[sym]) + apply_images(
-            f.order(1), r.order(0)[sym]
-        )
-    return out
+    f0, f1, _ = build_f(n)
+    r0, r1 = build_r(n)
+    return {
+        sym: apply_images(f0, r1[sym]) + apply_images(f1, r0[sym])
+        for sym in wedge_symbols(n)
+    }
 
 
 @dataclass(frozen=True)
@@ -214,8 +195,8 @@ def second_order_obstruction(n: int) -> ObstructionSystem:
     equating the candidate expressions for one tail across wedges yields
     the difference constraints.  The collected system spans the same
     degree-2 space as the generator presentation."""
-    f1 = build_f(n).order(1)
-    r1 = build_r(n).order(1)
+    f1 = build_f(n)[1]
+    r1 = build_r(n)[1]
     products = {
         sym: apply_images(f1, r1[sym])
         for sym in wedge_symbols(n)
@@ -286,12 +267,18 @@ class WedgeFlatness:
     degree3: Membership
 
     @property
+    def failing_part(self) -> str | None:
+        """The first part lacking its certificate; None when none does."""
+        if not self.low_orders_zero:
+            return "orders 0 and 1"
+        missing = sorted(l for l, m in self.degree2.items() if not m.member)
+        if missing:
+            return f"x_{missing[0]}-coefficient of the t-degree-2 part"
+        return None if self.degree3.member else "t-degree-3 part"
+
+    @property
     def ok(self) -> bool:
-        return (
-            self.low_orders_zero
-            and all(m.member for m in self.degree2.values())
-            and self.degree3.member
-        )
+        return self.failing_part is None
 
 
 @dataclass
@@ -320,7 +307,7 @@ def flatness_residual(n: int) -> FlatnessReport:
         pieces = {d: ring.zero() for d in range(4)}
         for df in range(3):
             for dr in range(2):
-                p = apply_images(f.order(df), r.order(dr)[sym])
+                p = apply_images(f[df], r[dr][sym])
                 pieces[df + dr] = pieces[df + dr] + p
         low_zero = pieces[0].is_zero and pieces[1].is_zero
         deg2 = {}
@@ -334,10 +321,14 @@ def flatness_residual(n: int) -> FlatnessReport:
         wedges[sym] = WedgeFlatness(
             sym=sym, low_orders_zero=low_zero, degree2=deg2, degree3=deg3
         )
-    report = FlatnessReport(n=n, wedges=wedges)
-    if not report.ok:
-        raise CertificateError(f"flatness certification failed at n={n}")
-    return report
+    failed = [w for w in wedges.values() if not w.ok]
+    if failed:
+        raise CertificateError(
+            f"flatness certification failed at n={n}: {len(failed)} of "
+            f"{len(wedges)} shared-index wedges, first "
+            f"{FreeModElt._sym_text(failed[0].sym)} ({failed[0].failing_part})"
+        )
+    return FlatnessReport(n=n, wedges=wedges)
 
 
 def koszul_full_residual(n: int) -> dict:
@@ -345,15 +336,14 @@ def koszul_full_residual(n: int) -> dict:
     the trivial lift extended with the second-order tails:
     r_hat(e_p ^ e_q) = -f_hat(e_q) e_p + f_hat(e_p) e_q minus its order-0
     part plus the divided relation; vanishes identically at every order."""
-    f = build_f(n)
+    f0, f1, f2 = build_f(n)
     out = {}
     for sym in wedge_symbols(n):
         if not is_koszul(sym):
             continue
         _, p, q = sym
-        fp = f.image(("e",) + p)
-        fq = f.image(("e",) + q)
-        r_hat = e_elt(n, *p, coeff=-fq) + e_elt(n, *q, coeff=fp)
-        full_f = {sym2: f.image(sym2) for sym2 in (("e",) + p, ("e",) + q)}
+        ep, eq = (E_NS,) + p, (E_NS,) + q
+        full_f = {e: f0[e] + f1[e] + f2[e] for e in (ep, eq)}
+        r_hat = e_elt(n, *p, coeff=-full_f[eq]) + e_elt(n, *q, coeff=full_f[ep])
         out[sym] = apply_images(full_f, r_hat)
     return out

@@ -21,7 +21,6 @@ class EchelonSpan:
         self._combos: dict = {}  # pivot key -> {tag: Fraction}
         self._track = track
         self._key = keysort if keysort is not None else (lambda k: k)
-        self.dependent = 0  # inserted vectors that did not increase rank
 
     @property
     def rank(self) -> int:
@@ -64,7 +63,6 @@ class EchelonSpan:
         """Add a vector to the span; False if it was already contained."""
         residual, used = self.reduce(vec)
         if not residual:
-            self.dependent += 1
             return False
         p = min(residual, key=self._key)
         c = residual[p]

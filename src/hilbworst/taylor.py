@@ -122,6 +122,21 @@ class FreeModElt:
         """Multiply every coefficient by a Poly or rational."""
         return FreeModElt(self.n, {s: c * factor for s, c in self._coef.items()})
 
+    def apply_linear(self, image, zero, ns: str):
+        """Module-linear extension of ``image`` (symbol -> Poly or
+        FreeModElt) to this element: the sum of c * image(sym) over its
+        terms, starting from ``zero``.  Every symbol must lie in namespace
+        ``ns``."""
+        total = zero
+        for sym, c in self.terms():
+            if sym[0] != ns:
+                raise ValueError(f"expected {ns!r}-symbols, got {sym}")
+            value = image(sym)
+            total = total + (
+                value.scale(c) if isinstance(value, FreeModElt) else c * value
+            )
+        return total
+
     def __eq__(self, other):
         return (
             isinstance(other, FreeModElt)
@@ -205,12 +220,10 @@ def _pair_product_divided(n: int, p: tuple, common: set) -> Poly:
 
 def f_map(elt: FreeModElt) -> Poly:
     """Module-linear map e[i,j] -> x_i * x_j."""
-    total = PolyRing.get(elt.n).zero()
-    for sym, c in elt.terms():
-        if sym[0] != E_NS:
-            raise ValueError(f"f_map expects e-symbols, got {sym}")
-        total = total + c * pair_product(elt.n, (sym[1], sym[2]))
-    return total
+    n = elt.n
+    return elt.apply_linear(
+        lambda sym: pair_product(n, sym[1:]), PolyRing.get(n).zero(), E_NS
+    )
 
 
 @lru_cache(maxsize=None)
@@ -224,35 +237,33 @@ def r_symbol(n: int, p: tuple, q: tuple) -> FreeModElt:
 
 
 def r_map(elt: FreeModElt) -> FreeModElt:
-    total = zero_elt(elt.n)
-    for sym, c in elt.terms():
-        if sym[0] != WEDGE_NS:
-            raise ValueError(f"r_map expects wedge symbols, got {sym}")
-        total = total + r_symbol(elt.n, sym[1], sym[2]).scale(c)
-    return total
+    n = elt.n
+    return elt.apply_linear(lambda sym: r_symbol(n, *sym[1:]), zero_elt(n), WEDGE_NS)
 
 
 def r_oriented(n: int, p: tuple, q: tuple) -> FreeModElt:
     """r on an oriented wedge given by two index pairs (sign-correct)."""
-    sym, sign = wedge_symbol(WEDGE_NS, pair(*p), pair(*q))
-    if sign == 0:
-        return zero_elt(n)
-    return r_symbol(n, sym[1], sym[2]).scale(Fraction(sign))
+    return r_map(wedge_elt(n, p, q))
+
+
+def leibniz_value(n: int, sym, image) -> FreeModElt:
+    """Value on e_p v e_q of the derivation given by ``image`` on the
+    e-symbols, by the graded Leibniz rule: image(e_p) e_q - image(e_q) e_p
+    (degree-0 values commute past degree -1 generators without sign)."""
+    _, p, q = sym
+    return e_elt(n, *q, coeff=image((E_NS,) + p)) - e_elt(
+        n, *p, coeff=image((E_NS,) + q)
+    )
 
 
 def koszul_differential(elt: FreeModElt) -> FreeModElt:
-    """Differential on the exterior-square namespace:
-    e_p v e_q -> f_p * e_q - f_q * e_p."""
-    total = zero_elt(elt.n)
-    for sym, c in elt.terms():
-        if sym[0] != CURLY_NS:
-            raise ValueError(f"expected exterior-square symbols, got {sym}")
-        _, p, q = sym
-        term = e_elt(elt.n, *q, coeff=pair_product(elt.n, p)) - e_elt(
-            elt.n, *p, coeff=pair_product(elt.n, q)
-        )
-        total = total + term.scale(c)
-    return total
+    """Differential on the exterior-square namespace, the Leibniz
+    extension of f: e_p v e_q -> f_p * e_q - f_q * e_p."""
+    n = elt.n
+    f = lambda e: pair_product(n, e[1:])
+    return elt.apply_linear(
+        lambda sym: leibniz_value(n, sym, f), zero_elt(n), CURLY_NS
+    )
 
 
 # -- the quotient algebra --------------------------------------------------------
@@ -327,12 +338,8 @@ def tangent_hom_value(n: int, i: int, j: int, k: int, gen_pair: tuple) -> Poly:
 def tangent_hom_apply(n: int, ijk: tuple, elt: FreeModElt) -> QuotientElt:
     """Module-linear extension of a tangent hom, landing in the quotient."""
     i, j, k = ijk
-    total = PolyRing.get(n).zero()
-    for sym, c in elt.terms():
-        if sym[0] != E_NS:
-            raise ValueError("tangent homs act on e-symbols")
-        total = total + c * tangent_hom_value(n, i, j, k, (sym[1], sym[2]))
-    return QuotientElt.from_poly(total)
+    value = lambda sym: tangent_hom_value(n, i, j, k, sym[1:])
+    return QuotientElt.from_poly(elt.apply_linear(value, PolyRing.get(n).zero(), E_NS))
 
 
 def _hom_vector(n: int, ijk: tuple) -> dict:

@@ -199,9 +199,14 @@ def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
     assert "verification failed: classical/cubic_syzygy_certificates" in captured.err
     docs = {d["check"]: d for d in map(json.loads, captured.out.splitlines())}
     assert docs["cubic_syzygy_certificates"]["status"] == "fail"
-    assert "no degree-3 certificate" in docs["cubic_syzygy_certificates"]["detail"]
+    assert docs["cubic_syzygy_certificates"]["detail"] == (
+        "no degree-3 certificate for 9 of 9 cubics at n=3, first at (1,1,2)"
+    )
     assert docs["flatness"]["status"] == "fail"
-    assert docs["flatness"]["detail"] == "flatness certification failed at n=3"
+    assert docs["flatness"]["detail"] == (
+        "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
+        "first e[1,1]^e[1,2] (t-degree-3 part)"
+    )
     assert docs["koszul_trivial_lift"]["status"] == "ok"
 
 

@@ -56,7 +56,7 @@ def test_r1_koszul_is_trivial_lift():
     expected = e_elt(n, 1, 2, coeff=-f1_image(n, 3, 4)) + e_elt(
         n, 3, 4, coeff=f1_image(n, 1, 2)
     )
-    assert r.order(1)[sym] == expected
+    assert r[1][sym] == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -183,7 +183,7 @@ def test_syzygy_cubic_is_the_second_order_composite():
     from hilbworst.lifting import apply_images
 
     sym = ("w", (1, 2), (1, 3))
-    composite = apply_images(f.order(2), r.order(1)[sym])
+    composite = apply_images(f[2], r[1][sym])
     assert composite * Fraction(n - 1) == syzygy_cubic(n, i, j, k)
 
 
@@ -196,6 +196,26 @@ def test_flatness_certified(n):
     for wf in report.wedges.values():
         assert wf.low_orders_zero
         assert wf.degree3.member
+
+
+def test_flatness_failure_names_the_x_coefficient(monkeypatch):
+    # t-degree-2 queries answered as non-members: the first wedge fails on
+    # its lowest x-coefficient, before its cubic is looked at
+    import hilbworst.lifting as lifting
+    from hilbworst.ideal import CertificateError, Membership
+
+    def no_quadrics(p, pres):
+        if p.degree("t") == 2:
+            return Membership(member=False, degree=2, residual=p)
+        return membership(p, pres)
+
+    monkeypatch.setattr(lifting, "membership", no_quadrics)
+    with pytest.raises(CertificateError) as exc:
+        flatness_residual(3)
+    assert str(exc.value) == (
+        "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
+        "first e[1,1]^e[1,2] (x_1-coefficient of the t-degree-2 part)"
+    )
 
 
 @pytest.mark.parametrize("n", [3, 4])

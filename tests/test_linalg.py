@@ -15,7 +15,6 @@ def test_insert_and_rank():
     assert span.insert({"b": F(1)})
     assert not span.insert({"a": F(2), "b": F(5)})
     assert span.rank == 2
-    assert span.dependent == 1
 
 
 def test_reduce_residual_is_proof_of_failure():

@@ -1,12 +1,18 @@
 """Complex maps, wedge canonicalization, tangent homs and dimension counts."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from hilbworst.poly import PolyRing
 from hilbworst.taylor import (
     CURLY_NS,
+    E_NS,
+    WEDGE_NS,
     FreeModElt,
     QuotientElt,
+    basis_pairs,
     derivation_image_vector,
     e_elt,
     f_map,
@@ -69,6 +75,79 @@ def test_r_map_is_linear_over_wedge_elements():
     w = wedge_elt(3, (1, 2), (1, 3), coeff=R3.x(2)) + wedge_elt(3, (1, 1), (2, 3))
     direct = r_oriented(3, (1, 2), (1, 3)).scale(R3.x(2)) + r_oriented(3, (1, 1), (2, 3))
     assert r_map(w) == direct
+
+
+# one generator of each namespace, and the namespace each map acts on
+NAMESPACE_GENERATORS = {
+    E_NS: e_elt(3, 1, 2),
+    WEDGE_NS: wedge_elt(3, (1, 2), (1, 3)),
+    CURLY_NS: wedge_elt(3, (1, 2), (1, 3), ns=CURLY_NS),
+}
+NAMESPACE_MAPS = {
+    "f_map": (f_map, E_NS),
+    "r_map": (r_map, WEDGE_NS),
+    "koszul_differential": (koszul_differential, CURLY_NS),
+    "tangent_hom_apply": (lambda elt: tangent_hom_apply(3, (1, 2, 3), elt), E_NS),
+}
+
+
+@pytest.mark.parametrize(
+    "name,ns",
+    [
+        (name, ns)
+        for name, (_, own) in NAMESPACE_MAPS.items()
+        for ns in NAMESPACE_GENERATORS
+        if ns != own
+    ],
+)
+def test_maps_reject_symbols_of_another_namespace(name, ns):
+    apply, own = NAMESPACE_MAPS[name]
+    apply(NAMESPACE_GENERATORS[own])  # its own namespace is accepted
+    with pytest.raises(ValueError, match=f"expected '{own}'-symbols"):
+        apply(NAMESPACE_GENERATORS[ns])
+
+
+def _random_poly(rng):
+    """A few random rational multiples of x- and t-monomials of degree <= 2."""
+    out = R3.zero()
+    for _ in range(rng.randint(1, 3)):
+        term = R3.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 2)):
+            term = term * rng.choice(
+                [R3.x(rng.randint(1, 3)), R3.t(*(rng.randint(1, 3) for _ in "ijk"))]
+            )
+        out = out + term
+    return out
+
+
+def _random_elt(rng, symbols):
+    return FreeModElt(3, {sym: _random_poly(rng) for sym in rng.sample(symbols, 3)})
+
+
+@pytest.mark.parametrize("valued", ["Poly", "FreeModElt"])
+def test_apply_linear_is_module_linear(valued):
+    rng = random.Random(20251018)
+    e_syms = [(E_NS,) + p for p in basis_pairs(3)]
+    w_syms = wedge_symbols(3)
+    if valued == "Poly":
+        table = {sym: _random_poly(rng) for sym in e_syms}
+        zero = R3.zero()
+    else:
+        table = {sym: _random_elt(rng, w_syms) for sym in e_syms}
+        zero = zero_elt(3)
+
+    def apply(elt):
+        return elt.apply_linear(table.__getitem__, zero, E_NS)
+
+    assert apply(zero_elt(3)) == zero
+    for _ in range(20):
+        a, b = _random_elt(rng, e_syms), _random_elt(rng, e_syms)
+        c = _random_poly(rng)
+        scaled = apply(a).scale(c) if valued == "FreeModElt" else c * apply(a)
+        assert apply(a.scale(c) + b) == scaled + apply(b)
+        # on one generator the extension is the table entry itself
+        sym = rng.choice(e_syms)
+        assert apply(FreeModElt(3, {sym: R3.one()})) == table[sym]
 
 
 def test_nonkoszul_triple_roundtrip():
