@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -208,6 +209,45 @@ def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
         "first e[1,1]^e[1,2] (t-degree-3 part)"
     )
     assert docs["koszul_trivial_lift"]["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "ijk, wedge",
+    [((2, 1, 3), "e[1,2]^e[2,3]"), ((3, 1, 2), "e[1,3]^e[2,3]")],
+)
+def test_verify_one_missing_cubic_is_named(ijk, wedge, capsys, monkeypatch):
+    # only the cubic at ijk (or that cubic over n-1) is answered as a
+    # non-member: both checks count one of nine and name its triple and wedge
+    import hilbworst.lifting as lifting
+    from hilbworst.ideal import Membership
+
+    n = 3
+    real = lifting.membership
+    cubic = lifting.syzygy_cubic(n, *ijk)
+
+    def one_missing(p, pres):
+        if p == cubic or p * Fraction(n - 1) == cubic:
+            return Membership(member=False, degree=3, residual=p)
+        return real(p, pres)
+
+    monkeypatch.setattr(lifting, "membership", one_missing)
+    rc = main(["verify", "--n", str(n), "--route", "classical"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    docs = {d["check"]: d for d in map(json.loads, captured.out.splitlines())}
+    i, j, k = ijk
+    assert docs["cubic_syzygy_certificates"]["detail"] == (
+        f"no degree-3 certificate for 1 of 9 cubics at n=3, first at ({i},{j},{k})"
+    )
+    assert docs["flatness"]["detail"] == (
+        "flatness certification failed at n=3: 1 of 9 shared-index wedges, "
+        f"first {wedge} (t-degree-3 part)"
+    )
+    assert all(
+        d["status"] == "ok"
+        for name, d in docs.items()
+        if name not in ("cubic_syzygy_certificates", "flatness")
+    )
 
 
 BAD_FLAGS = [
