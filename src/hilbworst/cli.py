@@ -115,48 +115,17 @@ def _check(name: str, n: int, ok: bool, detail: str = "") -> dict:
     return doc
 
 
-def _certified(name: str, n: int, certify) -> dict:
-    """An ok check if certify() returns; a failed one carrying the message
-    if it raises CertificateError (a certificate the theory requires is
-    missing)."""
-    try:
-        certify()
-    except ideal.CertificateError as exc:
-        return _check(name, n, False, detail=str(exc))
-    return _check(name, n, True)
-
-
-def _syzygy_certificates(n: int) -> None:
-    """Certify every cubic syzygy; if any certificate is missing, raise one
-    CertificateError naming how many are and the first triple."""
-    triples = [
-        (i, j, k)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for k in range(j + 1, n + 1)
-    ]
-    missing = []
-    for ijk in triples:
-        try:
-            lifting.syzygy_certificate(n, *ijk)
-        except ideal.CertificateError:
-            missing.append(ijk)
-    if missing:
-        i, j, k = missing[0]
-        raise ideal.CertificateError(
-            f"no degree-3 certificate for {len(missing)} of {len(triples)} "
-            f"cubics at n={n}, first at ({i},{j},{k})"
-        )
-
-
 def _route_classical(n: int):
     res = lifting.first_order_residual(n)
     yield _check("first_order_residual", n, all(p.is_zero for p in res.values()))
     system = lifting.second_order_obstruction(n)
     equal, _ = ideal.span_equal_degree2(system.equations, ideal.ideal_generators(n))
     yield _check("second_order_span", n, equal)
-    yield _certified("cubic_syzygy_certificates", n, lambda: _syzygy_certificates(n))
-    yield _certified("flatness", n, lambda: lifting.flatness_residual(n))
+    flat = lifting.flatness_residual(n)
+    yield _check(
+        "cubic_syzygy_certificates", n, not flat.cubic_detail, flat.cubic_detail
+    )
+    yield _check("flatness", n, flat.ok, flat.flatness_detail)
     koszul = lifting.koszul_full_residual(n)
     yield _check("koszul_trivial_lift", n, all(p.is_zero for p in koszul.values()))
 
@@ -169,7 +138,7 @@ def _route_dgla(n: int):
         doc["generator"] = taylor.FreeModElt._sym_text(sym)
         doc["residual"] = res.text()
         yield doc
-    cup = dgla.cup_product(n)
+    cup = dgla.cup_product(n, True)  # the cache key kuranishi_quadratic_locus uses
     R = ideal.PolyRing.get(n)
     for sym, value in sorted(cup.wedge_values.items()):
         i, j, k = taylor.nonkoszul_triple(sym)

@@ -139,6 +139,7 @@ class CupReport:
     curly_values: dict  # curly symbol -> QuotientElt (image in the quotient)
 
 
+@lru_cache(maxsize=None)
 def cup_product(n: int, miniversal: bool = True) -> CupReport:
     """The square of the first-order derivation: on shared-index wedges it
     equals sum_l q(i,j,k|l) x_l (with the diagonal parameters zeroed in the

@@ -11,10 +11,12 @@ of the x-variables produces the defining constraint system of the chart
 the lam-free symmetric form sum_k q(l,m,k|k)/(n-1).
 
 With those tails the perturbed composite vanishes modulo the constraint
-ideal: its t-degree-2 part lies in the degree-2 span and its t-degree-3 part
-is a cubic with an explicit linear-form certificate (``syzygy_certificate``,
-``flatness_residual``).  Disjoint-pair wedges lift trivially to all orders
-and the composite vanishes identically there (``koszul_full_residual``).
+ideal: its t-degree-2 part lies in the degree-2 span, and n-1 times its
+t-degree-3 part is the cubic syzygy, which has an explicit linear-form
+certificate (``syzygy_certificate``); ``flatness_residual`` reports both,
+one query per cubic, each certificate re-verified by exact multiplication.
+Disjoint-pair wedges lift trivially to all orders and the composite
+vanishes identically there (``koszul_full_residual``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .ideal import (
     CertificateError,
@@ -263,18 +266,10 @@ def syzygy_certificate(n: int, i: int, j: int, k: int) -> Membership:
 class WedgeFlatness:
     sym: tuple
     low_orders_zero: bool
-    degree2: dict  # x-variable index -> Membership
-    degree3: Membership
-
-    @property
-    def failing_part(self) -> str | None:
-        """The first part lacking its certificate; None when none does."""
-        if not self.low_orders_zero:
-            return "orders 0 and 1"
-        missing = sorted(l for l, m in self.degree2.items() if not m.member)
-        if missing:
-            return f"x_{missing[0]}-coefficient of the t-degree-2 part"
-        return None if self.degree3.member else "t-degree-3 part"
+    degree2: dict  # x-variable index -> Membership of that x-coefficient
+    degree3: Membership  # of the cubic syzygy at nonkoszul_triple(sym)
+    cubic_certified: bool  # degree3 re-verified by exact multiplication
+    failing_part: str | None  # the first part lacking its certificate
 
     @property
     def ok(self) -> bool:
@@ -290,44 +285,73 @@ class FlatnessReport:
     def ok(self) -> bool:
         return all(w.ok for w in self.wedges.values())
 
+    @property
+    def flatness_detail(self) -> str:
+        """Empty if ok; else how many wedges fail and the first one's part."""
+        failed = [w for w in self.wedges.values() if not w.ok]
+        if not failed:
+            return ""
+        return (
+            f"flatness certification failed at n={self.n}: {len(failed)} of "
+            f"{len(self.wedges)} shared-index wedges, first "
+            f"{FreeModElt._sym_text(failed[0].sym)} ({failed[0].failing_part})"
+        )
+
+    @property
+    def cubic_detail(self) -> str:
+        """Empty if every cubic is certified; else how many are not and the
+        smallest such (i, j, k)."""
+        missing = sorted(
+            nonkoszul_triple(w.sym)
+            for w in self.wedges.values()
+            if not w.cubic_certified
+        )
+        if not missing:
+            return ""
+        return (
+            f"no degree-3 certificate for {len(missing)} of {len(self.wedges)} "
+            "cubics at n={}, first at ({},{},{})".format(self.n, *missing[0])
+        )
+
 
 def flatness_residual(n: int) -> FlatnessReport:
-    """Certify (f0+f1+f2)(r0+r1) on every shared-index wedge: orders 0 and 1
-    vanish identically, the t-degree-2 part splits into x-coefficients lying
-    in the degree-2 span, and the t-degree-3 part is x-free and carries a
-    cubic certificate."""
+    """Certify (f0+f1+f2)(r0+r1) on every shared-index wedge e[i,j]^e[i,k]:
+    orders 0 and 1 vanish identically, the t-degree-2 part splits into
+    x-coefficients lying in the degree-2 span, and n-1 times the t-degree-3
+    part is the cubic syzygy at (i, j, k), which has a degree-3 certificate.
+    A certificate counts only once re-verified by exact multiplication; the
+    report names the first part of each wedge that lacks one."""
     f = build_f(n)
     r = build_r(n)
     pres = ideal_generators(n)
-    ring = PolyRing.get(n)
     wedges = {}
     for sym in wedge_symbols(n):
         if is_koszul(sym):
             continue
-        pieces = {d: ring.zero() for d in range(4)}
-        for df in range(3):
-            for dr in range(2):
-                p = apply_images(f[df], r[dr][sym])
-                pieces[df + dr] = pieces[df + dr] + p
-        low_zero = pieces[0].is_zero and pieces[1].is_zero
-        deg2 = {}
+        pieces = [PolyRing.get(n).zero()] * 4
+        for df, dr in product(range(3), range(2)):
+            pieces[df + dr] += apply_images(f[df], r[dr][sym])
+        quadrics = {}
         for xmono, coeff in pieces[2].split_by_x().items():
             if not xmono:
                 raise AssertionError("unexpected x-free t-degree-2 part")
-            deg2[xmono[0][0][1]] = membership(coeff, pres)
-        if pieces[3].degree("x"):
-            raise AssertionError("t-degree-3 part should be x-free")
-        deg3 = membership(pieces[3], pres)
-        wedges[sym] = WedgeFlatness(
-            sym=sym, low_orders_zero=low_zero, degree2=deg2, degree3=deg3
-        )
-    failed = [w for w in wedges.values() if not w.ok]
-    if failed:
-        raise CertificateError(
-            f"flatness certification failed at n={n}: {len(failed)} of "
-            f"{len(wedges)} shared-index wedges, first "
-            f"{FreeModElt._sym_text(failed[0].sym)} ({failed[0].failing_part})"
-        )
+            quadrics[xmono[0][0][1]] = coeff
+        deg2 = {l: membership(q, pres) for l, q in quadrics.items()}
+        cubic = syzygy_cubic(n, *nonkoszul_triple(sym))
+        deg3 = membership(cubic, pres)
+        low_zero = pieces[0].is_zero and pieces[1].is_zero
+        cubic_ok = deg3.verify(cubic, pres)
+        # (part, certified) in checking order; the first uncertified one fails
+        parts = [("orders 0 and 1", low_zero)]
+        parts += [
+            (f"x_{l}-coefficient of the t-degree-2 part", deg2[l].verify(q, pres))
+            for l, q in sorted(quadrics.items())
+        ]
+        identity = pieces[3] * (n - 1) == cubic
+        parts.append(("t-degree-3 part as the cubic syzygy over n-1", identity))
+        parts.append(("t-degree-3 part", cubic_ok))
+        failing = next((part for part, ok in parts if not ok), None)
+        wedges[sym] = WedgeFlatness(sym, low_zero, deg2, deg3, cubic_ok, failing)
     return FlatnessReport(n=n, wedges=wedges)
 
 

@@ -250,6 +250,59 @@ def test_verify_one_missing_cubic_is_named(ijk, wedge, capsys, monkeypatch):
     )
 
 
+def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
+    # a forged certificate (member, but no multipliers) does not count
+    import hilbworst.lifting as lifting
+    from hilbworst.ideal import Membership
+
+    real = lifting.membership
+
+    def forged(p, pres):
+        if p.degree("t") == 3:
+            return Membership(member=True, degree=3)
+        return real(p, pres)
+
+    monkeypatch.setattr(lifting, "membership", forged)
+    rc = main(["verify", "--n", "3", "--route", "classical"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "verification failed: classical/cubic_syzygy_certificates" in captured.err
+    docs = {d["check"]: d for d in map(json.loads, captured.out.splitlines())}
+    assert docs["cubic_syzygy_certificates"]["detail"] == (
+        "no degree-3 certificate for 9 of 9 cubics at n=3, first at (1,1,2)"
+    )
+    assert docs["flatness"]["detail"] == (
+        "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
+        "first e[1,1]^e[1,2] (t-degree-3 part)"
+    )
+
+
+def test_verify_classical_queries_each_cubic_once(capsys, monkeypatch):
+    import hilbworst.lifting as lifting
+
+    real = lifting.membership
+    degrees = []
+
+    def counting(p, pres):
+        degrees.append(p.degree("t"))
+        return real(p, pres)
+
+    monkeypatch.setattr(lifting, "membership", counting)
+    assert main(["verify", "--n", "3", "--route", "classical"]) == 0
+    capsys.readouterr()
+    assert degrees.count(3) == 9  # one per shared-index wedge
+
+
+def test_verify_dgla_computes_the_cup_product_once(capsys):
+    import hilbworst.dgla as dgla
+
+    dgla.cup_product.cache_clear()
+    dgla.kuranishi_quadratic_locus.cache_clear()
+    assert main(["verify", "--n", "3", "--route", "dgla"]) == 0
+    capsys.readouterr()
+    assert dgla.cup_product.cache_info().misses == 1
+
+
 BAD_FLAGS = [
     ["gens"],  # missing --n
     ["verify", "--n", "3", "--route", "bogus"],

@@ -202,7 +202,7 @@ def test_flatness_failure_names_the_x_coefficient(monkeypatch):
     # t-degree-2 queries answered as non-members: the first wedge fails on
     # its lowest x-coefficient, before its cubic is looked at
     import hilbworst.lifting as lifting
-    from hilbworst.ideal import CertificateError, Membership
+    from hilbworst.ideal import Membership
 
     def no_quadrics(p, pres):
         if p.degree("t") == 2:
@@ -210,12 +210,29 @@ def test_flatness_failure_names_the_x_coefficient(monkeypatch):
         return membership(p, pres)
 
     monkeypatch.setattr(lifting, "membership", no_quadrics)
-    with pytest.raises(CertificateError) as exc:
-        flatness_residual(3)
-    assert str(exc.value) == (
+    report = flatness_residual(3)
+    assert not report.ok
+    assert report.flatness_detail == (
         "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
         "first e[1,1]^e[1,2] (x_1-coefficient of the t-degree-2 part)"
     )
+
+
+def test_flatness_checks_the_cubic_identity(monkeypatch):
+    # twice the cubic is still in the ideal, but n-1 times the t-degree-3
+    # part no longer equals it: only the flatness check fails
+    import hilbworst.lifting as lifting
+
+    monkeypatch.setattr(
+        lifting, "syzygy_cubic", lambda n, i, j, k: syzygy_cubic(n, i, j, k) * 2
+    )
+    report = flatness_residual(3)
+    assert not report.ok
+    assert report.flatness_detail == (
+        "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
+        "first e[1,1]^e[1,2] (t-degree-3 part as the cubic syzygy over n-1)"
+    )
+    assert report.cubic_detail == ""
 
 
 @pytest.mark.parametrize("n", [3, 4])
