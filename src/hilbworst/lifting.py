@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .ideal import (
     CertificateError,
@@ -308,9 +307,10 @@ class FlatnessReport:
         )
         if not missing:
             return ""
+        i, j, k = missing[0]
         return (
             f"no degree-3 certificate for {len(missing)} of {len(self.wedges)} "
-            "cubics at n={}, first at ({},{},{})".format(self.n, *missing[0])
+            f"cubics at n={self.n}, first at ({i},{j},{k})"
         )
 
 
@@ -324,13 +324,17 @@ def flatness_residual(n: int) -> FlatnessReport:
     f = build_f(n)
     r = build_r(n)
     pres = ideal_generators(n)
+    ring = PolyRing.get(n)
     wedges = {}
     for sym in wedge_symbols(n):
         if is_koszul(sym):
             continue
-        pieces = [PolyRing.get(n).zero()] * 4
-        for df, dr in product(range(3), range(2)):
-            pieces[df + dr] += apply_images(f[df], r[dr][sym])
+        pieces = {d: ring.zero() for d in range(4)}
+        for df in range(3):
+            for dr in range(2):
+                p = apply_images(f[df], r[dr][sym])
+                pieces[df + dr] = pieces[df + dr] + p
+        low_zero = pieces[0].is_zero and pieces[1].is_zero
         quadrics = {}
         for xmono, coeff in pieces[2].split_by_x().items():
             if not xmono:
@@ -339,7 +343,6 @@ def flatness_residual(n: int) -> FlatnessReport:
         deg2 = {l: membership(q, pres) for l, q in quadrics.items()}
         cubic = syzygy_cubic(n, *nonkoszul_triple(sym))
         deg3 = membership(cubic, pres)
-        low_zero = pieces[0].is_zero and pieces[1].is_zero
         cubic_ok = deg3.verify(cubic, pres)
         # (part, certified) in checking order; the first uncertified one fails
         parts = [("orders 0 and 1", low_zero)]
