@@ -200,7 +200,7 @@ def test_flatness_certified(n):
 
 def test_flatness_failure_names_the_x_coefficient(monkeypatch):
     # t-degree-2 queries answered as non-members: the first wedge fails on
-    # its lowest x-coefficient, before its cubic is looked at
+    # its lowest x-coefficient, which is checked before its cubic
     import hilbworst.lifting as lifting
     from hilbworst.ideal import Membership
 
