@@ -6,7 +6,6 @@ associativity), all in exact rational arithmetic."""
 
 from .poly import Poly, PolyRing, UniverseMismatchError
 from .ideal import (
-    CertificateError,
     IdealPresentation,
     Membership,
     UnsupportedDegreeError,
@@ -30,7 +29,6 @@ from .lifting import (
     first_order_residual,
     flatness_residual,
     second_order_obstruction,
-    syzygy_certificate,
     universal_family,
 )
 from .dgla import (

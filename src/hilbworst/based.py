@@ -14,11 +14,11 @@ embed them back; the projection eliminates the unit rows outright and sends
 the k=0 column to the (normalized) diagonal quadric sums.  The composite is
 the identity on every parameter, and both maps respect the two ideals,
 certified generator by generator in ``verify_structure_correspondence``:
-degree-2 images reduce against the generator span, the k=0 images against
-the cubic certificate machinery, and the embedded generators reduce to
-associator combinations modulo the substitution ideal of the unit and
-symmetry relations (a zero reduction under ``reduce_unit_sym`` is an exact
-witness of membership in that sub-ideal).
+a projected generator by its ``membership`` certificate in the chart ideal,
+an embedded one, reduced modulo the unit and symmetry relations
+(``reduce_unit_sym``), by a rational combination of the reduced associator
+coefficients.  Either certificate counts only once ``Membership.verify`` has
+multiplied it back out exactly.
 
 Multiplication tables (``MulTable``) hold rational or symbolic entries and
 answer exact associativity queries; ``table_from_point`` converts a rational
@@ -32,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .ideal import (
     GradedSpan,
     IdealPresentation,
+    Membership,
     _Dedup,
     diagonal_sum,
     ideal_generators,
@@ -265,16 +267,25 @@ def reduce_unit_sym(p: Poly, n: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
+def _reduced_associators(n: int) -> IdealPresentation:
+    """The associator coefficients with positive indices and j < k, reduced
+    modulo the unit and symmetry relations; embedded generators are
+    certified as combinations of these."""
+    pos = range(1, n + 1)
+    gens = tuple(
+        reduce_unit_sym(associator_coeff(n, i, j, k, l), n)
+        for i, j, k, l in product(pos, pos, pos, range(n + 1))
+        if j < k
+    )
+    return IdealPresentation(n, "based_algebra", gens)
+
+
+@lru_cache(maxsize=None)
 def _reduced_assoc_span(n: int) -> GradedSpan:
-    """Span of the reduced associator coefficients with positive indices,
-    used to certify embedded generators modulo the substitution sub-ideal."""
+    """Span of ``_reduced_associators(n)``, tagged by generator index."""
     span = GradedSpan(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                for l in range(n + 1):
-                    g = reduce_unit_sym(associator_coeff(n, i, j, k, l), n)
-                    span.insert(g.terms_dict(), (i, j, k, l))
+    for idx, g in enumerate(_reduced_associators(n).generators):
+        span.insert(g.terms_dict(), idx)
     return span
 
 
@@ -313,24 +324,23 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
         img = structure_to_params(g, n)
         if img.is_zero:
             report.pi_zero += 1
-            continue
-        d = img.degree("t")
-        cert = membership(img, chart)
-        if not cert.member:
+        elif not membership(img, chart).verify(img, chart):
             report.failures.append(("projection", lab))
-        elif d == 2:
+        elif img.degree("t") == 2:
             report.pi_degree2 += 1
         else:
             report.pi_degree3 += 1
 
-    span = _reduced_assoc_span(n)
+    assoc, span = _reduced_associators(n), _reduced_assoc_span(n)
     for g, lab in zip(chart.generators, chart.labels):
         emb = reduce_unit_sym(params_to_structure(g, n), n)
-        residual, _ = span.reduce(emb.terms_dict())
-        if residual:
-            report.failures.append(("embedding", lab))
-        else:
+        residual, used = span.reduce(emb.terms_dict())
+        mults = {idx: ring.const(c) for idx, c in used.items()}
+        cert = Membership(member=not residual, degree=2, multipliers=mults)
+        if cert.verify(emb, assoc):
             report.iota_count += 1
+        else:
+            report.failures.append(("embedding", lab))
     return report
 
 

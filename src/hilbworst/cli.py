@@ -46,10 +46,6 @@ def _presentation_doc(pres, fmt: str) -> dict:
     return doc
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
-
-
 def cmd_gens(args, out) -> int:
     pres = ideal.ideal_generators(args.n, args.flavor)
     if args.format == "text":
@@ -119,7 +115,7 @@ def _route_classical(n: int):
     res = lifting.first_order_residual(n)
     yield _check("first_order_residual", n, all(p.is_zero for p in res.values()))
     system = lifting.second_order_obstruction(n)
-    equal, _ = ideal.span_equal_degree2(system.equations, ideal.ideal_generators(n))
+    equal = ideal.span_equal_degree2(system.equations, ideal.ideal_generators(n))
     yield _check("second_order_span", n, equal)
     flat = lifting.flatness_residual(n)
     yield _check(
@@ -159,8 +155,7 @@ def _route_dgla(n: int):
         yield doc
     locus = dgla.kuranishi_quadratic_locus(n).equations
     mini = ideal.ideal_generators(n, "miniversal")
-    equal, _ = ideal.span_equal_degree2(locus, mini)
-    yield _check("kuranishi_span", n, equal)
+    yield _check("kuranishi_span", n, ideal.span_equal_degree2(locus, mini))
     yield _check("classical_vs_dgla", n, dgla.compare_classical_dgla(n).equal)
 
 
@@ -231,8 +226,7 @@ def cmd_export(args, out) -> int:
         "hom_dim": dims.hom_dim,
         "t1_dim": dims.t1_dim,
     }
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out or ".")  # created by main
     for name, doc in docs.items():
         (outdir / name).write_text(_dumps(doc))
     _emit({"schema": SCHEMA, "written": sorted(docs)}, out)
@@ -251,10 +245,15 @@ def _read_point(path: str) -> tuple:
     n = data.get("n") if isinstance(data, dict) else None
     if type(n) is not int or n < 2:
         raise error(f'{path}: "n" must be an integer >= 2')
+    rows = data.get("t", [])
+    if not isinstance(rows, list):
+        raise error(f'{path}: "t" must be a list of [i, j, k, "p/q"] entries')
     tvals = {}
-    for row in data.get("t", []):
+    for row in rows:
         try:
             i, j, k, v = row
+            if isinstance(v, bool):  # JSON true/false is not a rational
+                raise TypeError
             tvals[(i, j, k)] = Fraction(v)
         except (TypeError, ValueError, ZeroDivisionError):
             raise error(f'{path}: t entry {row!r} is not [i, j, k, "p/q"]') from None
@@ -358,9 +357,14 @@ def main(argv=None) -> int:
         "table": cmd_table,
         "export": cmd_export,
     }
-    # export treats --out as its target directory and reports on stdout
-    path = None if args.command == "export" else getattr(args, "out", None)
-    out = _open_out(path)
+    path = args.out
+    try:
+        if args.command == "export":  # --out is a directory; report on stdout
+            Path(path or ".").mkdir(parents=True, exist_ok=True)
+            path = None
+        out = open(path, "w") if path else sys.stdout
+    except OSError as exc:
+        parser.error(f"argument --out: cannot write {path}: {exc.strerror or exc}")
     try:
         return handlers[args.command](args, out)
     finally:

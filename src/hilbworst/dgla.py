@@ -226,10 +226,9 @@ def compare_classical_dgla(n: int) -> RouteComparison:
     locus of this module."""
     classical_mini = miniversal_restriction(second_order_obstruction(n).equations)
     dgla_sys = kuranishi_quadratic_locus(n).equations
-    equal, _ = span_equal_degree2(classical_mini, dgla_sys)
     return RouteComparison(
         n=n,
-        equal=equal,
+        equal=span_equal_degree2(classical_mini, dgla_sys),
         classical_rank=degree2_rank(classical_mini),
         dgla_rank=degree2_rank(dgla_sys),
     )

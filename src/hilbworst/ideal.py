@@ -44,10 +44,6 @@ class UnsupportedDegreeError(ValueError):
     """Membership query outside the homogeneous degrees handled exactly."""
 
 
-class CertificateError(RuntimeError):
-    """A certificate required by the theory could not be found."""
-
-
 @lru_cache(maxsize=None)
 def obstruction_quadric(n: int, i: int, j: int, k: int, l: int) -> Poly:
     """Quadratic form in the deformation parameters t(i,j,k) whose vanishing
@@ -302,6 +298,8 @@ class Membership:
     residual: Poly | None = None
 
     def verify(self, p: Poly, pres: IdealPresentation) -> bool:
+        """A member whose multipliers give back p exactly; every check that
+        rests on a certificate reports ok only if this holds."""
         if not self.member:
             return False
         acc = PolyRing.get(pres.n).zero()
@@ -350,6 +348,10 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
 def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
     """Canonical representative of a homogeneous quadric modulo the ideal:
     the reduction against the fixed echelon basis of the degree-2 span."""
+    if p.n != n:
+        raise ValueError(
+            f"ambient n mismatch: quadric at n={p.n}, normal form at n={n}"
+        )
     if p.is_zero:
         return p
     _require_pure_t(p)
@@ -366,21 +368,15 @@ def degree2_rank(pres: IdealPresentation) -> int:
     return pres.span(2).rank
 
 
-def span_equal_degree2(a: IdealPresentation, b: IdealPresentation):
-    """Mutual containment of the degree-2 spans of two presentations.
-
-    Returns (equal, certs): when equal, certs holds the two lists of
-    Membership certificates (a's generators in span(b) and vice versa),
-    otherwise it is None.
-    """
-    certs = ([], [])
-    for src, dst, out in ((a, b, certs[0]), (b, a, certs[1])):
-        for g in src.generators:
-            m = membership(g, dst)
-            if not m.member:
-                return False, None
-            out.append(m)
-    return True, certs
+def span_equal_degree2(a: IdealPresentation, b: IdealPresentation) -> bool:
+    """Mutual containment of the degree-2 spans of two presentations: every
+    generator of each side has a certificate in the other that passes
+    ``Membership.verify``."""
+    return all(
+        membership(g, dst).verify(g, dst)
+        for src, dst in ((a, b), (b, a))
+        for g in src.generators
+    )
 
 
 def vanishes_at(pres: IdealPresentation, assignment: dict) -> bool:

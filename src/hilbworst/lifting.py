@@ -12,9 +12,10 @@ the lam-free symmetric form sum_k q(l,m,k|k)/(n-1).
 
 With those tails the perturbed composite vanishes modulo the constraint
 ideal: its t-degree-2 part lies in the degree-2 span, and n-1 times its
-t-degree-3 part is the cubic syzygy, which has an explicit linear-form
-certificate (``syzygy_certificate``); ``flatness_residual`` reports both,
-one query per cubic, each certificate re-verified by exact multiplication.
+t-degree-3 part is the cubic syzygy (``syzygy_cubic``), which has an
+explicit linear-form certificate.  ``flatness_residual`` reports both, one
+``membership`` query per cubic, each certificate re-verified by exact
+multiplication (``Membership.verify``) before it counts.
 Disjoint-pair wedges lift trivially to all orders and the composite
 vanishes identically there (``koszul_full_residual``).
 """
@@ -26,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ideal import (
-    CertificateError,
     IdealPresentation,
     Membership,
     _Dedup,
@@ -245,17 +245,6 @@ def syzygy_cubic(n: int, i: int, j: int, k: int) -> Poly:
         total = total + ring.t(i, j, l) * diagonal_sum(n, k, l)
         total = total - ring.t(i, k, l) * diagonal_sum(n, j, l)
     return total
-
-
-def syzygy_certificate(n: int, i: int, j: int, k: int) -> Membership:
-    """Explicit linear-form multipliers writing the cubic in terms of the
-    generators; absence would contradict flatness and raises."""
-    cert = membership(syzygy_cubic(n, i, j, k), ideal_generators(n))
-    if not cert.member:
-        raise CertificateError(
-            f"no degree-3 certificate for the cubic at ({i},{j},{k}), n={n}"
-        )
-    return cert
 
 
 # -- flatness of the full family ----------------------------------------------------

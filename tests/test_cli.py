@@ -119,6 +119,9 @@ def test_table_output_is_golden(point, tmp_path, capsys):
         '{"n": 3, "t": [[0, 2, 1, "1"]]}',
         '{"n": 3, "t": [[1, 2, "1"]]}',
         '{"n": 3, "t": [[1, 2, 3, "1/0"]]}',
+        '{"n": 3, "t": [[1, 2, 3, true]]}',  # a JSON boolean is not a rational
+        '{"n": 3, "t": 5}',
+        '{"n": 3, "t": null}',
     ],
 )
 def test_table_malformed_input_usage_error(text, tmp_path, capsys):
@@ -277,6 +280,69 @@ def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "route, span_checks",
+    [
+        ("classical", {"second_order_span"}),
+        ("dgla", {"kuranishi_span", "classical_vs_dgla"}),
+    ],
+    ids=["classical", "dgla"],
+)
+def test_verify_reverifies_span_certificates(route, span_checks, capsys, monkeypatch):
+    # span_equal_degree2 handed forged certificates (member, but no
+    # multipliers): every span check fails, every other check still passes
+    import hilbworst.ideal as ideal
+    from hilbworst.ideal import Membership
+
+    def forged(p, pres):
+        return Membership(member=True, degree=2)
+
+    monkeypatch.setattr(ideal, "membership", forged)
+    rc = main(["verify", "--n", "3", "--route", route])
+    captured = capsys.readouterr()
+    assert rc == 1
+    docs = [json.loads(line) for line in captured.out.splitlines()]
+    assert {d["check"] for d in docs if d["status"] != "ok"} == span_checks
+
+
+def run_based_detail(capsys) -> str:
+    rc = main(["verify", "--n", "3", "--route", "based"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "verification failed: based/structure_correspondence" in captured.err
+    (doc,) = map(json.loads, captured.out.splitlines())
+    assert doc["status"] == "fail"
+    return doc["detail"]
+
+
+def test_verify_reverifies_projection_certificates(capsys, monkeypatch):
+    # forged projection certificates (member, but no multipliers) do not count
+    import hilbworst.based as based
+    from hilbworst.ideal import Membership
+
+    def forged(p, pres):
+        return Membership(member=True, degree=2)
+
+    monkeypatch.setattr(based, "membership", forged)
+    detail = run_based_detail(capsys)
+    assert detail.startswith("projection:") and "embedding:" not in detail
+
+
+@pytest.mark.parametrize("used", [{}, {0: Fraction(1)}], ids=["empty", "wrong"])
+def test_verify_reverifies_embedding_certificates(used, capsys, monkeypatch):
+    # the associator span reports a zero residual with an empty or a wrong
+    # combination: no embedded generator counts as certified
+    import hilbworst.based as based
+
+    class Forged:
+        def reduce(self, vec):
+            return {}, dict(used)
+
+    monkeypatch.setattr(based, "_reduced_assoc_span", lambda n: Forged())
+    detail = run_based_detail(capsys)
+    assert detail.startswith("embedding:") and "projection:" not in detail
+
+
 def test_verify_classical_queries_each_cubic_once(capsys, monkeypatch):
     import hilbworst.lifting as lifting
 
@@ -326,6 +392,40 @@ def test_bad_flags_usage_error(capsys):
         captured = capsys.readouterr()
         assert "usage:" in captured.err, argv
         assert captured.out == "", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gens", "--n", "3", "--out", "{missing}"],
+        ["family", "--n", "3", "--out", "{missing}"],
+        ["verify", "--n", "3", "--out", "{missing}"],
+        ["subspaces", "--n", "3", "--out", "{missing}"],
+        ["table", "{point}", "--out", "{missing}"],
+        ["gens", "--n", "3", "--out", "{tmp}"],  # a directory
+        ["export", "--n", "3", "--out", "{kept}"],  # a file, not a directory
+    ],
+    ids=["gens", "family", "verify", "subspaces", "table", "gens-dir", "export"],
+)
+def test_unwritable_out_usage_error(argv, tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text('{"n": 3, "t": [[1, 1, 1, "-1"]]}')
+    kept = tmp_path / "kept"
+    kept.write_text("kept")
+    paths = {
+        "missing": tmp_path / "no" / "such" / "x.json",
+        "point": point,
+        "tmp": tmp_path,
+        "kept": kept,
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "--out" in captured.err
+    assert captured.out == ""
+    assert kept.read_text() == "kept"
+    assert not (tmp_path / "no").exists()
 
 
 def test_export_writes_bundle(tmp_path, capsys):

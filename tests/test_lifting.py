@@ -24,7 +24,6 @@ from hilbworst.lifting import (
     koszul_full_residual,
     r1_oriented,
     second_order_obstruction,
-    syzygy_certificate,
     syzygy_cubic,
     universal_family,
 )
@@ -85,7 +84,7 @@ def test_second_order_candidate_tails():
 @pytest.mark.parametrize("n", [3, 4])
 def test_second_order_span_equals_ideal(n):
     system = second_order_obstruction(n)
-    equal, _ = span_equal_degree2(system.equations, ideal_generators(n))
+    equal = span_equal_degree2(system.equations, ideal_generators(n))
     assert equal
 
 
@@ -150,11 +149,13 @@ def test_family_generators_multihomogeneous():
 
 
 @pytest.mark.parametrize("ijk", [(1, 2, 3), (1, 1, 2), (2, 3, 1)])
-def test_syzygy_certificate_exists_and_verifies(ijk):
+def test_cubic_certificate_exists_and_verifies(ijk):
     n = 3
-    cert = syzygy_certificate(n, *ijk)
+    pres = ideal_generators(n)
+    cubic = syzygy_cubic(n, *ijk)
+    cert = membership(cubic, pres)
     assert cert.member
-    assert cert.verify(syzygy_cubic(n, *ijk), ideal_generators(n))
+    assert cert.verify(cubic, pres)
     for mult in cert.multipliers.values():
         assert mult.is_homogeneous("t") and mult.degree("t") == 1
 
@@ -164,10 +165,10 @@ def test_syzygy_cubic_requires_distinct_indices():
         syzygy_cubic(3, 1, 2, 2)
 
 
-def test_syzygy_certificate_shape_is_deterministic():
+def test_cubic_certificate_shape_is_deterministic():
     # golden pin of the deterministic elimination: the certificate for
     # (1,2,3) at n=3 touches exactly these generators of the presentation
-    cert = syzygy_certificate(3, 1, 2, 3)
+    cert = membership(syzygy_cubic(3, 1, 2, 3), ideal_generators(3))
     labels = sorted(
         ideal_generators(3).labels[idx] for idx in cert.multipliers
     )
