@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -252,7 +253,7 @@ def _read_point(path: str) -> tuple:
     for row in rows:
         try:
             i, j, k, v = row
-            if isinstance(v, bool):  # JSON true/false is not a rational
+            if isinstance(v, (bool, float)):  # a JSON bool or float is not exact
                 raise TypeError
             tvals[(i, j, k)] = Fraction(v)
         except (TypeError, ValueError, ZeroDivisionError):
@@ -362,14 +363,12 @@ def main(argv=None) -> int:
         if args.command == "export":  # --out is a directory; report on stdout
             Path(path or ".").mkdir(parents=True, exist_ok=True)
             path = None
-        out = open(path, "w") if path else sys.stdout
+        with open(path, "w") if path else nullcontext(sys.stdout) as out:
+            return handlers[args.command](args, out)
     except OSError as exc:
-        parser.error(f"argument --out: cannot write {path}: {exc.strerror or exc}")
-    try:
-        return handlers[args.command](args, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        if exc.filename is None:  # not a file that --out names
+            raise
+        parser.error(f"argument --out: cannot write {exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from functools import lru_cache
 
 from .ideal import (
     IdealPresentation,
-    degree2_rank,
     membership,
     miniversal_restriction,
     set_diagonal_zero,
@@ -229,6 +228,6 @@ def compare_classical_dgla(n: int) -> RouteComparison:
     return RouteComparison(
         n=n,
         equal=span_equal_degree2(classical_mini, dgla_sys),
-        classical_rank=degree2_rank(classical_mini),
-        dgla_rank=degree2_rank(dgla_sys),
+        classical_rank=classical_mini.span(2).rank,
+        dgla_rank=dgla_sys.span(2).rank,
     )

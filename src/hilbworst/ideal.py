@@ -172,6 +172,7 @@ def miniversal_restriction(pres: IdealPresentation) -> IdealPresentation:
     return dd.presentation(pres.n, "miniversal")
 
 
+@lru_cache(maxsize=None)
 def _quadric_generators(n: int, swapped: bool) -> IdealPresentation:
     """Quadrics q(i,j,k|l) for j,k,l distinct, then the differences
     q(i,j,k|k) - q(a,b,l|l) for j != k, b != l, where (a, b) is (i, j), or
@@ -194,26 +195,29 @@ def _quadric_generators(n: int, swapped: bool) -> IdealPresentation:
 
 
 @lru_cache(maxsize=None)
+def _miniversal_generators(n: int) -> IdealPresentation:
+    return miniversal_restriction(_quadric_generators(n, False))
+
+
 def ideal_generators(n: int, flavor: str = "hilbert") -> IdealPresentation:
     """The two index families of quadric generators, deduplicated in a fixed
-    enumeration order.
+    enumeration order; every call form returns the same object.
 
     flavor "hilbert": quadrics q(i,j,k|l) for j,k,l distinct, and differences
     q(i,j,k|k) - q(i,j,l|l) for j != k, j != l.  flavor "miniversal": the
     same generators with t(i,i,i) set to 0.
     """
-    if flavor not in ("hilbert", "miniversal"):
-        raise ValueError(f"unsupported flavor {flavor!r}")
+    if flavor == "hilbert":
+        return _quadric_generators(n, False)
     if flavor == "miniversal":
-        return miniversal_restriction(ideal_generators(n))
-    return _quadric_generators(n, swapped=False)
+        return _miniversal_generators(n)
+    raise ValueError(f"unsupported flavor {flavor!r}")
 
 
-@lru_cache(maxsize=None)
 def alternate_generators(n: int) -> IdealPresentation:
     """Equivalent presentation with the difference family q(i,j,k|k) -
     q(j,i,l|l), j != k, i != l; spans the same degree-2 space."""
-    return _quadric_generators(n, swapped=True)
+    return _quadric_generators(n, True)
 
 
 # -- membership ----------------------------------------------------------------
@@ -347,7 +351,8 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
 
 def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
     """Canonical representative of a homogeneous quadric modulo the ideal:
-    the reduction against the fixed echelon basis of the degree-2 span."""
+    the residual of its ``membership`` query, the reduction against the
+    fixed echelon basis of the degree-2 span (zero for a member)."""
     if p.n != n:
         raise ValueError(
             f"ambient n mismatch: quadric at n={p.n}, normal form at n={n}"
@@ -357,15 +362,8 @@ def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
     _require_pure_t(p)
     if not (p.is_homogeneous("t") and p.degree("t") == 2):
         raise UnsupportedDegreeError("normal form defined for quadrics only")
-    pres = ideal_generators(n, flavor)
-    residual, _ = pres.span(2).reduce(p.terms_dict())
-    return Poly(p.n, residual)
-
-
-def degree2_rank(pres: IdealPresentation) -> int:
-    """Dimension of the degree-2 span; len(pres) minus this counts the
-    linear dependencies kept in the presentation."""
-    return pres.span(2).rank
+    residual = membership(p, ideal_generators(n, flavor)).residual
+    return residual if residual is not None else PolyRing.get(n).zero()
 
 
 def span_equal_degree2(a: IdealPresentation, b: IdealPresentation) -> bool:

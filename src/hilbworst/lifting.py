@@ -16,8 +16,9 @@ t-degree-3 part is the cubic syzygy (``syzygy_cubic``), which has an
 explicit linear-form certificate.  ``flatness_residual`` reports both, one
 ``membership`` query per cubic, each certificate re-verified by exact
 multiplication (``Membership.verify``) before it counts.
-Disjoint-pair wedges lift trivially to all orders and the composite
-vanishes identically there (``koszul_full_residual``).
+Disjoint-pair wedges lift trivially to all orders, by ``leibniz_value`` of
+the perturbed generator map; the composite vanishes identically there
+(``koszul_full_residual``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .taylor import (
     basis_pairs,
     e_elt,
     is_koszul,
+    leibniz_value,
     nonkoszul_triple,
     pair,
     pair_product,
@@ -103,29 +105,22 @@ def r1_oriented(n: int, i: int, j: int, k: int) -> FreeModElt:
     return total
 
 
-def r1_symbol(n: int, sym) -> FreeModElt:
-    """First-order lift on a canonical wedge symbol: the trivial Koszul lift
-    on disjoint pairs, the shared-index formula otherwise."""
-    _, p, q = sym
-    if is_koszul(sym):
-        return e_elt(n, *p, coeff=-f1_image(n, *q)) + e_elt(
-            n, *q, coeff=f1_image(n, *p)
-        )
-    return r1_oriented(n, *nonkoszul_triple(sym))
-
-
 @lru_cache(maxsize=None)
 def build_r(n: int) -> tuple:
     """Perturbed syzygy map as its order tables (r0, r1) on the wedge
-    symbols: order 0 is the divided Koszul relation, order 1 the lift above.
-    No higher orders exist for degree reasons."""
-    if n < 3:
-        raise ValueError(f"ambient n must be >= 3, got {n}")
+    symbols: order 0 is the divided Koszul relation, order 1 the trivial
+    Koszul lift (``leibniz_value`` of f1) on a disjoint wedge and
+    ``r1_oriented`` on a shared-index one.  No higher orders exist for
+    degree reasons."""
+    f1 = build_f(n)[1]
     r0 = {}
     r1 = {}
     for sym in wedge_symbols(n):
         r0[sym] = r_symbol(n, sym[1], sym[2])
-        r1[sym] = r1_symbol(n, sym)
+        if is_koszul(sym):
+            r1[sym] = leibniz_value(n, sym, f1.__getitem__)
+        else:
+            r1[sym] = r1_oriented(n, *nonkoszul_triple(sym))
     return r0, r1
 
 
@@ -348,18 +343,12 @@ def flatness_residual(n: int) -> FlatnessReport:
 
 
 def koszul_full_residual(n: int) -> dict:
-    """Composite of the full perturbed maps on disjoint-pair wedges, using
-    the trivial lift extended with the second-order tails:
-    r_hat(e_p ^ e_q) = -f_hat(e_q) e_p + f_hat(e_p) e_q minus its order-0
-    part plus the divided relation; vanishes identically at every order."""
-    f0, f1, f2 = build_f(n)
-    out = {}
-    for sym in wedge_symbols(n):
-        if not is_koszul(sym):
-            continue
-        _, p, q = sym
-        ep, eq = (E_NS,) + p, (E_NS,) + q
-        full_f = {e: f0[e] + f1[e] + f2[e] for e in (ep, eq)}
-        r_hat = e_elt(n, *p, coeff=-full_f[eq]) + e_elt(n, *q, coeff=full_f[ep])
-        out[sym] = apply_images(full_f, r_hat)
-    return out
+    """Composite of the full perturbed maps on disjoint-pair wedges, with the
+    trivial lift ``leibniz_value`` of e[p] -> its generator in
+    ``universal_family``; vanishes identically at every order."""
+    full = {(E_NS,) + p: g for p, g in zip(basis_pairs(n), universal_family(n))}
+    return {
+        sym: apply_images(full, leibniz_value(n, sym, full.__getitem__))
+        for sym in wedge_symbols(n)
+        if is_koszul(sym)
+    }

@@ -78,33 +78,3 @@ class EchelonSpan:
             self._combos[p] = {tg: v / c for tg, v in combo.items()}
         return True
 
-
-def solve_dense(matrix: list, rhs: list):
-    """Solve A X = B exactly for a square rational A and columns B.
-
-    `matrix` is a list of rows, `rhs` a list of right-hand-side columns.
-    Returns the list of solution columns, or None when A is singular.
-    """
-    m = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    cols = [[Fraction(x) for x in col] for col in rhs]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
-        if piv is None:
-            return None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            for c in cols:
-                c[col], c[piv] = c[piv], c[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for c in cols:
-            c[col] *= inv
-        for r in range(m):
-            if r == col or not a[r][col]:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            for c in cols:
-                c[r] -= f * c[col]
-    return cols

@@ -17,10 +17,11 @@ whose leading monomial has degree <= 1 is exactly a collapse of that basis.
 
 ``point_from_configuration`` manufactures honest points of the chart: given
 n+1 rational points in general position, it solves for the structure
-constants of their coordinate ring in the basis 1, x_1, ..., x_n and
-converts them to parameter values; a singular evaluation matrix means the
-configuration leaves the chart.  Sampling uses small-height rationals and a
-fixed seed so that failures replay exactly.
+constants of their coordinate ring in the basis 1, x_1, ..., x_n with an
+``EchelonSpan``, the package's one exact solver, and converts them to
+parameter values; a singular evaluation matrix means the configuration
+leaves the chart.  Sampling uses small-height rationals and a fixed seed so
+that failures replay exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from .based import is_associative, t_assignment, table_from_point
 from .ideal import ideal_generators, vanishes_at
 from .lifting import universal_family
-from .linalg import EchelonSpan, solve_dense
+from .linalg import EchelonSpan
 from .poly import PolyRing, mono_degree, mono_sort_key
 from .subspaces import LinearSubspaceSpec, _survives
 
@@ -46,27 +47,30 @@ def point_from_configuration(points: list, n: int | None = None) -> dict:
     """Parameter values of the subscheme supported on n+1 rational points.
 
     Solves, for every pair (i, j), the expansion of x_i*x_j in the residue
-    basis 1, x_1, ..., x_n on the configuration and negates the linear
-    coefficients (family sign convention).  Raises BasisCriterionError when
-    the evaluation matrix is singular.
+    basis 1, x_1, ..., x_n on the configuration (the tracked reduction
+    against an ``EchelonSpan`` of the evaluation columns) and negates the
+    linear coefficients (family sign convention).  Raises
+    BasisCriterionError when the evaluation matrix is singular.
     """
     if n is None:
         n = len(points) - 1
     if len(points) != n + 1 or any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of length n, got {len(points)}")
-    pts = [[Fraction(c) for c in p] for p in points]
-    evaluation = [[Fraction(1)] + row for row in pts]
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    # one right-hand side per pair: the values of x_i*x_j at the points
-    rhs = [[row[i - 1] * row[j - 1] for row in pts] for i, j in pairs]
-    sols = solve_dense(evaluation, rhs)
-    if sols is None:
+    evaluation = [[Fraction(1)] + [Fraction(c) for c in p] for p in points]
+    # column k of the evaluation matrix holds the values of x_k (x_0 = 1)
+    columns = EchelonSpan(track=True)
+    for k in range(n + 1):
+        columns.insert({r: row[k] for r, row in enumerate(evaluation)}, tag=k)
+    if columns.rank <= n:  # insert rejected a column as dependent
         raise BasisCriterionError("evaluation matrix of the configuration is singular")
     tvals = {}
-    for (i, j), coeffs in zip(pairs, sols):
-        for k in range(1, n + 1):
-            if coeffs[k]:
-                tvals[(i, j, k)] = -coeffs[k]
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            xij = {r: row[i] * row[j] for r, row in enumerate(evaluation)}
+            _, coeffs = columns.reduce(xij)
+            for k in range(1, n + 1):
+                if k in coeffs:
+                    tvals[(i, j, k)] = -coeffs[k]
     return tvals
 
 

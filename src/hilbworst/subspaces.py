@@ -175,7 +175,9 @@ def max_linear_dim(n: int) -> MaxLinearResult:
     dim = best // 2
     m = optimal_subset_size(n)
     case_dim = closed_form_dim(n)
-    matches = case_dim == dim and m in maximizers
+    root = amax_floor(n)  # the maximizers are its floor or ceiling
+    near_root = set(maximizers) <= {root, root + 1}
+    matches = case_dim == dim and m in maximizers and near_root
     return MaxLinearResult(
         n=n,
         dim=dim,

@@ -249,7 +249,9 @@ def r_oriented(n: int, p: tuple, q: tuple) -> FreeModElt:
 def leibniz_value(n: int, sym, image) -> FreeModElt:
     """Value on e_p v e_q of the derivation given by ``image`` on the
     e-symbols, by the graded Leibniz rule: image(e_p) e_q - image(e_q) e_p
-    (degree-0 values commute past degree -1 generators without sign)."""
+    (degree-0 values commute past degree -1 generators without sign).  For
+    a disjoint wedge and the (perturbed) generator map as ``image``, this is
+    also the trivial Koszul lift of the syzygy, at every order."""
     _, p, q = sym
     return e_elt(n, *q, coeff=image((E_NS,) + p)) - e_elt(
         n, *p, coeff=image((E_NS,) + q)
@@ -298,12 +300,6 @@ class QuotientElt:
     @property
     def is_zero(self) -> bool:
         return self.rep.is_zero
-
-    def __add__(self, other: "QuotientElt") -> "QuotientElt":
-        return QuotientElt(self.rep + other.rep)
-
-    def __sub__(self, other: "QuotientElt") -> "QuotientElt":
-        return QuotientElt(self.rep - other.rep)
 
     def components(self) -> dict:
         """Coordinates in the basis {0: 1, b: x_b}."""

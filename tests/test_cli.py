@@ -120,6 +120,7 @@ def test_table_output_is_golden(point, tmp_path, capsys):
         '{"n": 3, "t": [[1, 2, "1"]]}',
         '{"n": 3, "t": [[1, 2, 3, "1/0"]]}',
         '{"n": 3, "t": [[1, 2, 3, true]]}',  # a JSON boolean is not a rational
+        '{"n": 3, "t": [[1, 1, 1, 0.1]]}',  # nor is a binary float
         '{"n": 3, "t": 5}',
         '{"n": 3, "t": null}',
     ],
@@ -404,19 +405,32 @@ def test_bad_flags_usage_error(capsys):
         ["table", "{point}", "--out", "{missing}"],
         ["gens", "--n", "3", "--out", "{tmp}"],  # a directory
         ["export", "--n", "3", "--out", "{kept}"],  # a file, not a directory
+        ["export", "--n", "3", "--out", "{blocked}"],  # a bundle file is a dir
     ],
-    ids=["gens", "family", "verify", "subspaces", "table", "gens-dir", "export"],
+    ids=[
+        "gens",
+        "family",
+        "verify",
+        "subspaces",
+        "table",
+        "gens-dir",
+        "export",
+        "export-file",
+    ],
 )
 def test_unwritable_out_usage_error(argv, tmp_path, capsys):
     point = tmp_path / "point.json"
     point.write_text('{"n": 3, "t": [[1, 1, 1, "-1"]]}')
     kept = tmp_path / "kept"
     kept.write_text("kept")
+    blocked = tmp_path / "blocked"
+    (blocked / "gens_hilbert_n3.json").mkdir(parents=True)
     paths = {
         "missing": tmp_path / "no" / "such" / "x.json",
         "point": point,
         "tmp": tmp_path,
         "kept": kept,
+        "blocked": blocked,
     }
     with pytest.raises(SystemExit) as exc:
         main([a.format(**paths) for a in argv])

@@ -13,7 +13,6 @@ from hilbworst.ideal import (
     UnsupportedDegreeError,
     alternate_generators,
     cyclic_sum,
-    degree2_rank,
     diagonal_sum,
     ideal_generators,
     membership,
@@ -74,7 +73,7 @@ def test_generator_counts_and_rank(n):
     pres = ideal_generators(n)
     count, rank = GOLDEN[n]
     assert len(pres) == count
-    assert degree2_rank(pres) == rank
+    assert pres.span(2).rank == rank
     assert len(pres.labels) == count
 
 
@@ -92,6 +91,16 @@ def test_miniversal_is_substitution_image():
     images = [set_diagonal_zero(g) for g in pres.generators]
     images = [g for g in images if not g.is_zero]
     assert list(mini.generators) == images
+
+
+@pytest.mark.parametrize("flavor", ["hilbert", "miniversal"])
+def test_one_presentation_per_ideal(flavor):
+    pres = ideal_generators(3, flavor)
+    assert ideal_generators(3, flavor=flavor) is pres
+    assert ideal_generators(n=3, flavor=flavor) is pres
+    if flavor == "hilbert":
+        assert ideal_generators(3) is pres
+        assert alternate_generators(3) is alternate_generators(n=3)
 
 
 def test_alternate_presentation_contains_equal_index_generators():

@@ -1,8 +1,8 @@
-"""Echelon spans, certificates and dense solving."""
+"""Echelon spans and certificates."""
 
 from fractions import Fraction
 
-from hilbworst.linalg import EchelonSpan, solve_dense
+from hilbworst.linalg import EchelonSpan
 
 
 def F(x):
@@ -42,16 +42,3 @@ def test_certificates_roundtrip():
             recombined[k] = recombined.get(k, F(0)) + coeff * v
     assert {k: v for k, v in recombined.items() if v} == query
 
-
-def test_solve_dense():
-    a = [[F(2), F(1)], [F(1), F(1)]]
-    sols = solve_dense(a, [[F(3), F(2)]])
-    assert sols == [[F(1), F(1)]]
-    singular = [[F(1), F(2)], [F(2), F(4)]]
-    assert solve_dense(singular, [[F(1), F(1)]]) is None
-
-
-def test_solve_dense_multiple_rhs():
-    a = [[F(0), F(1)], [F(1), F(0)]]  # needs pivoting
-    sols = solve_dense(a, [[F(1), F(0)], [F(0), F(1)]])
-    assert sols == [[F(0), F(1)], [F(1), F(0)]]

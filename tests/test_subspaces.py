@@ -90,6 +90,14 @@ def test_maximizer_is_floor_or_ceiling_of_closed_form():
         assert set(r.maximizers) & {fl, fl + 1}
 
 
+def test_case_formula_flag_checks_closed_form_maximizer(monkeypatch):
+    import hilbworst.subspaces as subspaces_mod
+
+    assert max_linear_dim(16).case_formula_matches
+    monkeypatch.setattr(subspaces_mod, "amax_floor", lambda n: 3)
+    assert not max_linear_dim(16).case_formula_matches
+
+
 def test_containment_representative_sweep():
     # one representative spec per (a, b), moderate n
     for n in (3, 5, 8):
