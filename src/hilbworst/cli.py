@@ -135,7 +135,7 @@ def _route_dgla(n: int):
         doc["generator"] = taylor.FreeModElt._sym_text(sym)
         doc["residual"] = res.text()
         yield doc
-    cup = dgla.cup_product(n, True)  # the cache key kuranishi_quadratic_locus uses
+    cup = dgla.cup_product(n)
     R = ideal.PolyRing.get(n)
     for sym, value in sorted(cup.wedge_values.items()):
         i, j, k = taylor.nonkoszul_triple(sym)
@@ -255,11 +255,16 @@ def _read_point(path: str) -> tuple:
             i, j, k, v = row
             if isinstance(v, (bool, float)):  # a JSON bool or float is not exact
                 raise TypeError
-            tvals[(i, j, k)] = Fraction(v)
+            value = Fraction(v)
         except (TypeError, ValueError, ZeroDivisionError):
             raise error(f'{path}: t entry {row!r} is not [i, j, k, "p/q"]') from None
         if not all(type(x) is int and 1 <= x <= n for x in (i, j, k)):
             raise error(f"{path}: t entry {row!r} has an index outside 1..{n}")
+        key = taylor.pair(i, j) + (k,)  # t(i,j,k) and t(j,i,k) are one parameter
+        if tvals.setdefault(key, value) != value:
+            raise error(
+                f"{path}: t entry {row!r} gives t({key[0]},{key[1]},{k}) a second value"
+            )
     return n, tvals
 
 

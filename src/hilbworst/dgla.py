@@ -37,7 +37,7 @@ which computes the corresponding chart of the full Hilbert functor instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .ideal import (
     IdealPresentation,
@@ -51,7 +51,6 @@ from .lifting import (
     build_f,
     build_r,
     coefficient_system,
-    quadratic_tail,
     second_order_obstruction,
 )
 from .poly import Poly, PolyRing
@@ -96,7 +95,21 @@ def _maybe_restrict(p: Poly, miniversal: bool) -> Poly:
     return set_diagonal_zero(p) if miniversal else p
 
 
-@lru_cache(maxsize=None)
+def _cached(fn):
+    """``lru_cache`` of fn(n, miniversal) with one entry per value, whatever
+    the call form: fn(3), fn(3, True) and fn(3, miniversal=True) share it."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(n: int, miniversal: bool = True):
+        return cached(n, miniversal)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+@_cached
 def first_order_derivation(n: int, miniversal: bool = True) -> dict:
     """The closed degree-1 derivation inducing the generic first-order
     deformation, as one table over the e-, wedge and exterior-square
@@ -138,7 +151,7 @@ class CupReport:
     curly_values: dict  # curly symbol -> QuotientElt (image in the quotient)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def cup_product(n: int, miniversal: bool = True) -> CupReport:
     """The square of the first-order derivation: on shared-index wedges it
     equals sum_l q(i,j,k|l) x_l (with the diagonal parameters zeroed in the
@@ -165,7 +178,7 @@ class KuranishiSystem:
     psi: dict  # pair -> Poly, a solving correction term (determined mod the ideal)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def kuranishi_quadratic_locus(n: int, miniversal: bool = True) -> KuranishiSystem:
     """Constraints for the square of the first-order derivation to be a
     coboundary: sum_l q(i,j,k|l) x_l = -x_k psi(e_ij) + x_j psi(e_ik) in the
@@ -181,8 +194,8 @@ def kuranishi_quadratic_locus(n: int, miniversal: bool = True) -> KuranishiSyste
     flavor = "miniversal" if miniversal else "hilbert"
     equations, _ = coefficient_system(n, cup.wedge_values, flavor, sign=-1)
     psi = {
-        pr: -_maybe_restrict(quadratic_tail(n, *pr), miniversal)
-        for pr in basis_pairs(n)
+        sym[1:]: -_maybe_restrict(tail, miniversal)
+        for sym, tail in build_f(n)[2].items()
     }
     return KuranishiSystem(equations=equations, psi=psi)
 

@@ -31,7 +31,6 @@ from .linalg import EchelonSpan
 from .poly import (
     Poly,
     PolyRing,
-    mono_degree,
     mono_mul,
     mono_multidegree,
     mono_sort_key,
@@ -224,8 +223,11 @@ def alternate_generators(n: int) -> IdealPresentation:
 
 
 class GradedSpan:
-    """Tracked echelon spans split into blocks by (t-degree, torus
-    multidegree), with pivots taken in descending graded-lex order.
+    """Tracked echelon spans split into blocks by torus multidegree, with
+    pivots taken in descending graded-lex order.  Each block is homogeneous
+    in t as well: the weight e_i + e_j - e_k of t(i,j,k) sums to 1, so the
+    multidegree of a pure-t monomial fixes its t-degree, and an s-monomial
+    has t-degree 0.
 
     Every inserted vector must lie in one block (rows are homogeneous); a
     query may mix blocks and is reduced block by block, with one combined
@@ -244,8 +246,7 @@ class GradedSpan:
         parts: dict = {}
         for m, c in vec.items():
             if c:
-                key = (mono_degree(m, "t"), mono_multidegree(m, self.n))
-                parts.setdefault(key, {})[m] = Fraction(c)
+                parts.setdefault(mono_multidegree(m, self.n), {})[m] = c
         return parts
 
     def insert(self, vec: dict, tag) -> bool:
@@ -312,13 +313,6 @@ class Membership:
         return acc == p
 
 
-def _require_pure_t(p: Poly):
-    if p.degree("x") or p.degree("s"):
-        raise UnsupportedDegreeError(
-            "membership queries must involve deformation parameters only"
-        )
-
-
 def membership(p: Poly, pres: IdealPresentation) -> Membership:
     """Decide whether p lies in the ideal, with an explicit certificate.
 
@@ -329,7 +323,10 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
     """
     if p.n != pres.n:
         raise ValueError("ambient n mismatch between query and presentation")
-    _require_pure_t(p)
+    if p.degree("x") or p.degree("s"):
+        raise UnsupportedDegreeError(
+            "membership queries must involve deformation parameters only"
+        )
     if p.is_zero:
         return Membership(member=True, degree=0)
     if not p.is_homogeneous("t"):
@@ -352,15 +349,9 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
 def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
     """Canonical representative of a homogeneous quadric modulo the ideal:
     the residual of its ``membership`` query, the reduction against the
-    fixed echelon basis of the degree-2 span (zero for a member)."""
-    if p.n != n:
-        raise ValueError(
-            f"ambient n mismatch: quadric at n={p.n}, normal form at n={n}"
-        )
-    if p.is_zero:
-        return p
-    _require_pure_t(p)
-    if not (p.is_homogeneous("t") and p.degree("t") == 2):
+    fixed echelon basis of the degree-2 span (zero for a member).  The
+    query itself is checked by ``membership``."""
+    if not p.is_zero and p.degree("t") != 2:
         raise UnsupportedDegreeError("normal form defined for quadrics only")
     residual = membership(p, ideal_generators(n, flavor)).residual
     return residual if residual is not None else PolyRing.get(n).zero()

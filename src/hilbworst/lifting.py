@@ -39,6 +39,7 @@ from .ideal import (
 from .poly import Poly, PolyRing
 from .taylor import (
     E_NS,
+    WEDGE_NS,
     FreeModElt,
     basis_pairs,
     e_elt,
@@ -48,7 +49,7 @@ from .taylor import (
     pair,
     pair_product,
     r_symbol,
-    wedge_elt,
+    wedge_symbol,
     wedge_symbols,
     zero_elt,
 )
@@ -66,20 +67,18 @@ def f1_image(n: int, l: int, m: int) -> Poly:
     return total
 
 
-def quadratic_tail(n: int, l: int, m: int) -> Poly:
-    """Second-order image of e[l,m]: sum_k q(l,m,k|k)/(n-1)."""
-    return diagonal_sum(n, l, m) * Fraction(1, n - 1)
-
-
 @lru_cache(maxsize=None)
 def build_f(n: int) -> tuple:
     """Full perturbed generator map as its order tables (f0, f1, f2): order
-    d maps every e[i,j] to its t-degree-d piece."""
+    d maps every e[i,j] to its t-degree-d piece, which for d = 2 is the
+    quadratic tail sum_k q(i,j,k|k)/(n-1)."""
     if n < 3:
         raise ValueError(f"ambient n must be >= 3, got {n}")
     f0 = {(E_NS,) + p: pair_product(n, p) for p in basis_pairs(n)}
     f1 = {(E_NS,) + p: f1_image(n, *p) for p in basis_pairs(n)}
-    f2 = {(E_NS,) + p: quadratic_tail(n, *p) for p in basis_pairs(n)}
+    f2 = {
+        (E_NS,) + p: diagonal_sum(n, *p) * Fraction(1, n - 1) for p in basis_pairs(n)
+    }
     return f0, f1, f2
 
 
@@ -162,9 +161,7 @@ def coefficient_system(n: int, wedge_value: dict, flavor: str, sign: int):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
-                w = wedge_elt(n, (i, j), (i, k))
-                sym = next(iter(w.symbols()))
-                orient = w.coefficient(sym).constant_value()
+                sym, orient = wedge_symbol(WEDGE_NS, pair(i, j), pair(i, k))
                 by_x = (wedge_value[sym] * orient).split_by_x()
                 label = f"wedge({i};{j},{k})"
                 special = {k: (pair(i, j), sign), j: (pair(i, k), -sign)}
@@ -192,7 +189,7 @@ def second_order_obstruction(n: int) -> ObstructionSystem:
     equating the candidate expressions for one tail across wedges yields
     the difference constraints.  The collected system spans the same
     degree-2 space as the generator presentation."""
-    f1 = build_f(n)[1]
+    _, f1, f2 = build_f(n)
     r1 = build_r(n)[1]
     products = {
         sym: apply_images(f1, r1[sym])
@@ -200,30 +197,24 @@ def second_order_obstruction(n: int) -> ObstructionSystem:
         if not is_koszul(sym)
     }
     equations, candidates = coefficient_system(n, products, "hilbert", sign=1)
-    tails = {pr: quadratic_tail(n, *pr) for pr in basis_pairs(n)}
+    tails = {sym[1:]: tail for sym, tail in f2.items()}
     return ObstructionSystem(equations=equations, tails=tails, candidates=candidates)
 
 
 # -- the universal family ----------------------------------------------------------
 
 
-def family_generator(n: int, i: int, j: int, flavor: str = "hilbert") -> Poly:
-    """x_i x_j + sum_k t(i,j,k) x_k + sum_k q(i,j,k|k)/(n-1)."""
-    g = pair_product(n, pair(i, j)) + f1_image(n, *pair(i, j)) + quadratic_tail(
-        n, *pair(i, j)
-    )
-    if flavor == "miniversal":
-        g = set_diagonal_zero(g)
-    elif flavor != "hilbert":
-        raise ValueError(f"unsupported flavor {flavor!r}")
-    return g
-
-
 def universal_family(n: int, flavor: str = "hilbert") -> tuple:
-    """One generator per pair i <= j, in pair order."""
-    if n < 3:
-        raise ValueError(f"ambient n must be >= 3, got {n}")
-    return tuple(family_generator(n, i, j, flavor) for i, j in basis_pairs(n))
+    """One generator per pair i <= j, in pair order: the sum f0 + f1 + f2 of
+    the order tables of ``build_f`` on its e-symbol, which is
+    x_i x_j + sum_k t(i,j,k) x_k + sum_k q(i,j,k|k)/(n-1)."""
+    f0, f1, f2 = build_f(n)
+    family = tuple(f0[sym] + f1[sym] + f2[sym] for sym in f0)
+    if flavor == "miniversal":
+        return tuple(set_diagonal_zero(g) for g in family)
+    if flavor != "hilbert":
+        raise ValueError(f"unsupported flavor {flavor!r}")
+    return family
 
 
 # -- the cubic syzygy --------------------------------------------------------------
@@ -249,7 +240,6 @@ def syzygy_cubic(n: int, i: int, j: int, k: int) -> Poly:
 class WedgeFlatness:
     sym: tuple
     low_orders_zero: bool
-    degree2: dict  # x-variable index -> Membership of that x-coefficient
     degree3: Membership  # of the cubic syzygy at nonkoszul_triple(sym)
     cubic_certified: bool  # degree3 re-verified by exact multiplication
     failing_part: str | None  # the first part lacking its certificate
@@ -319,26 +309,21 @@ def flatness_residual(n: int) -> FlatnessReport:
                 p = apply_images(f[df], r[dr][sym])
                 pieces[df + dr] = pieces[df + dr] + p
         low_zero = pieces[0].is_zero and pieces[1].is_zero
-        quadrics = {}
-        for xmono, coeff in pieces[2].split_by_x().items():
+        # (part, certified) in checking order; the first uncertified one fails
+        parts = [("orders 0 and 1", low_zero)]
+        for xmono, q in sorted(pieces[2].split_by_x().items()):
             if not xmono:
                 raise AssertionError("unexpected x-free t-degree-2 part")
-            quadrics[xmono[0][0][1]] = coeff
-        deg2 = {l: membership(q, pres) for l, q in quadrics.items()}
+            part = f"x_{xmono[0][0][1]}-coefficient of the t-degree-2 part"
+            parts.append((part, membership(q, pres).verify(q, pres)))
         cubic = syzygy_cubic(n, *nonkoszul_triple(sym))
         deg3 = membership(cubic, pres)
         cubic_ok = deg3.verify(cubic, pres)
-        # (part, certified) in checking order; the first uncertified one fails
-        parts = [("orders 0 and 1", low_zero)]
-        parts += [
-            (f"x_{l}-coefficient of the t-degree-2 part", deg2[l].verify(q, pres))
-            for l, q in sorted(quadrics.items())
-        ]
         identity = pieces[3] * (n - 1) == cubic
         parts.append(("t-degree-3 part as the cubic syzygy over n-1", identity))
         parts.append(("t-degree-3 part", cubic_ok))
         failing = next((part for part, ok in parts if not ok), None)
-        wedges[sym] = WedgeFlatness(sym, low_zero, deg2, deg3, cubic_ok, failing)
+        wedges[sym] = WedgeFlatness(sym, low_zero, deg3, cubic_ok, failing)
     return FlatnessReport(n=n, wedges=wedges)
 
 

@@ -43,8 +43,9 @@ class BasisCriterionError(ValueError):
     classes of 1, x_1, ..., x_n are not a basis there."""
 
 
-def point_from_configuration(points: list, n: int | None = None) -> dict:
-    """Parameter values of the subscheme supported on n+1 rational points.
+def point_from_configuration(points: list) -> dict:
+    """Parameter values of the subscheme supported on n+1 rational points
+    of affine n-space (n is one less than the number of points).
 
     Solves, for every pair (i, j), the expansion of x_i*x_j in the residue
     basis 1, x_1, ..., x_n on the configuration (the tracked reduction
@@ -52,10 +53,9 @@ def point_from_configuration(points: list, n: int | None = None) -> dict:
     linear coefficients (family sign convention).  Raises
     BasisCriterionError when the evaluation matrix is singular.
     """
-    if n is None:
-        n = len(points) - 1
-    if len(points) != n + 1 or any(len(p) != n for p in points):
-        raise ValueError(f"need n+1 points of length n, got {len(points)}")
+    n = len(points) - 1
+    if any(len(p) != n for p in points):
+        raise ValueError(f"need {len(points)} points of length {n}")
     evaluation = [[Fraction(1)] + [Fraction(c) for c in p] for p in points]
     # column k of the evaluation matrix holds the values of x_k (x_0 = 1)
     columns = EchelonSpan(track=True)
@@ -102,9 +102,9 @@ def symbolic_member(tvals: dict, n: int) -> bool:
     return vanishes_at(ideal_generators(n), t_assignment(n, tvals))
 
 
-def small_fraction(rng: random.Random, bound: int = 10) -> Fraction:
-    """Random rational with numerator and denominator bounded by `bound`."""
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def small_fraction(rng: random.Random) -> Fraction:
+    """Random rational with numerator and denominator bounded by 10."""
+    return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
 
 
 def random_configuration(rng: random.Random, n: int) -> list:

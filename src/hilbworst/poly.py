@@ -350,9 +350,6 @@ class Poly:
             buckets.setdefault(xs, {})[rest] = c
         return {xs: Poly(self.n, part) for xs, part in buckets.items()}
 
-    def variables(self) -> set:
-        return {v for m in self._terms for v, _ in m}
-
     # -- rendering -----------------------------------------------------------
 
     def text(self, cas: bool = False) -> str:

@@ -188,16 +188,13 @@ def max_linear_dim(n: int) -> MaxLinearResult:
     )
 
 
-def optimal_specs(n: int, limit: int | None = None):
-    """Yield optimal (A, B) pairs: A any m-subset, B its complement."""
+def optimal_specs(n: int, limit: int):
+    """Yield the first `limit` optimal (A, B) pairs: A any m-subset, B its
+    complement."""
     import itertools
 
-    m = optimal_subset_size(n)
-    count = 0
     universe = range(1, n + 1)
-    for A in itertools.combinations(universe, m):
+    subsets = itertools.combinations(universe, optimal_subset_size(n))
+    for A in itertools.islice(subsets, limit):
         B = tuple(sorted(set(universe) - set(A)))
         yield make_spec(n, A, B)
-        count += 1
-        if limit is not None and count >= limit:
-            return

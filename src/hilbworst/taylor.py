@@ -89,9 +89,6 @@ class FreeModElt:
     def is_zero(self) -> bool:
         return not self._coef
 
-    def coefficient(self, sym) -> Poly:
-        return self._coef.get(sym, PolyRing.get(self.n).zero())
-
     def symbols(self):
         return self._coef.keys()
 

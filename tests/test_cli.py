@@ -121,6 +121,8 @@ def test_table_output_is_golden(point, tmp_path, capsys):
         '{"n": 3, "t": [[1, 2, 3, "1/0"]]}',
         '{"n": 3, "t": [[1, 2, 3, true]]}',  # a JSON boolean is not a rational
         '{"n": 3, "t": [[1, 1, 1, 0.1]]}',  # nor is a binary float
+        '{"n": 3, "t": [[1, 2, 3, "1"], [2, 1, 3, "5"]]}',  # t(1,2,3) twice
+        '{"n": 3, "t": [[1, 2, 3, "1"], [1, 2, 3, "5"]]}',
         '{"n": 3, "t": 5}',
         '{"n": 3, "t": null}',
     ],

@@ -87,6 +87,21 @@ def test_cup_product_values(n):
     assert all(q.is_zero for q in cup.curly_values.values())
 
 
+@pytest.mark.parametrize(
+    "fn", [first_order_derivation, cup_product, kuranishi_quadratic_locus]
+)
+@pytest.mark.parametrize("miniversal", [True, False])
+def test_one_cached_object_per_call_form(fn, miniversal):
+    forms = [
+        fn(3, miniversal),
+        fn(3, miniversal=miniversal),
+        fn(n=3, miniversal=miniversal),
+    ]
+    if miniversal:  # the default
+        forms.append(fn(3))
+    assert all(f is forms[0] for f in forms)
+
+
 def test_cup_product_vanishes_at_origin():
     from fractions import Fraction
 

@@ -20,7 +20,6 @@ from hilbworst.lifting import (
     f1_image,
     first_order_residual,
     flatness_residual,
-    family_generator,
     koszul_full_residual,
     r1_oriented,
     second_order_obstruction,
@@ -101,8 +100,8 @@ def test_tails_match_canonical_form_modulo_ideal(n):
                 assert membership(diff, pres).member
 
 
-def test_family_generator_explicit():
-    g = family_generator(3, 1, 1)
+def test_universal_family_explicit():
+    g = universal_family(3)[0]  # the pair (1, 1)
     expected = (
         R3.x(1) ** 2
         + R3.t(1, 1, 1) * R3.x(1)
@@ -143,7 +142,7 @@ def test_miniversal_family_zeroes_diagonal_parameters():
     assert [set_diagonal_zero(g) for g in hil] == list(fam)
 
 
-def test_family_generators_multihomogeneous():
+def test_universal_family_multihomogeneous():
     for g in universal_family(4):
         g.multidegree()  # raises if not multihomogeneous
 
