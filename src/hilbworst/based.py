@@ -38,7 +38,7 @@ from .ideal import (
     GradedSpan,
     IdealPresentation,
     Membership,
-    _Dedup,
+    deduplicated,
     diagonal_sum,
     ideal_generators,
     membership,
@@ -78,27 +78,26 @@ def based_ideal_generators(n: int) -> IdealPresentation:
     if n < 3:
         raise ValueError(f"ambient n must be >= 3, got {n}")
     ring = PolyRing.get(n)
-    dd = _Dedup()
+    labeled = []
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             for k in range(n + 1):
-                dd.add(ring.s(i, j, k) - ring.s(j, i, k), f"sym({i},{j}|{k})")
+                labeled.append((ring.s(i, j, k) - ring.s(j, i, k), f"sym({i},{j}|{k})"))
     for i in range(n + 1):
-        dd.add(ring.s(0, i, i) - ring.one(), f"unit({i})")
+        labeled.append((ring.s(0, i, i) - ring.one(), f"unit({i})"))
     for i in range(n + 1):
         for j in range(n + 1):
             if i != j:
-                dd.add(ring.s(0, i, j), f"unit0({i}|{j})")
+                labeled.append((ring.s(0, i, j), f"unit0({i}|{j})"))
     for i in range(n + 1):
         for j in range(n + 1):
             for k in range(n + 1):
                 for l in range(n + 1):
                     if j != k:
-                        dd.add(
-                            associator_coeff(n, i, j, k, l),
-                            f"assoc({i},{j},{k}|{l})",
+                        labeled.append(
+                            (associator_coeff(n, i, j, k, l), f"assoc({i},{j},{k}|{l})")
                         )
-    return dd.presentation(n, "based_algebra")
+    return deduplicated(n, "based_algebra", labeled)
 
 
 # -- multiplication tables -------------------------------------------------------
@@ -122,11 +121,7 @@ class MulTable:
                 raise MalformedTableError(
                     f"conflicting symmetric entries at {key}"
                 )
-        self.entries = {
-            key: v
-            for key, v in given.items()
-            if not (v.is_zero if isinstance(v, Poly) else v == 0)
-        }
+        self.entries = {key: v for key, v in given.items() if v != 0}
 
     def value(self, i: int, j: int, k: int):
         """s(i,j,k) with the unit rows and symmetry applied."""
@@ -194,8 +189,7 @@ def associativity_residual(table: MulTable) -> dict:
 
 def is_associative(table: MulTable) -> bool:
     return all(
-        all((v.is_zero if isinstance(v, Poly) else v == 0) for v in vec)
-        for vec in associativity_residual(table).values()
+        v == 0 for vec in associativity_residual(table).values() for v in vec
     )
 
 
@@ -288,7 +282,6 @@ def _reduced_assoc_span(n: int) -> GradedSpan:
 class CorrespondenceReport:
     """Generator-by-generator certification of the two inclusions."""
 
-    n: int
     pi_degree3: int = 0  # projected generators certified by a cubic certificate
     section_ok: bool = False  # projection . embedding == identity
     failures: list = field(default_factory=list)
@@ -301,7 +294,7 @@ class CorrespondenceReport:
 def verify_structure_correspondence(n: int) -> CorrespondenceReport:
     """Certify both inclusions of the correspondence between the based
     moduli ideal and the chart ideal, plus the section property."""
-    report = CorrespondenceReport(n=n)
+    report = CorrespondenceReport()
     ring = PolyRing.get(n)
     chart = ideal_generators(n)
 

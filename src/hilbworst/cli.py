@@ -127,14 +127,18 @@ def _route_classical(n: int):
     yield _check("koszul_trivial_lift", n, all(p.is_zero for p in koszul.values()))
 
 
+def _generator_check(name: str, n: int, sym, residual) -> dict:
+    """Per-generator report: {check, generator, residual, status}."""
+    doc = _check(name, n, residual.is_zero)
+    doc["generator"] = taylor.FreeModElt._sym_text(sym)
+    doc["residual"] = residual.text()
+    return doc
+
+
 def _route_dgla(n: int):
-    # per-generator reports: {check, generator, residual, status}
     closed = dgla.closedness_residual(n)
     for sym, res in sorted(closed.items(), key=lambda kv: (kv[0][0], str(kv[0]))):
-        doc = _check("derivation_closedness", n, res.is_zero)
-        doc["generator"] = taylor.FreeModElt._sym_text(sym)
-        doc["residual"] = res.text()
-        yield doc
+        yield _generator_check("derivation_closedness", n, sym, res)
     cup = dgla.cup_product(n)
     R = ideal.PolyRing.get(n)
     for sym, value in sorted(cup.wedge_values.items()):
@@ -144,16 +148,9 @@ def _route_dgla(n: int):
             expected = expected + ideal.set_diagonal_zero(
                 ideal.obstruction_quadric(n, i, j, k, l)
             ) * R.x(l)
-        residual = value - expected
-        doc = _check("cup_product", n, residual.is_zero)
-        doc["generator"] = taylor.FreeModElt._sym_text(sym)
-        doc["residual"] = residual.text()
-        yield doc
+        yield _generator_check("cup_product", n, sym, value - expected)
     for sym, q in sorted(cup.curly_values.items()):
-        doc = _check("cup_product_exterior_square", n, q.is_zero)
-        doc["generator"] = taylor.FreeModElt._sym_text(sym)
-        doc["residual"] = q.rep.text()
-        yield doc
+        yield _generator_check("cup_product_exterior_square", n, sym, q.rep)
     locus = dgla.kuranishi_quadratic_locus(n).equations
     mini = ideal.ideal_generators(n, "miniversal")
     yield _check("kuranishi_span", n, ideal.span_equal_degree2(locus, mini))
@@ -296,11 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, flavor=False):
+    def common(p, flavor=False, formats=("json", "text", "cas")):
         p.add_argument("--n", type=_AMBIENT_N, required=True)
-        p.add_argument(
-            "--format", choices=("json", "text", "cas"), default="json"
-        )
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument(
             "--json",
             dest="format",
@@ -348,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None)
 
-    common(sub.add_parser("export", help="write generator/family/tangent bundle"))
+    common(
+        sub.add_parser("export", help="write generator/family/tangent bundle"),
+        formats=("json", "cas"),
+    )
     return parser
 
 

@@ -145,8 +145,6 @@ def closedness_residual(n: int, miniversal: bool = True) -> dict:
 
 @dataclass(frozen=True)
 class CupReport:
-    n: int
-    miniversal: bool
     wedge_values: dict  # wedge symbol -> Poly (the square, a degree-0 value)
     curly_values: dict  # curly symbol -> QuotientElt (image in the quotient)
 
@@ -167,9 +165,7 @@ def cup_product(n: int, miniversal: bool = True) -> CupReport:
         sym: QuotientElt.from_poly(apply_images(der, der[sym]))
         for sym in wedge_symbols(n, CURLY_NS)
     }
-    return CupReport(
-        n=n, miniversal=miniversal, wedge_values=wedge_values, curly_values=curly_values
-    )
+    return CupReport(wedge_values=wedge_values, curly_values=curly_values)
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,6 @@ def coboundary_residuals(n: int, miniversal: bool = True) -> dict:
 
 @dataclass(frozen=True)
 class RouteComparison:
-    n: int
     equal: bool
     classical_rank: int
     dgla_rank: int
@@ -239,7 +234,6 @@ def compare_classical_dgla(n: int) -> RouteComparison:
     classical_mini = miniversal_restriction(second_order_obstruction(n).equations)
     dgla_sys = kuranishi_quadratic_locus(n).equations
     return RouteComparison(
-        n=n,
         equal=span_equal_degree2(classical_mini, dgla_sys),
         classical_rank=classical_mini.span(2).rank,
         dgla_rank=dgla_sys.span(2).rank,

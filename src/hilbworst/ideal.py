@@ -52,9 +52,6 @@ def obstruction_quadric(n: int, i: int, j: int, k: int, l: int) -> Poly:
     vanishes identically.
     """
     ring = PolyRing.get(n)
-    for idx in (i, j, k, l):
-        if not 1 <= idx <= n:
-            raise ValueError(f"index {idx} out of range 1..{n}")
     total = ring.zero()
     for lam in range(1, n + 1):
         total = total + ring.t(i, j, lam) * ring.t(k, lam, l)
@@ -136,25 +133,17 @@ class IdealPresentation:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class _Dedup:
-    """Collects generators, dropping zeros and exact duplicates/negations."""
-
-    def __init__(self):
-        self.gens: list = []
-        self.labels: list = []
-        self.seen: set = set()
-
-    def add(self, g: Poly, label: str):
-        if g.is_zero or g in self.seen or (-g) in self.seen:
-            return
-        self.seen.add(g)
-        self.gens.append(g)
-        self.labels.append(label)
-
-    def presentation(self, n: int, flavor: str) -> IdealPresentation:
-        return IdealPresentation(
-            n=n, flavor=flavor, generators=tuple(self.gens), labels=tuple(self.labels)
-        )
+def deduplicated(n: int, flavor: str, labeled) -> IdealPresentation:
+    """Presentation of the (generator, label) pairs in order, dropping zeros
+    and exact duplicates or negations of an earlier generator."""
+    gens, labels, seen = [], [], set()
+    for g, label in labeled:
+        if g.is_zero or g in seen or -g in seen:
+            continue
+        seen.add(g)
+        gens.append(g)
+        labels.append(label)
+    return IdealPresentation(n, flavor, tuple(gens), tuple(labels))
 
 
 def set_diagonal_zero(p: Poly) -> Poly:
@@ -165,10 +154,8 @@ def set_diagonal_zero(p: Poly) -> Poly:
 
 def miniversal_restriction(pres: IdealPresentation) -> IdealPresentation:
     """The presentation with t(i,i,i) set to 0, deduplicated again."""
-    dd = _Dedup()
-    for g, lab in zip(pres.generators, pres.labels):
-        dd.add(set_diagonal_zero(g), lab)
-    return dd.presentation(pres.n, "miniversal")
+    labeled = zip(map(set_diagonal_zero, pres.generators), pres.labels)
+    return deduplicated(pres.n, "miniversal", labeled)
 
 
 @lru_cache(maxsize=None)
@@ -178,19 +165,19 @@ def _quadric_generators(n: int, swapped: bool) -> IdealPresentation:
     (j, i) when swapped."""
     if n < 3:
         raise ValueError(f"ambient n must be >= 3, got {n}")
-    dd = _Dedup()
+    labeled = []
     indices = list(product(range(1, n + 1), repeat=4))
     for i, j, k, l in indices:
         if j != k and k != l and j != l:
-            dd.add(obstruction_quadric(n, i, j, k, l), f"q({i},{j},{k}|{l})")
+            labeled.append((obstruction_quadric(n, i, j, k, l), f"q({i},{j},{k}|{l})"))
     for i, j, k, l in indices:
         a, b = (j, i) if swapped else (i, j)
         if j != k and b != l:
             diff = obstruction_quadric(n, i, j, k, k) - obstruction_quadric(
                 n, a, b, l, l
             )
-            dd.add(diff, f"q({i},{j},{k}|{k})-q({a},{b},{l}|{l})")
-    return dd.presentation(n, "hilbert")
+            labeled.append((diff, f"q({i},{j},{k}|{k})-q({a},{b},{l}|{l})"))
+    return deduplicated(n, "hilbert", labeled)
 
 
 @lru_cache(maxsize=None)

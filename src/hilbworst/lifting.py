@@ -30,7 +30,7 @@ from functools import lru_cache
 from .ideal import (
     IdealPresentation,
     Membership,
-    _Dedup,
+    deduplicated,
     diagonal_sum,
     ideal_generators,
     membership,
@@ -156,7 +156,7 @@ def coefficient_system(n: int, wedge_value: dict, flavor: str, sign: int):
     deduplicated presentation and the candidates, pair -> tuple of
     (label, candidate Poly)."""
     ring = PolyRing.get(n)
-    dd = _Dedup()
+    labeled = []
     candidates: dict = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -171,12 +171,13 @@ def coefficient_system(n: int, wedge_value: dict, flavor: str, sign: int):
                         pr, s = special[l]
                         candidates.setdefault(pr, []).append((label, coeff * s))
                     else:
-                        dd.add(coeff, f"vanish({i};{j},{k}|{l})")
+                        labeled.append((coeff, f"vanish({i};{j},{k}|{l})"))
     for pr in basis_pairs(n):
         cands = candidates.get(pr, [])
         for (lab_a, a), (lab_b, b) in zip(cands, cands[1:]):
-            dd.add(a - b, f"match[{lab_a}~{lab_b}]@e[{pr[0]},{pr[1]}]")
-    return dd.presentation(n, flavor), {p: tuple(c) for p, c in candidates.items()}
+            labeled.append((a - b, f"match[{lab_a}~{lab_b}]@e[{pr[0]},{pr[1]}]"))
+    equations = deduplicated(n, flavor, labeled)
+    return equations, {p: tuple(c) for p, c in candidates.items()}
 
 
 @lru_cache(maxsize=None)

@@ -29,13 +29,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .based import is_associative, t_assignment, table_from_point
 from .ideal import ideal_generators, vanishes_at
 from .lifting import universal_family
 from .linalg import EchelonSpan
 from .poly import PolyRing, mono_degree, mono_sort_key
-from .subspaces import LinearSubspaceSpec, _survives
+from .subspaces import LinearSubspaceSpec
 
 
 class BasisCriterionError(ValueError):
@@ -53,6 +54,8 @@ def point_from_configuration(points: list) -> dict:
     linear coefficients (family sign convention).  Raises
     BasisCriterionError when the evaluation matrix is singular.
     """
+    if not points:
+        raise ValueError("empty configuration: need at least one point")
     n = len(points) - 1
     if any(len(p) != n for p in points):
         raise ValueError(f"need {len(points)} points of length {n}")
@@ -114,15 +117,11 @@ def random_configuration(rng: random.Random, n: int) -> list:
 def random_subspace_point(rng: random.Random, spec: LinearSubspaceSpec) -> dict:
     """Random rational point of the coordinate subspace (a member point)."""
     tvals = {}
-    for i in sorted(spec.A):
-        for j in sorted(spec.A):
-            if i > j:
-                continue
-            for k in sorted(spec.B):
-                if _survives(spec, i, j, k):
-                    val = small_fraction(rng)
-                    if val:
-                        tvals[(i, j, k)] = val
+    for i, j in combinations_with_replacement(sorted(spec.A), 2):
+        for k in sorted(spec.B):
+            val = small_fraction(rng)
+            if val:
+                tvals[(i, j, k)] = val
     return tvals
 
 
@@ -156,14 +155,13 @@ def agreement_trial(tvals: dict, n: int, kind: str) -> dict:
     sym = symbolic_member(tvals, n)
     assoc = is_associative(table_from_point(tvals, n))
     fib = fiber_check(tvals, n)
-    fiber_member = fib.basis_ok and fib.dimension == n + 1
     return {
         "kind": kind,
         "symbolic": sym,
         "associative": assoc,
         "fiber_dimension": fib.dimension,
-        "fiber_member": fiber_member,
-        "agree": sym == assoc == fiber_member,
+        "fiber_member": fib.basis_ok,
+        "agree": sym == assoc == fib.basis_ok,
     }
 
 

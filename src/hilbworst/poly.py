@@ -138,10 +138,6 @@ class Poly:
 
     # -- construction helpers ------------------------------------------------
 
-    @staticmethod
-    def _canonical(n: int, raw: dict) -> "Poly":
-        return Poly(n, {m: c for m, c in raw.items() if c})
-
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.n != self.n:
@@ -337,9 +333,9 @@ class Poly:
             for idx, (var, e) in enumerate(mono):
                 if var == v:
                     rest = mono[:idx] + ((var, e - 1),) * (e > 1) + mono[idx + 1:]
-                    out[rest] = out.get(rest, 0) + coeff * e
+                    out[rest] = coeff * e
                     break
-        return Poly._canonical(self.n, out)
+        return Poly(self.n, out)
 
     def split_by_x(self) -> dict:
         """Group terms by their x-part: {x-monomial: coefficient Poly}."""

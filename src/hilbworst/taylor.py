@@ -27,11 +27,10 @@ counts of the surrounding Hilbert scheme chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import EchelonSpan
-from .poly import Poly, PolyRing, X_KIND, mono_text
+from .poly import Poly, PolyRing, X_KIND, mono_degree, mono_text
 
 E_NS, WEDGE_NS, CURLY_NS = "e", "w", "c"
 
@@ -203,15 +202,12 @@ def pair_product(n: int, p: tuple) -> Poly:
 def _pair_product_divided(n: int, p: tuple, common: set) -> Poly:
     """x_a * x_b with one factor removed for each index in `common`."""
     ring = PolyRing.get(n)
-    exps: dict = {}
-    for a in p:
-        exps[a] = exps.get(a, 0) + 1
+    factors = list(p)
     for a in common:
-        exps[a] -= 1
+        factors.remove(a)
     out = ring.one()
-    for a, e in sorted(exps.items()):
-        for _ in range(e):
-            out = out * ring.x(a)
+    for a in factors:
+        out = out * ring.x(a)
     return out
 
 
@@ -271,11 +267,7 @@ def koszul_differential(elt: FreeModElt) -> FreeModElt:
 def reduce_mod_squares(p: Poly) -> Poly:
     """Canonical representative in the quotient by all x_i*x_j: drop every
     term of x-degree >= 2.  Coefficients may involve t- or s-variables."""
-    kept = {
-        m: c
-        for m, c in p.terms_dict().items()
-        if sum(e for v, e in m if v[0] == X_KIND) < 2
-    }
+    kept = {m: c for m, c in p.terms_dict().items() if mono_degree(m, "x") < 2}
     return Poly(p.n, kept)
 
 
@@ -303,13 +295,11 @@ class QuotientElt:
         out: dict = {}
         for m, c in self.rep.terms():
             if not m:
-                out[0] = out.get(0, Fraction(0)) + c
+                out[0] = c
+            elif len(m) == 1 and m[0][0][0] == X_KIND and m[0][1] == 1:
+                out[m[0][0][1]] = c
             else:
-                xs = [v for v, e in m if v[0] == X_KIND for _ in range(e)]
-                if len(xs) == 1 and len(m) == 1 and m[0][1] == 1:
-                    out[xs[0][1]] = out.get(xs[0][1], Fraction(0)) + c
-                else:
-                    raise ValueError("non-scalar coordinates requested")
+                raise ValueError("non-scalar coordinates requested")
         return out
 
 

@@ -384,6 +384,7 @@ BAD_FLAGS = [
     ["verify", "--n", "3", "--route", "oracle", "--samples", "0"],
     ["verify", "--n", "3", "--route", "oracle", "--samples", "-5"],
     ["subspaces", "--n", "5", "--list", "-1"],
+    ["export", "--n", "3", "--format", "text"],
 ]
 
 

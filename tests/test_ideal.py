@@ -13,6 +13,7 @@ from hilbworst.ideal import (
     UnsupportedDegreeError,
     alternate_generators,
     cyclic_sum,
+    deduplicated,
     diagonal_sum,
     ideal_generators,
     membership,
@@ -28,6 +29,16 @@ from hilbworst.poly import PolyRing
 # generators and the dimension of their degree-2 span (the presentation
 # keeps linear dependencies, so these differ).
 GOLDEN = {3: (18, 15), 4: (96, 64), 5: (300, 175)}
+
+
+def test_deduplicated_drops_zeros_duplicates_and_negations():
+    R = PolyRing.get(3)
+    a, b = R.t(1, 2, 3), R.t(1, 1, 1) * R.t(2, 2, 2)
+    labeled = [(R.zero(), "zero"), (a, "a"), (b, "b"), (a, "a again"), (-b, "-b")]
+    pres = deduplicated(3, "miniversal", labeled)
+    assert pres.n == 3 and pres.flavor == "miniversal"
+    assert pres.generators == (a, b)
+    assert pres.labels == ("a", "b")
 
 
 def test_quadric_collapses_when_middle_indices_agree():

@@ -55,6 +55,11 @@ def test_degenerate_configuration_raises():
         point_from_configuration(pts)
 
 
+def test_empty_configuration_raises():
+    with pytest.raises(ValueError, match="empty configuration"):
+        point_from_configuration([])
+
+
 def test_collinear_scaled_configuration_raises():
     # four points on a line through the origin: 1, x classes cannot be a basis
     pts = [[Fraction(k), Fraction(2 * k), Fraction(3 * k)] for k in range(4)]

@@ -1,5 +1,7 @@
-"""Repository hygiene: nothing that .gitignore excludes is tracked."""
+"""Repository hygiene: nothing that .gitignore excludes is tracked, and no
+private name is imported from one package module into another."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -20,3 +22,16 @@ def test_no_ignored_files_are_tracked():
         check=True,
     ).stdout
     assert listed == ""
+
+
+def test_no_private_names_imported_across_modules():
+    crossing = []
+    for path in sorted((ROOT / "src" / "hilbworst").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert crossing == []
