@@ -369,9 +369,12 @@ def main(argv=None) -> int:
         with open(path, "w") if path else nullcontext(sys.stdout) as out:
             return handlers[args.command](args, out)
     except OSError as exc:
-        if exc.filename is None:  # not a file that --out names
+        # the handlers do no I/O but on --out: an error that names no file
+        # came from writing or closing the --out file itself
+        name = path if exc.filename is None else exc.filename
+        if name is None:  # stdout
             raise
-        parser.error(f"argument --out: cannot write {exc.filename}: {exc.strerror}")
+        parser.error(f"argument --out: cannot write {name}: {exc.strerror}")
 
 
 if __name__ == "__main__":

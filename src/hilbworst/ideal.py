@@ -11,11 +11,12 @@ difference family.
 Because the ideal is generated in t-degree 2 and every query made in this
 package is homogeneous of t-degree at most 3, membership is decided by exact
 linear algebra: degree-2 queries are reduced against the span of the
-generators, degree-3 queries against the span of all products
-(variable * generator).  Both spans split into small independent blocks
-under the torus multidegree, which keeps the eliminations fast, and both
-track certificates so that every positive answer comes with explicit
-rational (resp. linear-form) multipliers.
+generators, degree-3 queries against the span of the products
+(variable * generator) for the generators that are independent in degree 2
+(the products of the others already lie in that span).  Both spans split
+into small independent blocks under the torus multidegree, which keeps the
+eliminations fast, and both track certificates so that every positive
+answer comes with explicit rational (resp. linear-form) multipliers.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ class IdealPresentation:
     # t-degree -> GradedSpan, built on first use and dropped with the
     # presentation; outside equality, hashing and repr
     _spans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # indices of the generators that ``span(2)`` found independent of the
+    # earlier ones, in order; filled when that span is built
+    _independent: list = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -102,12 +108,22 @@ class IdealPresentation:
         return len(self.generators)
 
     def span(self, d: int) -> GradedSpan:
-        """Span of the products m*g in t-degree d, for every generator g and
-        every t-monomial m of degree d-2, inserted generator by generator in
-        ``t_variables()`` order and tagged (m, generator index)."""
+        """Span of the products m*g in t-degree d, for every t-monomial m of
+        degree d-2 and every generator g that is independent of the earlier
+        ones in degree 2, inserted generator by generator in
+        ``t_variables()`` order and tagged (m, generator index).
+
+        A generator dependent in degree 2 is a combination of earlier ones,
+        so each of its products already lies in the span of rows inserted
+        before it: inserting it would change nothing."""
         span = self._spans.get(d)
         if span is None:
             _require_quadratic_presentation(self)
+            if d == 2:
+                indices = range(len(self.generators))
+            else:
+                self.span(2)
+                indices = self._independent
             ring = PolyRing.get(self.n)
             # combinations come out sorted, so counting gives the monomial
             monos = [
@@ -115,10 +131,14 @@ class IdealPresentation:
                 for vs in combinations_with_replacement(ring.t_variables(), d - 2)
             ]
             span = GradedSpan(self.n)
-            for idx, g in enumerate(self.generators):
-                terms = g.terms_dict().items()
+            for idx in indices:
+                terms = self.generators[idx].terms_dict().items()
                 for m in monos:
-                    span.insert({mono_mul(m, gm): c for gm, c in terms}, (m, idx))
+                    gained = span.insert(
+                        {mono_mul(m, gm): c for gm, c in terms}, (m, idx)
+                    )
+                    if gained and d == 2:
+                        self._independent.append(idx)
             self._spans[d] = span
         return span
 
@@ -294,10 +314,15 @@ class Membership:
         rests on a certificate reports ok only if this holds."""
         if not self.member:
             return False
-        acc = PolyRing.get(pres.n).zero()
+        acc: dict = {}  # sum of the products, term by term
         for idx, mult in self.multipliers.items():
-            acc = acc + mult * pres.generators[idx]
-        return acc == p
+            for m, c in (mult * pres.generators[idx]).terms_dict().items():
+                total = acc.get(m, 0) + c
+                if total:
+                    acc[m] = total
+                else:
+                    del acc[m]
+        return p.n == pres.n and acc == p.terms_dict()
 
 
 def membership(p: Poly, pres: IdealPresentation) -> Membership:

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hilbworst
 from hilbworst.cli import main
 
 
@@ -443,6 +448,30 @@ def test_unwritable_out_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert kept.read_text() == "kept"
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_usage_error(capsys):
+    # opening /dev/full succeeds; the write fails when the file is flushed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--route", "classical", "--out", "/dev/full"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --out: cannot write /dev/full:" in captured.err
+    assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(hilbworst.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbworst", "verify", "--n", "3", "--route", "dgla"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    docs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert docs and all(d["status"] == "ok" and d["n"] == 3 for d in docs)
 
 
 def test_export_writes_bundle(tmp_path, capsys):

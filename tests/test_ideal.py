@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,51 @@ def test_degree3_span_rank_and_blocks(n, rank, blocks):
     assert (span.rank, len(span.blocks)) == (rank, blocks)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_degree3_span_from_independent_generators(n, monkeypatch):
+    # the span of v*g over all generators g equals span(3) block by block:
+    # skipping the generators dependent in degree 2 loses nothing
+    pres = ideal_generators(n)
+    R = PolyRing.get(n)
+    tvars = R.t_variables()
+    full = GradedSpan(n)
+    for idx, g in enumerate(pres.generators):
+        for v in tvars:
+            full.insert((R.var_poly(v) * g).terms_dict(), (((v, 1),), idx))
+
+    inserts = []
+    real_insert = GradedSpan.insert
+
+    def counted(self, vec, tag):
+        inserts.append(tag)
+        return real_insert(self, vec, tag)
+
+    fresh = _fresh_copy(pres)
+    fresh.span(2)
+    monkeypatch.setattr(GradedSpan, "insert", counted)
+    span = fresh.span(3)
+    monkeypatch.undo()
+    independent = GOLDEN[n][1]
+    assert len(inserts) == independent * len(tvars)
+    assert len({idx for _, idx in inserts}) == independent
+
+    assert span.blocks.keys() == full.blocks.keys()
+    for key, block in span.blocks.items():
+        assert block.rank == full.blocks[key].rank
+        assert set(block.pivots()) == set(full.blocks[key].pivots())
+    rng = random.Random(402 + n)
+    for _ in range(20):
+        p = R.zero()
+        for _ in range(3):
+            g = pres.generators[rng.randrange(len(pres))]
+            v = tvars[rng.randrange(len(tvars))]
+            p = p + R.var_poly(v) * g * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            p = p + R.var_poly(rng.choice(tvars)) ** 3
+        query = p.terms_dict()
+        assert span.reduce(query) == full.reduce(query)
+
+
 def _fresh_copy(pres):
     return IdealPresentation(pres.n, pres.flavor, pres.generators, pres.labels)
 
@@ -301,8 +347,6 @@ def test_first_generator_text_is_stable():
 def test_random_degree3_members_certified():
     # fuzz the cubic solver: random linear combinations of generators are
     # members with verifying certificates, and perturbations are not
-    import random
-
     rng = random.Random(400)
     n = 3
     pres = ideal_generators(n)
@@ -322,8 +366,6 @@ def test_random_degree3_members_certified():
 
 
 def test_random_degree2_members_certified():
-    import random
-
     rng = random.Random(401)
     n = 4
     pres = ideal_generators(n)

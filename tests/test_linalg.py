@@ -1,5 +1,6 @@
 """Echelon spans and certificates."""
 
+import random
 from fractions import Fraction
 
 from hilbworst.linalg import EchelonSpan
@@ -42,3 +43,80 @@ def test_certificates_roundtrip():
             recombined[k] = recombined.get(k, F(0)) + coeff * v
     assert {k: v for k, v in recombined.items() if v} == query
 
+
+
+def _reference_span(vectors):
+    """Plain all-Fraction elimination: pivot rows and their combinations of
+    the inputs, pivots taken as the least key of each residual."""
+    rows, combos = {}, {}
+
+    def reduce(vec):
+        v = {k: Fraction(c) for k, c in vec.items() if c}
+        used = {}
+        while True:
+            hits = [k for k in v if k in rows]
+            if not hits:
+                return v, used
+            p = min(hits)
+            c = v[p]
+            for k, rc in rows[p].items():
+                v[k] = v.get(k, F(0)) - c * rc
+            for tag, cc in combos[p].items():
+                used[tag] = used.get(tag, F(0)) + c * cc
+            v = {k: x for k, x in v.items() if x}
+            used = {t: x for t, x in used.items() if x}
+
+    for tag, vec in vectors:
+        residual, used = reduce(vec)
+        if residual:
+            p = min(residual)
+            c = residual[p]
+            rows[p] = {k: x / c for k, x in residual.items()}
+            combo = {tag: F(1)}
+            for t, x in used.items():
+                combo[t] = combo.get(t, F(0)) - x
+            combos[p] = {t: x / c for t, x in combo.items() if x}
+    return rows, reduce
+
+
+def _random_vector(rng, keys, size):
+    vec = {}
+    for k in rng.sample(keys, size):
+        c = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3, 5)))
+        if c:
+            vec[k] = c
+    return vec
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(1001)
+    keys = list(range(12))
+    for _ in range(40):
+        vectors = [(t, _random_vector(rng, keys, rng.randint(1, 5))) for t in range(10)]
+        # dependent inputs: combinations of earlier ones
+        for t in range(10, 14):
+            a, b = rng.sample(vectors, 2)
+            ca, cb = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 3))
+            combo = {k: ca * a[1].get(k, 0) + cb * b[1].get(k, 0) for k in keys}
+            vectors.append((t, {k: c for k, c in combo.items() if c}))
+        rng.shuffle(vectors)
+        span = EchelonSpan(track=True)
+        gained = [span.insert(vec, tag) for tag, vec in vectors]
+        rows, reference = _reference_span(vectors)
+        assert span.rank == len(rows) == sum(gained)
+        assert set(span.pivots()) == set(rows)
+        # inside the span, integral values are ints
+        inner = [x for r in span._rows.values() for x in r.values()]
+        assert all(type(x) is int or x.denominator != 1 for x in inner)
+        for _ in range(5):
+            query = _random_vector(rng, keys, rng.randint(1, 8))
+            residual, used = span.reduce(query)
+            assert (residual, used) == reference(query)
+            values = list(residual.values()) + list(used.values())
+            assert all(type(x) is Fraction for x in values)
+            assert not set(residual) & set(span.pivots())
+            total = dict(residual)
+            for tag, c in used.items():
+                for k, x in dict(vectors)[tag].items():
+                    total[k] = total.get(k, F(0)) + c * x
+            assert {k: x for k, x in total.items() if x} == query
