@@ -132,10 +132,6 @@ class MulTable:
         return Fraction(_unit_row_value(i, j, k))
 
     @classmethod
-    def square_zero(cls, n: int) -> "MulTable":
-        return cls(n, {})
-
-    @classmethod
     def generic(cls, n: int) -> "MulTable":
         """Symbolic table with one canonical s-variable per stored entry."""
         ring = PolyRing.get(n)
@@ -145,24 +141,6 @@ class MulTable:
             for j in range(i, n + 1)
             for k in range(n + 1)
         }
-        return cls(n, entries)
-
-    @classmethod
-    def from_full(cls, n: int, full: dict) -> "MulTable":
-        """Build from a full (i,j,k) -> value map, checking the unit-row
-        constraints on the provided entries (the constructor checks their
-        symmetry)."""
-        entries = {}
-        for (i, j, k), v in full.items():
-            v = Fraction(v) if not isinstance(v, Poly) else v
-            unit = _unit_row_value(i, j, k)
-            if unit is not None:
-                if v != unit:
-                    raise MalformedTableError(
-                        f"unit row violated at ({i},{j},{k})={v}"
-                    )
-                continue
-            entries[(i, j, k)] = v
         return cls(n, entries)
 
 

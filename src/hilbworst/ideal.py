@@ -21,7 +21,6 @@ answer comes with explicit rational (resp. linear-form) multipliers.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +29,7 @@ from itertools import combinations_with_replacement, product
 
 from .linalg import EchelonSpan
 from .poly import (
+    T_KIND,
     Poly,
     PolyRing,
     mono_mul,
@@ -148,9 +148,6 @@ class IdealPresentation:
             "flavor": self.flavor,
             "generators": [g.text() for g in self.generators],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def deduplicated(n: int, flavor: str, labeled) -> IdealPresentation:
@@ -335,20 +332,27 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
     """
     if p.n != pres.n:
         raise ValueError("ambient n mismatch between query and presentation")
-    if p.degree("x") or p.degree("s"):
-        raise UnsupportedDegreeError(
-            "membership queries must involve deformation parameters only"
-        )
-    if p.is_zero:
+    vec = p.terms_dict()
+    degrees = set()  # t-degrees of the terms, read in one pass
+    for m in vec:
+        d = 0
+        for v, e in m:
+            if v[0] != T_KIND:
+                raise UnsupportedDegreeError(
+                    "membership queries must involve deformation parameters only"
+                )
+            d += e
+        degrees.add(d)
+    if not vec:
         return Membership(member=True, degree=0)
-    if not p.is_homogeneous("t"):
+    if len(degrees) > 1:
         raise UnsupportedDegreeError("membership queries must be homogeneous")
-    d = p.degree("t")
+    (d,) = degrees
     if d < 2:
         return Membership(member=False, degree=d, residual=p)
     if d > 3:
         raise UnsupportedDegreeError(f"membership not supported in t-degree {d}")
-    residual, used = pres.span(d).reduce(p.terms_dict())
+    residual, used = pres.span(d).reduce(vec)
     if residual:
         return Membership(member=False, degree=d, residual=Poly(p.n, residual))
     terms: dict = {}

@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .based import is_associative, t_assignment, table_from_point
 from .ideal import ideal_generators, vanishes_at
@@ -117,11 +116,10 @@ def random_configuration(rng: random.Random, n: int) -> list:
 def random_subspace_point(rng: random.Random, spec: LinearSubspaceSpec) -> dict:
     """Random rational point of the coordinate subspace (a member point)."""
     tvals = {}
-    for i, j in combinations_with_replacement(sorted(spec.A), 2):
-        for k in sorted(spec.B):
-            val = small_fraction(rng)
-            if val:
-                tvals[(i, j, k)] = val
+    for _, i, j, k in spec.parameters():
+        val = small_fraction(rng)
+        if val:
+            tvals[(i, j, k)] = val
     return tvals
 
 

@@ -257,9 +257,6 @@ class Poly:
         """Copy of the underlying monomial -> coefficient map."""
         return dict(self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def degree(self, grading: str = "total") -> int:
         """Max degree over the terms; zero polynomial has degree 0."""
         if grading not in GRADINGS:
@@ -271,15 +268,6 @@ class Poly:
     def is_homogeneous(self, grading: str = "internal") -> bool:
         degs = {mono_degree(m, grading) for m in self._terms}
         return len(degs) <= 1
-
-    def homogeneous_components(self, grading: str = "internal") -> dict:
-        """Split into homogeneous components; the zero poly gives {}."""
-        if grading not in GRADINGS:
-            raise ValueError(f"unknown grading {grading!r}")
-        buckets: dict = {}
-        for m, c in self._terms.items():
-            buckets.setdefault(mono_degree(m, grading), {})[m] = c
-        return {d: Poly(self.n, part) for d, part in sorted(buckets.items())}
 
     def multidegree(self) -> tuple:
         """Common torus multidegree; raises if not multihomogeneous."""

@@ -8,16 +8,24 @@ restriction kills.  Maximizing over a + b = n gives subspaces whose
 dimension grows cubically, overtaking the n^2 + n of the smoothing
 component from n = 16 on; the maximizing a is the floor or ceiling of
 ((n+1) + sqrt(n^2-n+1)) / 3 and is found here by exact integer comparison.
+
+Containment is decided from supports.  Restricting a polynomial to a
+coordinate subspace keeps exactly the terms whose variables all survive,
+and distinct monomials cannot cancel, so a restriction is zero iff no
+monomial has all of its variables surviving.  The quadrics are restricted
+by summing only the products of two surviving parameters, which are found
+from the survivors themselves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideal import ideal_generators
-from .poly import Poly, PolyRing
+from .poly import T_KIND, PolyRing
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,14 @@ class LinearSubspaceSpec:
     def b(self) -> int:
         return len(self.B)
 
+    def parameters(self) -> list:
+        """The surviving t-variables t(i,j,k), i <= j both in A and k in B,
+        in ``PolyRing.t_variables()`` order.  The diagonal t(i,i,k) survives
+        too, although ``subspace_dim`` counts only the pairs i < j."""
+        pairs = itertools.combinations_with_replacement(sorted(self.A), 2)
+        B = sorted(self.B)
+        return [(T_KIND, i, j, k) for i, j in pairs for k in B]
+
 
 def make_spec(n: int, A, B) -> LinearSubspaceSpec:
     return LinearSubspaceSpec(n=n, A=frozenset(A), B=frozenset(B))
@@ -53,24 +69,6 @@ def subspace_dim(spec: LinearSubspaceSpec) -> int:
     return spec.a * (spec.a - 1) * spec.b // 2
 
 
-def _survives(spec: LinearSubspaceSpec, i: int, j: int, k: int) -> bool:
-    return i in spec.A and j in spec.A and k in spec.B
-
-
-def restricted_quadric(spec: LinearSubspaceSpec, i, j, k, l) -> Poly:
-    """The quadric with every killed parameter set to zero, built directly
-    (equivalent to substitution into the full quadric)."""
-    n = spec.n
-    ring = PolyRing.get(n)
-    total = ring.zero()
-    for lam in range(1, n + 1):
-        if _survives(spec, i, j, lam) and _survives(spec, k, lam, l):
-            total = total + ring.t(i, j, lam) * ring.t(k, lam, l)
-        if _survives(spec, i, k, lam) and _survives(spec, j, lam, l):
-            total = total - ring.t(i, k, lam) * ring.t(j, lam, l)
-    return total
-
-
 @dataclass(frozen=True)
 class ContainmentReport:
     spec: LinearSubspaceSpec
@@ -79,39 +77,57 @@ class ContainmentReport:
     ok: bool
 
 
-def containment_check(
-    spec: LinearSubspaceSpec, check_generators: bool | None = None
-) -> ContainmentReport:
+def containment_check(spec: LinearSubspaceSpec) -> ContainmentReport:
     """Restrict the defining equations to the subspace and assert zero.
 
-    Always sweeps every quadric index tuple (which covers both generator
-    families of both presentations); for moderate n it additionally
-    restricts the literal generator list by substitution.
+    The quadric sweep covers both generator families of both presentations.
+    A product t(a,b,lam) * t(c,d,l) with lam in {c, d} and m the other index
+    of (c, d) occurs in q(i,j,k|l) with sign + for {i, j} = {a, b}, k = m,
+    and with sign - for {i, k} = {a, b}, j = m; the restriction of each
+    quadric is the exact sum of these terms over pairs of survivors.  The
+    report names the first quadric (i,j,k,l) in lexicographic order whose
+    restriction is nonzero, by its 1-based position among the n^4.
+
+    For n <= 8 the literal generator list is checked too, by support;
+    beyond that, building it costs too much.
     """
     n = spec.n
-    quadrics = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    quadrics += 1
-                    if not restricted_quadric(spec, i, j, k, l).is_zero:
-                        return ContainmentReport(spec, quadrics, 0, False)
-    gens_checked = 0
-    if check_generators is None:
-        check_generators = n <= 8
-    if check_generators:
-        ring = PolyRing.get(n)
-        kill = {
-            v: Fraction(0)
-            for v in ring.t_variables()
-            if not _survives(spec, v[1], v[2], v[3])
-        }
+    ring = PolyRing.get(n)
+    survivors = spec.parameters()
+    partners: dict = {}  # index lam -> surviving t(c,d,l) with lam in {c, d}
+    for w in survivors:
+        for lam in {w[1], w[2]}:
+            partners.setdefault(lam, []).append(w)
+    products: dict = {}  # (i, j, k, l) -> surviving (sign, u, w) of q(i,j,k|l)
+    for u in survivors:
+        _, a, b, lam = u
+        for w in partners.get(lam, ()):
+            _, c, d, l = w
+            m = d if c == lam else c
+            for idx in {(a, b, m, l), (b, a, m, l)}:
+                products.setdefault(idx, []).append((1, u, w))
+            for idx in {(a, m, b, l), (b, m, a, l)}:
+                products.setdefault(idx, []).append((-1, u, w))
+    for idx in sorted(products):
+        restricted = ring.zero()
+        for sign, u, w in products[idx]:
+            restricted = restricted + sign * ring.var_poly(u) * ring.var_poly(w)
+        if not restricted.is_zero:
+            i, j, k, l = idx
+            position = (((i - 1) * n + j - 1) * n + k - 1) * n + l
+            return ContainmentReport(spec, position, 0, False)
+    alive = set(survivors)
+    generators = 0
+    if n <= 8:
         for g in ideal_generators(n).generators:
-            gens_checked += 1
-            if not g.substitute(kill).is_zero:
-                return ContainmentReport(spec, quadrics, gens_checked, False)
-    return ContainmentReport(spec, quadrics, gens_checked, True)
+            generators += 1
+            # a monomial's first variable already rules most of them out
+            if any(
+                m[0][0] in alive and all(v in alive for v, _ in m)
+                for m in g.terms_dict()
+            ):
+                return ContainmentReport(spec, n**4, generators, False)
+    return ContainmentReport(spec, n**4, generators, True)
 
 
 def smoothing_dim(n: int) -> int:
@@ -191,8 +207,6 @@ def max_linear_dim(n: int) -> MaxLinearResult:
 def optimal_specs(n: int, limit: int):
     """Yield the first `limit` optimal (A, B) pairs: A any m-subset, B its
     complement."""
-    import itertools
-
     universe = range(1, n + 1)
     subsets = itertools.combinations(universe, optimal_subset_size(n))
     for A in itertools.islice(subsets, limit):

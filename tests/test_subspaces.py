@@ -1,18 +1,91 @@
 """Linear subspaces of the chart: dimensions, containment, maximization."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
+from hilbworst.ideal import ideal_generators
+from hilbworst.poly import PolyRing
 from hilbworst.subspaces import (
+    ContainmentReport,
+    LinearSubspaceSpec,
     amax_floor,
     containment_check,
     closed_form_dim,
     optimal_subset_size,
     make_spec,
     max_linear_dim,
-    restricted_quadric,
     smoothing_dim,
     subspace_dim,
 )
+
+
+def representative_specs(n):
+    """One spec per (a, b): A = 1..a, B = a+1..a+b."""
+    for a in range(1, n):
+        for b in range(1, n - a + 1):
+            yield make_spec(n, range(1, a + 1), range(a + 1, a + b + 1))
+
+
+def reference_containment(spec):
+    """Containment by brute force: every quadric rebuilt with its killed
+    products left out, and every literal generator (n <= 8) restricted by
+    substituting 0 for the killed parameters."""
+    n = spec.n
+    R = PolyRing.get(n)
+    alive = set(spec.parameters())
+
+    def survives(i, j, k):
+        return R.t_var(i, j, k) in alive
+
+    def restricted_quadric(i, j, k, l):
+        total = R.zero()
+        for lam in range(1, n + 1):
+            if survives(i, j, lam) and survives(k, lam, l):
+                total = total + R.t(i, j, lam) * R.t(k, lam, l)
+            if survives(i, k, lam) and survives(j, lam, l):
+                total = total - R.t(i, k, lam) * R.t(j, lam, l)
+        return total
+
+    quadrics = 0
+    for idx in itertools.product(range(1, n + 1), repeat=4):
+        quadrics += 1
+        if not restricted_quadric(*idx).is_zero:
+            return ContainmentReport(spec, quadrics, 0, False)
+    gens_checked = 0
+    if n <= 8:
+        kill = {v: Fraction(0) for v in R.t_variables() if v not in alive}
+        for g in ideal_generators(n).generators:
+            gens_checked += 1
+            if not g.substitute(kill).is_zero:
+                return ContainmentReport(spec, quadrics, gens_checked, False)
+    return ContainmentReport(spec, quadrics, gens_checked, True)
+
+
+def _rule(keep):
+    """A survival method keeping the t-variables (i <= j) that pass keep."""
+
+    def parameters(spec):
+        R = PolyRing.get(spec.n)
+        return [v for v in R.t_variables() if keep(spec, *v[1:])]
+
+    return parameters
+
+
+TRUE_RULE = _rule(lambda s, i, j, k: i in s.A and j in s.A and k in s.B)
+WRONG_RULES = {
+    "k in A survives too": _rule(
+        lambda s, i, j, k: i in s.A and j in s.A and k in s.A | s.B
+    ),
+    "j anywhere": _rule(lambda s, i, j, k: i in s.A and k in s.B),
+    "every parameter": _rule(lambda s, i, j, k: True),
+    # fails only where the two terms of a quadric must cancel exactly
+    "k in A, i and j anywhere": _rule(lambda s, i, j, k: k in s.A),
+    "no diagonal t(i,i,k)": _rule(
+        lambda s, i, j, k: i < j and i in s.A and j in s.A and k in s.B
+    ),
+}
 
 
 def test_subspace_dimensions():
@@ -39,22 +112,31 @@ def test_containment_checks_generator_lists_at_small_n():
     assert report.quadrics_checked == 3**4
 
 
-def test_restricted_quadric_agrees_with_substitution():
-    from fractions import Fraction
+def test_parameters_are_the_surviving_t_variables_in_order():
+    for n in range(3, 7):
+        for spec in representative_specs(n):
+            assert spec.parameters() == TRUE_RULE(spec)
+    scattered = make_spec(6, {5, 2, 4}, {6, 1})
+    assert scattered.parameters() == TRUE_RULE(scattered)
+    assert PolyRing.get(6).t_var(2, 2, 1) in scattered.parameters()  # diagonal
 
-    from hilbworst.ideal import obstruction_quadric
-    from hilbworst.poly import PolyRing
 
-    spec = make_spec(4, {1, 2}, {3})
-    R = PolyRing.get(4)
-    kill = {
-        v: Fraction(0)
-        for v in R.t_variables()
-        if not (v[1] in spec.A and v[2] in spec.A and v[3] in spec.B)
-    }
-    for idx in [(1, 2, 3, 4), (1, 1, 2, 3), (4, 2, 1, 3)]:
-        full = obstruction_quadric(4, *idx).substitute(kill)
-        assert restricted_quadric(spec, *idx) == full
+def test_containment_report_on_correct_spec():
+    for n in range(3, 7):
+        count = len(ideal_generators(n))
+        for spec in representative_specs(n):
+            expected = ContainmentReport(spec, n**4, count, True)
+            assert containment_check(spec) == expected
+    spec = make_spec(3, {1, 2}, {3})
+    assert containment_check(spec) == reference_containment(spec)
+
+
+@pytest.mark.parametrize("rule", sorted(WRONG_RULES))
+def test_containment_agrees_with_reference_under_wrong_rule(monkeypatch, rule):
+    monkeypatch.setattr(LinearSubspaceSpec, "parameters", WRONG_RULES[rule])
+    for n in range(3, 7):
+        for spec in representative_specs(n):
+            assert containment_check(spec) == reference_containment(spec)
 
 
 def test_smoothing_dimensions():
@@ -101,7 +183,5 @@ def test_case_formula_flag_checks_closed_form_maximizer(monkeypatch):
 def test_containment_representative_sweep():
     # one representative spec per (a, b), moderate n
     for n in (3, 5, 8):
-        for a in range(1, n):
-            for b in range(1, n - a + 1):
-                spec = make_spec(n, range(1, a + 1), range(a + 1, a + b + 1))
-                assert containment_check(spec, check_generators=False).ok
+        for spec in representative_specs(n):
+            assert containment_check(spec).ok
