@@ -20,8 +20,10 @@ an embedded one, reduced modulo the unit and symmetry relations
 coefficients.  Either certificate counts only once ``Membership.verify`` has
 multiplied it back out exactly.
 
-Multiplication tables (``MulTable``) hold rational or symbolic entries and
-answer exact associativity queries; ``table_from_point`` converts a rational
+Multiplication tables (``MulTable``) hold rational or symbolic entries.
+``associativity_residual`` lists every associator coordinate of any table;
+``is_associative`` decides a rational table exactly, by testing whether its
+multiplication operators commute.  ``table_from_point`` converts a rational
 point of the parameter space into the table of the corresponding fiber
 algebra, using the sign convention of the universal family (structure
 constants are the negated parameters).
@@ -33,6 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import mul
 
 from .ideal import (
     GradedSpan,
@@ -166,9 +170,52 @@ def associativity_residual(table: MulTable) -> dict:
 
 
 def is_associative(table: MulTable) -> bool:
-    return all(
-        v == 0 for vec in associativity_residual(table).values() for v in vec
-    )
+    """Exact associativity of a rational table, decided by whether its
+    multiplication operators commute pairwise.
+
+    L_a, for 1 <= a <= n, is the (n+1)x(n+1) matrix of v -> v_a v: entry
+    [k][j] is the v_k-coefficient of v_a v_j.  The table is symmetric and
+    unital by construction, so L_0 is the identity, and on every basis
+    vector
+
+        [L_i, L_k] v_j = v_i (v_k v_j) - v_k (v_i v_j)
+                       = v_i (v_j v_k) - (v_i v_j) v_k.
+
+    So the operators commute pairwise exactly when the product is
+    associative on the basis, hence everywhere by bilinearity.  The stored
+    entries are scaled to ints by one common denominator, which multiplies
+    every commutator by the same nonzero square.  Returns False at the
+    first nonzero commutator entry.
+
+    The test multiplies table entries only and calls neither the generator
+    evaluation of ``ideal.vanishes_at`` nor the fiber elimination of
+    ``oracle.fiber_check``.  The chart quadrics are themselves commutator
+    entries, so a shared helper would make the oracle's agreement of the
+    three hold by construction.
+
+    Raises TypeError on a symbolic or otherwise non-rational entry;
+    ``associativity_residual`` handles symbolic tables.
+    """
+    entries = table.entries
+    for v in entries.values():
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"is_associative needs rational entries, got {v!r}")
+    scale = lcm(*(v.denominator for v in entries.values()))
+    size = table.n + 1
+    # rows[a][k][j]: v_k-coefficient of v_a v_j, times scale
+    rows = [[[0] * size for _ in range(size)] for _ in range(size)]
+    for a in range(1, size):
+        rows[a][a][0] = scale
+    for (i, j, k), v in entries.items():
+        rows[i][k][j] = rows[j][k][i] = v.numerator * (scale // v.denominator)
+    cols = [list(zip(*m)) for m in rows]
+    for a in range(1, size):
+        for b in range(a + 1, size):
+            for row_a, row_b in zip(rows[a], rows[b]):
+                for col_a, col_b in zip(cols[a], cols[b]):
+                    if sum(map(mul, row_a, col_b)) != sum(map(mul, row_b, col_a)):
+                        return False
+    return True
 
 
 # -- the two ring homomorphisms -----------------------------------------------------

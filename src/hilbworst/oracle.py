@@ -1,19 +1,31 @@
 """Brute-force cross-validation against genuine point configurations.
 
 Three independent membership tests must agree at every rational parameter
-point:
+point, and each is exact:
 
-  * symbolic: every generator of the chart ideal evaluates to zero;
-  * algebraic: the multiplication table built from the point (family sign
-    convention) is associative;
-  * geometric: the fiber of the instantiated family is an (n+1)-dimensional
-    algebra in which the residue classes of 1, x_1, ..., x_n stay a basis.
+  * symbolic (``symbolic_member``): every generator of the chart ideal
+    evaluates to zero.  ``ideal.vanishes_at`` evaluates the generators in
+    integers, at the point scaled by the lcm of its denominators, which
+    multiplies each value by a nonzero integer.
+  * algebraic (``based.is_associative`` on ``table_from_point``): the
+    multiplication table built from the point (family sign convention) is
+    associative.  For a symmetric unital table that is the same as its
+    multiplication operators commuting pairwise, which is tested in
+    integers over one common denominator.
+  * geometric (``fiber_check``): the fiber of the instantiated family is an
+    (n+1)-dimensional algebra in which the residue classes of 1, x_1, ...,
+    x_n stay a basis.  It row-reduces the instantiated family generators
+    together with all their degree-3 multiples; because every quadratic
+    and cubic monomial is a leading term of such a row, the residue classes
+    of 1 and the x_i span the truncated quotient, and any echelon row whose
+    leading monomial has degree <= 1 is exactly a collapse of that basis.
 
-The geometric test (``fiber_check``) row-reduces the instantiated family
-generators together with all their degree-3 multiples; because every
-quadratic and cubic monomial is a leading term of such a row, the residue
-classes of 1 and the x_i span the truncated quotient, and any echelon row
-whose leading monomial has degree <= 1 is exactly a collapse of that basis.
+None of the three calls another or a helper of another: the first
+evaluates polynomials, the second multiplies matrices of table entries, the
+third eliminates over the substituted family.  The chart quadrics are
+themselves associator coordinates, so a helper shared by the first two
+would make their agreement hold by construction and prove nothing.
+``tests/test_repo.py`` checks that they stay apart.
 
 ``point_from_configuration`` manufactures honest points of the chart: given
 n+1 rational points in general position, it solves for the structure
@@ -101,7 +113,9 @@ def fiber_check(tvals: dict, n: int) -> FiberReport:
 
 def symbolic_member(tvals: dict, n: int) -> bool:
     """Every generator of the chart ideal vanishes at the point."""
-    return vanishes_at(ideal_generators(n), t_assignment(n, tvals))
+    ring = PolyRing.get(n)
+    point = {ring.t_var(i, j, k): val for (i, j, k), val in tvals.items()}
+    return vanishes_at(ideal_generators(n), point)
 
 
 def small_fraction(rng: random.Random) -> Fraction:

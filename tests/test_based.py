@@ -61,6 +61,16 @@ def test_single_idempotent_table():
     assert is_associative(table)
 
 
+def test_is_associative_rejects_non_rational_entries():
+    with pytest.raises(TypeError, match="rational entries"):
+        is_associative(MulTable.generic(3))
+    mixed = MulTable(3, {(1, 1, 1): Fraction(1), (1, 2, 3): R3.t(1, 1, 1)})
+    with pytest.raises(TypeError, match="rational entries"):
+        is_associative(mixed)
+    # ints are rational too
+    assert is_associative(MulTable(3, {(i, i, i): 1 for i in range(1, 4)}))
+
+
 def test_generic_table_residuals_are_reduced_associators():
     n = 3
     table = MulTable.generic(n)

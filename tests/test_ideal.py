@@ -182,6 +182,19 @@ def test_membership_rejects_x_and_s_variables_before_homogeneity():
         membership(R.t(1, 2, 3) + R.t(1, 2, 3) ** 2, pres)
 
 
+def test_vanishes_at_rejects_x_and_s_variables():
+    R = PolyRing.get(3)
+    for g in (R.s(1, 2, 3) - R.s(2, 1, 3), R.x(1) * R.t(1, 1, 1)):
+        pres = IdealPresentation(3, "hilbert", (R.t(1, 2, 3) ** 2, g))
+        # a point where the first generator already fails still raises
+        with pytest.raises(ValueError, match="t-polynomials"):
+            vanishes_at(pres, {R.t_var(1, 2, 3): 1})
+    with pytest.raises(ValueError, match="t-variables only"):
+        vanishes_at(ideal_generators(3), {R.s_var(1, 2, 3): 1})
+    with pytest.raises(ValueError, match="t-variables only"):
+        vanishes_at(ideal_generators(3), {R.x_var(1): 1})
+
+
 def test_membership_non_member_quadric():
     pres = ideal_generators(3)
     R = PolyRing.get(3)

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hilbworst.ideal import ideal_generators, vanishes_at
+from hilbworst.based import (
+    MulTable,
+    associativity_residual,
+    is_associative,
+    table_from_point,
+)
+from hilbworst.ideal import IdealPresentation, ideal_generators, vanishes_at
 from hilbworst.oracle import (
     BasisCriterionError,
     agreement_trial,
@@ -14,12 +20,13 @@ from hilbworst.oracle import (
     point_from_configuration,
     random_configuration,
     random_generic_point,
+    random_partition_spec,
     random_subspace_point,
     run_samples,
     small_fraction,
     symbolic_member,
 )
-from hilbworst.poly import PolyRing
+from hilbworst.poly import T_KIND, PolyRing
 from hilbworst.subspaces import make_spec
 
 
@@ -152,3 +159,106 @@ def test_small_fraction_heights_bounded():
     for _ in range(200):
         q = small_fraction(rng)
         assert abs(q.numerator) <= 10 and 1 <= q.denominator <= 10
+
+
+# -- fast tests against their references --------------------------------------
+
+
+def _residual_free(table):
+    """Test-side reference: every associator coordinate is zero."""
+    return all(v == 0 for vec in associativity_residual(table).values() for v in vec)
+
+
+def _generators_vanish(pres, assignment):
+    """Test-side reference: generator by generator, by substitution."""
+    full = dict.fromkeys(PolyRing.get(pres.n).t_variables(), Fraction(0))
+    full.update(assignment)
+    return all(g.evaluate(full) == 0 for g in pres.generators)
+
+
+def _one_point_per_kind(rng, n):
+    """A coordinate, a configuration, a subspace and a generic point."""
+    while True:
+        try:
+            config = point_from_configuration(random_configuration(rng, n))
+            break
+        except BasisCriterionError:
+            continue
+    return {
+        "coordinate": point_from_configuration(coordinate_configuration(n)),
+        "configuration": config,
+        "subspace": random_subspace_point(rng, random_partition_spec(rng, n)),
+        "generic": random_generic_point(rng, n),
+    }
+
+
+def _step(rng):
+    """A nonzero rational."""
+    return Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+
+
+def _perturbed(table, key, rng):
+    """The table with the stored entry at key moved by a nonzero rational."""
+    entries = dict(table.entries)
+    entries[key] = entries.get(key, 0) + _step(rng)
+    return MulTable(table.n, entries)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_is_associative_agrees_with_the_residual(n):
+    rng = random.Random(100 + n)
+    points = _one_point_per_kind(rng, n)
+    tables = [table_from_point(tvals, n) for tvals in points.values()]
+    i = rng.randint(1, n)
+    j = rng.randint(i, n)
+    keys = [
+        (i, j, rng.randint(0, n)),  # any stored entry
+        (i, j, 0),  # the v_0 column
+        (i, i, rng.randint(1, n)),  # a diagonal product
+    ]
+    member_tables = tables[:3]
+    tables += [_perturbed(t, key, rng) for t, key in zip(member_tables, keys)]
+    answers = [is_associative(t) for t in tables]
+    assert answers == [_residual_free(t) for t in tables]
+    assert answers[:4] == [True, True, True, False]
+    assert not all(answers[4:])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_vanishes_at_agrees_with_substitution(n):
+    rng = random.Random(200 + n)
+    ring = PolyRing.get(n)
+    pres = ideal_generators(n)
+    points = list(_one_point_per_kind(rng, n).values())
+    for tvals in points[:3]:  # members, each moved in one coordinate
+        moved = dict(tvals)
+        key = rng.choice([v[1:] for v in ring.t_variables()])
+        moved[key] = moved.get(key, 0) + _step(rng)
+        points.append(moved)
+    answers = []
+    for tvals in points:
+        assignment = {ring.t_var(*key): val for key, val in tvals.items()}
+        answers.append(vanishes_at(pres, assignment))
+        assert answers[-1] == _generators_vanish(pres, assignment)
+        assert answers[-1] == symbolic_member(tvals, n)
+    assert answers[:4] == [True, True, True, False]
+
+
+def test_vanishes_at_on_non_homogeneous_generators():
+    ring = PolyRing.get(3)
+    t = ring.t(1, 1, 1)
+    pres = IdealPresentation(
+        3, "hilbert", (t * t - t, ring.t(1, 2, 3) * Fraction(3, 2) - Fraction(1, 2))
+    )
+    for a, b, expected in [
+        (1, Fraction(1, 3), True),
+        (0, Fraction(1, 3), True),
+        (Fraction(1, 2), Fraction(1, 3), False),
+        (1, Fraction(1, 2), False),
+        (2, Fraction(1, 3), False),
+    ]:
+        # the key t(2,1,3) names t(1,2,3)
+        point = {ring.t_var(1, 1, 1): a, (T_KIND, 2, 1, 3): b}
+        assert vanishes_at(pres, point) is expected
+        canonical = {ring.t_var(1, 1, 1): a, ring.t_var(1, 2, 3): b}
+        assert _generators_vanish(pres, canonical) is expected

@@ -1,5 +1,6 @@
-"""Repository hygiene: nothing that .gitignore excludes is tracked, and no
-private name is imported from one package module into another."""
+"""Repository hygiene: nothing that .gitignore excludes is tracked, no
+private name is imported from one package module into another, and the
+three membership tests of the oracle stay independent code paths."""
 
 import ast
 import shutil
@@ -35,3 +36,52 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert crossing == []
+
+
+def _module(name):
+    return ast.parse((ROOT / "src" / "hilbworst" / f"{name}.py").read_text())
+
+
+def _imported_from(tree, source):
+    """Names a module imports with ``from .source import ...``."""
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and node.module == source
+        for alias in node.names
+    }
+
+
+def _loaded_names(tree, function):
+    """Names loaded by a module-level function and by every module-level
+    function of the same module that it reaches by name."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loaded, todo, seen = set(), [function], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+                if node.id in defs and node.id not in seen:
+                    todo.append(node.id)
+    return loaded
+
+
+def test_oracle_tests_stay_independent():
+    # The chart quadrics are associator coordinates, so a helper shared by
+    # two of the three tests would make their agreement hold by construction.
+    based, ideal, oracle = _module("based"), _module("ideal"), _module("oracle")
+    algebra = _imported_from(based, "ideal") | _imported_from(based, "poly")
+    assert {"membership", "Poly"} <= algebra
+    assert _loaded_names(based, "is_associative") & algebra == set()
+    assert "is_associative" in _imported_from(oracle, "based")
+    symbolic = _loaded_names(oracle, "symbolic_member")
+    assert "vanishes_at" in symbolic
+    assert symbolic & _imported_from(oracle, "based") == set()
+    assert _loaded_names(ideal, "vanishes_at") & _imported_from(ideal, "based") == set()
+    fiber = _loaded_names(oracle, "fiber_check")
+    assert "universal_family" in fiber
+    assert fiber & {"is_associative", "vanishes_at", "symbolic_member"} == set()
