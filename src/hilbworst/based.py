@@ -47,8 +47,9 @@ from .ideal import (
     ideal_generators,
     membership,
 )
+from .lifting import family_at
 from .poly import Poly, PolyRing
-from .taylor import pair
+from .taylor import basis_pairs, pair
 
 
 class MalformedTableError(ValueError):
@@ -351,28 +352,19 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
 # -- points and tables -----------------------------------------------------------------
 
 
-def t_assignment(n: int, tvals: dict) -> dict:
-    """Full variable assignment from a sparse (i,j,k) -> rational map."""
-    ring = PolyRing.get(n)
-    full = {v: Fraction(0) for v in ring.t_variables()}
-    for (i, j, k), val in tvals.items():
-        full[ring.t_var(i, j, k)] = Fraction(val)
-    return full
-
-
 def table_from_point(tvals: dict, n: int) -> MulTable:
-    """Multiplication table of the fiber algebra at a parameter point, in
-    the family's sign convention: s(i,j,k) = -t(i,j,k) for positive k and
-    s(i,j,0) = -sum_k q(i,j,k|k)(t)/(n-1)."""
-    assignment = t_assignment(n, tvals)
+    """Multiplication table of the fiber algebra at a parameter point, read
+    off the family at the point (``family_at``) in its sign convention:
+    s(i,j,k) = -(coefficient of x_k) = -t(i,j,k) for positive k and
+    s(i,j,0) = -(constant term) = -sum_k q(i,j,k|k)(t)/(n-1), in the
+    generator of the pair (i, j)."""
     ring = PolyRing.get(n)
+    linear = [((ring.x_var(k), 1),) for k in range(1, n + 1)]
     entries = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                entries[(i, j, k)] = -assignment[ring.t_var(i, j, k)]
-            const = diagonal_sum(n, i, j).evaluate(assignment)
-            entries[(i, j, 0)] = -Fraction(const, n - 1)
+    for (i, j), coeffs in zip(basis_pairs(n), family_at(n, tvals)):
+        for k, xk in enumerate(linear, start=1):
+            entries[(i, j, k)] = -coeffs.get(xk, 0)
+        entries[(i, j, 0)] = -coeffs.get((), 0)
     return MulTable(n, entries)
 
 

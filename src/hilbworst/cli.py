@@ -241,8 +241,8 @@ def _read_point(path: str) -> tuple:
     except (OSError, ValueError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
     n = data.get("n") if isinstance(data, dict) else None
-    if type(n) is not int or n < 2:
-        raise error(f'{path}: "n" must be an integer >= 2')
+    if type(n) is not int or n < 3:  # the universal family starts at n = 3
+        raise error(f'{path}: "n" must be an integer >= 3')
     rows = data.get("t", [])
     if not isinstance(rows, list):
         raise error(f'{path}: "t" must be a list of [i, j, k, "p/q"] entries')

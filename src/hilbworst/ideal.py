@@ -53,13 +53,25 @@ def obstruction_quadric(n: int, i: int, j: int, k: int, l: int) -> Poly:
 
     Antisymmetric in (j, k); the sum over the cyclic rotations of (i, j, k)
     vanishes identically.
+
+    It is the sum over lam of t(i,j,lam) t(k,lam,l) - t(i,k,lam) t(j,lam,l).
+    Each product is one monomial, so the integer coefficients are summed per
+    monomial, in the order and with the cancellations of the ``Poly`` sum.
     """
     ring = PolyRing.get(n)
-    total = ring.zero()
+    terms: dict = {}
     for lam in range(1, n + 1):
-        total = total + ring.t(i, j, lam) * ring.t(k, lam, l)
-        total = total - ring.t(i, k, lam) * ring.t(j, lam, l)
-    return total
+        for a, b, sign in (
+            (ring.t_var(i, j, lam), ring.t_var(k, lam, l), 1),
+            (ring.t_var(i, k, lam), ring.t_var(j, lam, l), -1),
+        ):
+            m = mono_mul(((a, 1),), ((b, 1),))
+            c = terms.get(m, 0) + sign
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+    return Poly(n, {m: Fraction(c) for m, c in terms.items()})
 
 
 def cyclic_sum(n: int, i: int, j: int, k: int, l: int) -> Poly:
@@ -271,7 +283,7 @@ class GradedSpan:
         ((key, part),) = parts.items()
         span = self.blocks.get(key)
         if span is None:
-            span = self.blocks[key] = EchelonSpan(track=True, keysort=mono_sort_key)
+            span = self.blocks[key] = EchelonSpan(keysort=mono_sort_key)
         return span.insert(part, tag)
 
     def reduce(self, vec: dict):

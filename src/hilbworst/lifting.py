@@ -19,6 +19,10 @@ multiplication (``Membership.verify``) before it counts.
 Disjoint-pair wedges lift trivially to all orders, by ``leibniz_value`` of
 the perturbed generator map; the composite vanishes identically there
 (``koszul_full_residual``).
+
+``family_at`` evaluates the universal family at a rational point in
+integers, from a form of the family compiled once per n; the oracle reads
+the fiber algebra's table and the fiber itself from it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .ideal import (
     IdealPresentation,
@@ -216,6 +221,62 @@ def universal_family(n: int, flavor: str = "hilbert") -> tuple:
     if flavor != "hilbert":
         raise ValueError(f"unsupported flavor {flavor!r}")
     return family
+
+
+@lru_cache(maxsize=None)
+def _compiled_family(n: int) -> tuple:
+    """``universal_family(n)`` compiled for ``family_at``, on its first call
+    for n: the dense index of the t-variables in ``t_variables()`` order
+    and, per generator, one entry per x-monomial.  An entry holds the
+    integer numerators of that x-monomial's t-coefficient over their common
+    denominator e, the coefficient's t-degree d, and its t-monomials as
+    tuples of variable positions, each repeated by its exponent.  The family
+    is homogeneous of degree 2 in x and t together, so each coefficient has
+    one t-degree."""
+    index = {v: pos for pos, v in enumerate(PolyRing.get(n).t_variables())}
+    compiled = []
+    for g in universal_family(n):
+        entries = []
+        for xmono, coeff in g.split_by_x().items():
+            terms = coeff.terms_dict()
+            den = lcm(*(c.denominator for c in terms.values()))
+            nums = tuple(c.numerator * (den // c.denominator) for c in terms.values())
+            monos = tuple(tuple(index[v] for v, e in m for _ in range(e)) for m in terms)
+            entries.append((xmono, den, len(monos[0]), nums, monos))
+        compiled.append(tuple(entries))
+    return index, tuple(compiled)
+
+
+def family_at(n: int, tvals: dict) -> tuple:
+    """The generators of ``universal_family(n)`` at a rational point, in
+    pair order, each as its map x-monomial -> nonzero Fraction coefficient.
+
+    ``tvals`` maps (i, j, k) to a rational; a key (j, i, k) names t(i,j,k)
+    as in ``PolyRing.t_var``, and t-variables it leaves out are 0.  Exact:
+    with D the lcm of the point's denominators, x = D*t is an integer
+    point, and a t-coefficient of t-degree d with integer numerators c_m
+    over e is sum_m c_m x^m / (e * D^d).  The family is compiled once per n
+    (``_compiled_family``)."""
+    index, compiled = _compiled_family(n)
+    ring = PolyRing.get(n)
+    point = {index[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}
+    scale = lcm(*(val.denominator for val in point.values()))
+    x = [0] * len(index)
+    for pos, val in point.items():
+        x[pos] = val.numerator * (scale // val.denominator)
+    family = []
+    for entries in compiled:
+        coeffs = {}
+        for xmono, den, degree, nums, monos in entries:
+            total = 0
+            for c, positions in zip(nums, monos):
+                for pos in positions:
+                    c *= x[pos]
+                total += c
+            if total:
+                coeffs[xmono] = Fraction(total, den * scale**degree)
+        family.append(coeffs)
+    return tuple(family)
 
 
 # -- the cubic syzygy --------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts mapping orderable keys to nonzero rationals (``int`` or
-``Fraction``).  EchelonSpan keeps one normalized row per pivot key and can
-optionally track, for every inserted row, an exact expression in terms of
-the original input vectors; reducing a query vector then yields either a
-zero residual together with an explicit certificate (the query as a
-rational combination of the inputs) or a nonzero residual, which is a proof
-of non-membership.
+``Fraction``).  EchelonSpan keeps one normalized row per pivot key and
+tracks, for every inserted row, an exact expression in terms of the
+original input vectors; reducing a query vector then yields either a zero
+residual together with an explicit certificate (the query as a rational
+combination of the inputs) or a nonzero residual, which is a proof of
+non-membership.
+
+``pivot_keys`` answers the one question that needs no certificate, which
+keys lead the rows of an echelon basis.  It eliminates fraction-free, in
+integers, and never normalizes a pivot to 1.
 
 Inside the span an integral value is held as an ``int`` and any other value
 as a ``Fraction``; most entries of the spans built in this package are
@@ -17,7 +21,8 @@ integers, and int arithmetic is exact and far cheaper.  Values returned by
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 def _exact(x):
@@ -48,12 +53,12 @@ def _divide(vec: dict, c) -> dict:
 
 
 class EchelonSpan:
-    """Incremental row echelon basis of sparse exact vectors."""
+    """Incremental row echelon basis of sparse exact vectors, each row with
+    its combination of the inserted vectors."""
 
-    def __init__(self, track: bool = False, keysort=None):
+    def __init__(self, keysort=None):
         self._rows: dict = {}  # pivot key -> row (pivot coefficient 1)
         self._combos: dict = {}  # pivot key -> {tag: coefficient}
-        self._track = track
         self._key = keysort if keysort is not None else (lambda k: k)
 
     @property
@@ -64,15 +69,10 @@ class EchelonSpan:
         return self._rows.keys()
 
     def reduce(self, vec: dict):
-        """Return (residual, used) with vec = sum(used[tag]*input) + residual.
-
-        `used` is None unless the span tracks combinations.
-        """
+        """Return (residual, used) with vec = sum(used[tag]*input) + residual."""
         v, used = self._reduce(vec)
         residual = {k: Fraction(c) for k, c in v.items()}
-        if used is not None:
-            used = {tag: Fraction(c) for tag, c in used.items()}
-        return residual, used
+        return residual, {tag: Fraction(c) for tag, c in used.items()}
 
     def _reduce(self, vec: dict):
         """``reduce`` with values in the internal int-or-Fraction form.
@@ -84,7 +84,7 @@ class EchelonSpan:
         """
         rows, key = self._rows, self._key
         v = {k: _exact(c) for k, c in vec.items() if c}
-        used: dict | None = {} if self._track else None
+        used: dict = {}
         heap = [(key(k), k) for k in v if k in rows]
         heap.sort()
         while heap:
@@ -97,8 +97,7 @@ class EchelonSpan:
                 if k in rows and k not in v:
                     heappush(heap, (key(k), k))
             _add_multiple(v, c, row)  # row[p] is 1, so p cancels
-            if used is not None:
-                _add_multiple(used, -c, self._combos[p])
+            _add_multiple(used, -c, self._combos[p])
         return v, used
 
     def insert(self, vec: dict, tag=None) -> bool:
@@ -109,8 +108,55 @@ class EchelonSpan:
         p = min(residual, key=self._key)
         c = residual[p]
         self._rows[p] = _divide(residual, c)
-        if self._track:
-            combo = {tag: 1}
-            _add_multiple(combo, 1, used)
-            self._combos[p] = _divide(combo, c)
+        combo = {tag: 1}
+        _add_multiple(combo, 1, used)
+        self._combos[p] = _divide(combo, c)
         return True
+
+
+def _primitive(vec: dict) -> dict:
+    """The nonzero entries of a rational vector, scaled to coprime ints."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    v = {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}
+    content = gcd(*v.values())
+    return v if content == 1 else {k: x // content for k, x in v.items()}
+
+
+def pivot_keys(rows) -> set:
+    """The pivot keys of the row space of sparse rational vectors: the least
+    key of each row of an echelon basis.
+
+    Fraction-free: every vector is scaled to a primitive integer vector on
+    entry.  A hit p of a stored row r (pivot entry a) is cancelled by
+    v <- (a/g)*v - (c/g)*r with c = v[p] and g = gcd(a, c), hits of least
+    key first; a row's other keys sort after its pivot, so cancelling p only
+    brings in keys after p.  A nonzero residual is divided by its content
+    and stored under its least key."""
+    echelon: dict = {}  # pivot key -> primitive int row
+    for vec in rows:
+        v = _primitive(vec)
+        heap = [k for k in v if k in echelon]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            c = v.get(p)
+            if c is None:
+                continue  # cancelled since it was queued
+            row = echelon[p]
+            a = row[p]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                v = {k: a * x for k, x in v.items()}
+            for k, x in row.items():
+                nv = v.get(k, 0) - c * x
+                if nv:
+                    if k not in v and k in echelon:
+                        heappush(heap, k)
+                    v[k] = nv
+                else:
+                    del v[k]
+        if v:
+            content = gcd(*v.values())
+            echelon[min(v)] = {k: x // content for k, x in v.items()}
+    return set(echelon)

@@ -15,16 +15,21 @@ point, and each is exact:
   * geometric (``fiber_check``): the fiber of the instantiated family is an
     (n+1)-dimensional algebra in which the residue classes of 1, x_1, ...,
     x_n stay a basis.  It row-reduces the instantiated family generators
-    together with all their degree-3 multiples; because every quadratic
-    and cubic monomial is a leading term of such a row, the residue classes
-    of 1 and the x_i span the truncated quotient, and any echelon row whose
-    leading monomial has degree <= 1 is exactly a collapse of that basis.
+    together with all their degree-3 multiples, fraction-free in integers
+    (``linalg.pivot_keys``); because every quadratic and cubic monomial is
+    a leading term of such a row, the residue classes of 1 and the x_i span
+    the truncated quotient, and any echelon row whose leading monomial has
+    degree <= 1 is exactly a collapse of that basis.
 
 None of the three calls another or a helper of another: the first
-evaluates polynomials, the second multiplies matrices of table entries, the
-third eliminates over the substituted family.  The chart quadrics are
-themselves associator coordinates, so a helper shared by the first two
-would make their agreement hold by construction and prove nothing.
+evaluates the chart generators, the second multiplies matrices of table
+entries, the third eliminates over the instantiated family.  The chart
+quadrics are themselves associator coordinates, so a helper shared by the
+first two would make their agreement hold by construction and prove
+nothing.  The second and third share only their input, the family at the
+point (``lifting.family_at``): the table is read off its coefficients and
+the fiber is cut out by it.  That map from a point to the family is not a
+membership test, and the symbolic test does not use it.
 ``tests/test_repo.py`` checks that they stay apart.
 
 ``point_from_configuration`` manufactures honest points of the chart: given
@@ -41,12 +46,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .based import is_associative, t_assignment, table_from_point
+from .based import is_associative, table_from_point
 from .ideal import ideal_generators, vanishes_at
-from .lifting import universal_family
-from .linalg import EchelonSpan
-from .poly import PolyRing, mono_degree, mono_sort_key
+from .lifting import family_at
+from .linalg import EchelonSpan, pivot_keys
+from .poly import X_KIND, PolyRing, mono_degree, mono_mul, mono_sort_key
 from .subspaces import LinearSubspaceSpec
 
 
@@ -60,8 +66,8 @@ def point_from_configuration(points: list) -> dict:
     of affine n-space (n is one less than the number of points).
 
     Solves, for every pair (i, j), the expansion of x_i*x_j in the residue
-    basis 1, x_1, ..., x_n on the configuration (the tracked reduction
-    against an ``EchelonSpan`` of the evaluation columns) and negates the
+    basis 1, x_1, ..., x_n on the configuration (the reduction against an
+    ``EchelonSpan`` of the evaluation columns) and negates the
     linear coefficients (family sign convention).  Raises
     BasisCriterionError when the evaluation matrix is singular.
     """
@@ -72,7 +78,7 @@ def point_from_configuration(points: list) -> dict:
         raise ValueError(f"need {len(points)} points of length {n}")
     evaluation = [[Fraction(1)] + [Fraction(c) for c in p] for p in points]
     # column k of the evaluation matrix holds the values of x_k (x_0 = 1)
-    columns = EchelonSpan(track=True)
+    columns = EchelonSpan()
     for k in range(n + 1):
         columns.insert({r: row[k] for r, row in enumerate(evaluation)}, tag=k)
     if columns.rank <= n:  # insert rejected a column as dependent
@@ -94,20 +100,39 @@ class FiberReport:
     basis_ok: bool
 
 
+@lru_cache(maxsize=None)
+def _fiber_columns(n: int) -> tuple:
+    """The x-monomials of degree <= 3 numbered in descending graded-lex
+    order (``mono_sort_key``), so that the least column of a row is its
+    leading monomial, and for each l = 1..n the shift table: the column of
+    m*x_l by the column of m, over the monomials m of degree <= 2."""
+    xs = [((X_KIND, l), 1) for l in range(1, n + 1)]
+    monos, layer = {()}, {()}
+    for _ in range(3):
+        layer = {mono_mul(m, (x,)) for m in layer for x in xs}
+        monos |= layer
+    column = {m: c for c, m in enumerate(sorted(monos, key=mono_sort_key))}
+    shifts = tuple(
+        {column[m]: column[mono_mul(m, (x,))] for m in column if mono_degree(m) <= 2}
+        for x in xs
+    )
+    return column, shifts
+
+
 def fiber_check(tvals: dict, n: int) -> FiberReport:
     """Dimension of the (degree <= 3 truncated) fiber of the family at the
-    point, and whether 1, x_1, ..., x_n survive as a basis."""
-    assignment = t_assignment(n, tvals)
-    ring = PolyRing.get(n)
-    gens = [g.substitute(assignment) for g in universal_family(n)]
-    span = EchelonSpan(keysort=mono_sort_key)
-    for g in gens:
-        span.insert(g.terms_dict())
-    for i in range(1, n + 1):
-        xi = ring.x(i)
-        for g in gens:
-            span.insert((xi * g).terms_dict())
-    collapsed = sum(1 for piv in span.pivots() if mono_degree(piv) <= 1)
+    point, and whether 1, x_1, ..., x_n survive as a basis.
+
+    Each generator of the family at the point (``family_at``) becomes a
+    row over the columns of ``_fiber_columns``, its x_l multiples the same
+    row through the shift table of x_l; ``pivot_keys`` scales each row to a
+    primitive integer row.  The pivots in the last n+1 columns are the
+    collapses of the basis: the leading monomials of degree <= 1."""
+    column, shifts = _fiber_columns(n)
+    rows = [{column[m]: c for m, c in coeffs.items()} for coeffs in family_at(n, tvals)]
+    rows += [{shift[c]: v for c, v in row.items()} for shift in shifts for row in rows]
+    linear = len(column) - (n + 1)  # the first column of degree <= 1
+    collapsed = sum(1 for piv in pivot_keys(rows) if piv >= linear)
     return FiberReport(dimension=n + 1 - collapsed, basis_ok=collapsed == 0)
 
 

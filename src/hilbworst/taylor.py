@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import EchelonSpan
+from .linalg import pivot_keys
 from .poly import Poly, PolyRing, X_KIND, mono_degree, mono_text
 
 E_NS, WEDGE_NS, CURLY_NS = "e", "w", "c"
@@ -368,14 +368,9 @@ def tangent_dims(n: int) -> TangentDims:
     """Dimension of the hom space and of its quotient by the derivation
     images, computed by exact rank and cross-checked against the closed
     formulas n^2(n+1)/2 and (n+2)n(n-1)/2."""
-    span = EchelonSpan()
-    for ijk in hom_basis_indices(n):
-        span.insert(_hom_vector(n, ijk))
-    hom_rank = span.rank
-    der = EchelonSpan()
-    for i in range(1, n + 1):
-        der.insert(derivation_image_vector(n, i))
-    t1_rank = hom_rank - der.rank
+    hom_rank = len(pivot_keys(_hom_vector(n, ijk) for ijk in hom_basis_indices(n)))
+    der = (derivation_image_vector(n, i) for i in range(1, n + 1))
+    t1_rank = hom_rank - len(pivot_keys(der))
     if hom_rank != n * n * (n + 1) // 2:
         raise AssertionError(f"hom rank {hom_rank} != n^2(n+1)/2 at n={n}")
     if t1_rank != (n + 2) * n * (n - 1) // 2:

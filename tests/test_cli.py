@@ -119,6 +119,7 @@ def test_table_output_is_golden(point, tmp_path, capsys):
         "[3]",
         '{"t": [[1, 1, 1, "-1"]]}',  # missing "n"
         '{"n": 1}',
+        '{"n": 2, "t": [[1, 2, 2, "1"]]}',  # the family starts at n = 3
         '{"n": "3"}',
         '{"n": 3, "t": [[1, 2, 9, "1"]]}',
         '{"n": 3, "t": [[0, 2, 1, "1"]]}',

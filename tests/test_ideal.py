@@ -80,6 +80,25 @@ def test_quadric_expansion_matches_hand_built_sum():
     assert len(expected.terms_dict()) == 8
 
 
+def _quadric_as_poly_sum(n, i, j, k, l):
+    """Test-side reference: the defining sum of 2n ``Poly`` products."""
+    R = PolyRing.get(n)
+    total = R.zero()
+    for lam in range(1, n + 1):
+        total = total + R.t(i, j, lam) * R.t(k, lam, l)
+        total = total - R.t(i, k, lam) * R.t(j, lam, l)
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_quadric_term_dict_matches_the_poly_sum(n):
+    for idx in itertools.product(range(1, n + 1), repeat=4):
+        built, reference = obstruction_quadric(n, *idx), _quadric_as_poly_sum(n, *idx)
+        assert built == reference
+        # the same terms in the same order, so every dict built from them is too
+        assert list(built.terms_dict().items()) == list(reference.terms_dict().items())
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_generator_counts_and_rank(n):
     pres = ideal_generators(n)

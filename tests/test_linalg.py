@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from hilbworst.linalg import EchelonSpan
+import pytest
+
+from hilbworst.linalg import EchelonSpan, pivot_keys
 
 
 def F(x):
@@ -26,7 +29,7 @@ def test_reduce_residual_is_proof_of_failure():
 
 
 def test_certificates_roundtrip():
-    span = EchelonSpan(track=True)
+    span = EchelonSpan()
     rows = {
         "g0": {"a": F(1), "b": F(1)},
         "g1": {"b": F(1), "c": F(1)},
@@ -100,7 +103,7 @@ def test_kernel_matches_fraction_reference():
             combo = {k: ca * a[1].get(k, 0) + cb * b[1].get(k, 0) for k in keys}
             vectors.append((t, {k: c for k, c in combo.items() if c}))
         rng.shuffle(vectors)
-        span = EchelonSpan(track=True)
+        span = EchelonSpan()
         gained = [span.insert(vec, tag) for tag, vec in vectors]
         rows, reference = _reference_span(vectors)
         assert span.rank == len(rows) == sum(gained)
@@ -120,3 +123,39 @@ def test_kernel_matches_fraction_reference():
                 for k, x in dict(vectors)[tag].items():
                     total[k] = total.get(k, F(0)) + c * x
             assert {k: x for k, x in total.items() if x} == query
+
+
+def _matrix(rng, case):
+    """Rows of a random rational matrix of the named kind."""
+    if case == "empty":
+        return []
+    keys = list(range(12))
+    rows = [_random_vector(rng, keys, rng.randint(1, 6)) for _ in range(rng.randint(2, 9))]
+    if case in ("dependent", "zero rows"):
+        # combinations of earlier rows, one of them scaled by a large integer
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.sample(rows, 2) if len(rows) > 1 else (rows[0], rows[0])
+            ca, cb = Fraction(rng.randint(-3, 3), 2), rng.choice([1, 7, 10**6])
+            combo = {k: ca * a.get(k, 0) + cb * b.get(k, 0) for k in keys}
+            rows.append({k: c for k, c in combo.items() if c})
+    if case == "zero rows":
+        rows += [{}, {rng.choice(keys): 0}, {k: Fraction(0) for k in keys[:3]}]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["independent", "dependent", "zero rows", "empty"])
+def test_pivot_keys_match_echelon_span_pivots(case):
+    rng = random.Random(2024)
+    for _ in range(40):
+        rows = _matrix(rng, case)
+        span = EchelonSpan()
+        for row in rows:
+            span.insert(row)
+        assert pivot_keys(iter(rows)) == set(span.pivots())
+        # the same rows as ints, each with a content of at least 6
+        ints = []
+        for row in rows:
+            den = lcm(*(Fraction(x).denominator for x in row.values()))
+            ints.append({k: int(6 * den * x) for k, x in row.items()})
+        assert pivot_keys(ints) == set(span.pivots())

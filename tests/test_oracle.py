@@ -11,9 +11,17 @@ from hilbworst.based import (
     is_associative,
     table_from_point,
 )
-from hilbworst.ideal import IdealPresentation, ideal_generators, vanishes_at
+from hilbworst.ideal import (
+    IdealPresentation,
+    diagonal_sum,
+    ideal_generators,
+    vanishes_at,
+)
+from hilbworst.lifting import family_at, universal_family
+from hilbworst.linalg import EchelonSpan
 from hilbworst.oracle import (
     BasisCriterionError,
+    FiberReport,
     agreement_trial,
     coordinate_configuration,
     fiber_check,
@@ -26,8 +34,17 @@ from hilbworst.oracle import (
     small_fraction,
     symbolic_member,
 )
-from hilbworst.poly import T_KIND, PolyRing
+from hilbworst.poly import T_KIND, Poly, PolyRing, mono_degree, mono_sort_key
 from hilbworst.subspaces import make_spec
+
+
+def t_assignment(n, tvals):
+    """Full variable assignment from a sparse (i,j,k) -> rational map."""
+    ring = PolyRing.get(n)
+    full = {v: Fraction(0) for v in ring.t_variables()}
+    for (i, j, k), val in tvals.items():
+        full[ring.t_var(i, j, k)] = Fraction(val)
+    return full
 
 
 def test_coordinate_configuration_gives_idempotent_point():
@@ -108,9 +125,6 @@ def test_roundtrip_configuration_fiber():
 def test_instantiated_family_vanishes_on_the_configuration():
     # end-to-end sign check: the family at a configuration-derived point
     # cuts out exactly the configuration, so it vanishes at each point
-    from hilbworst.based import t_assignment
-    from hilbworst.lifting import universal_family
-
     rng = random.Random(3)
     n = 3
     R = PolyRing.get(n)
@@ -224,17 +238,25 @@ def test_is_associative_agrees_with_the_residual(n):
     assert not all(answers[4:])
 
 
+def _with_moved_members(rng, n):
+    """The points of ``_one_point_per_kind``, then its three member points
+    each moved in one coordinate."""
+    ring = PolyRing.get(n)
+    points = list(_one_point_per_kind(rng, n).values())
+    for tvals in points[:3]:
+        moved = dict(tvals)
+        key = rng.choice([v[1:] for v in ring.t_variables()])
+        moved[key] = moved.get(key, 0) + _step(rng)
+        points.append(moved)
+    return points
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_vanishes_at_agrees_with_substitution(n):
     rng = random.Random(200 + n)
     ring = PolyRing.get(n)
     pres = ideal_generators(n)
-    points = list(_one_point_per_kind(rng, n).values())
-    for tvals in points[:3]:  # members, each moved in one coordinate
-        moved = dict(tvals)
-        key = rng.choice([v[1:] for v in ring.t_variables()])
-        moved[key] = moved.get(key, 0) + _step(rng)
-        points.append(moved)
+    points = _with_moved_members(rng, n)
     answers = []
     for tvals in points:
         assignment = {ring.t_var(*key): val for key, val in tvals.items()}
@@ -262,3 +284,89 @@ def test_vanishes_at_on_non_homogeneous_generators():
         assert vanishes_at(pres, point) is expected
         canonical = {ring.t_var(1, 1, 1): a, ring.t_var(1, 2, 3): b}
         assert _generators_vanish(pres, canonical) is expected
+
+
+def _family_by_substitution(n, tvals):
+    """Test-side reference: each generator of the family with the point
+    substituted, as its x-monomial -> coefficient map."""
+    assignment = t_assignment(n, tvals)
+    return tuple(g.substitute(assignment).terms_dict() for g in universal_family(n))
+
+
+def _fiber_by_substitution(tvals, n):
+    """Test-side reference: the substituted family and its x_l multiples
+    eliminated in an ``EchelonSpan``, pivots as leading monomials."""
+    ring = PolyRing.get(n)
+    assignment = t_assignment(n, tvals)
+    gens = [g.substitute(assignment) for g in universal_family(n)]
+    span = EchelonSpan(keysort=mono_sort_key)
+    for g in gens:
+        span.insert(g.terms_dict())
+    for i in range(1, n + 1):
+        for g in gens:
+            span.insert((ring.x(i) * g).terms_dict())
+    collapsed = sum(1 for piv in span.pivots() if mono_degree(piv) <= 1)
+    return FiberReport(dimension=n + 1 - collapsed, basis_ok=collapsed == 0)
+
+
+def _table_by_evaluation(tvals, n):
+    """Test-side reference: s(i,j,k) = -t(i,j,k) and
+    s(i,j,0) = -diagonal_sum(n, i, j)(t)/(n-1), by ``Poly.evaluate``."""
+    assignment = t_assignment(n, tvals)
+    ring = PolyRing.get(n)
+    entries = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for k in range(1, n + 1):
+                entries[(i, j, k)] = -assignment[ring.t_var(i, j, k)]
+            const = diagonal_sum(n, i, j).evaluate(assignment)
+            entries[(i, j, 0)] = -Fraction(const, n - 1)
+    return MulTable(n, entries)
+
+
+def _swapped(tvals):
+    """The point with every key t(i,j,k), i < j, given as t(j,i,k)."""
+    return {(max(i, j), min(i, j), k): val for (i, j, k), val in tvals.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_family_at_agrees_with_substitution(n):
+    points = _with_moved_members(random.Random(300 + n), n)
+    for tvals in points:
+        family = family_at(n, tvals)
+        assert family == _family_by_substitution(n, tvals)
+        assert all(type(c) is Fraction for g in family for c in g.values())
+    swapped = _swapped(points[1])  # the configuration point
+    assert any(i > j for i, j, _ in swapped)
+    assert family_at(n, swapped) == _family_by_substitution(n, points[1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_table_from_point_agrees_with_evaluation(n):
+    points = _with_moved_members(random.Random(400 + n), n)
+    for tvals in points + [_swapped(points[1])]:
+        assert table_from_point(tvals, n).entries == _table_by_evaluation(tvals, n).entries
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fiber_check_agrees_with_substitution(n):
+    points = _with_moved_members(random.Random(500 + n), n)
+    reports = [fiber_check(tvals, n) for tvals in points]
+    assert reports == [_fiber_by_substitution(tvals, n) for tvals in points]
+    assert [r.basis_ok for r in reports[:4]] == [True, True, True, False]
+    assert all(r.dimension == n + 1 for r in reports[:3])
+
+
+def test_agreement_trial_never_substitutes(monkeypatch):
+    # the trial path runs on compiled integer forms only
+    n = 4
+    points = _with_moved_members(random.Random(600), n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Poly.substitute or Poly.evaluate in an oracle trial")
+
+    monkeypatch.setattr(Poly, "substitute", refuse)
+    monkeypatch.setattr(Poly, "evaluate", refuse)
+    trials = [agreement_trial(tvals, n, "seeded") for tvals in points]
+    assert all(t["agree"] for t in trials)
+    assert [t["symbolic"] for t in trials[:4]] == [True, True, True, False]

@@ -82,6 +82,12 @@ def test_oracle_tests_stay_independent():
     assert "vanishes_at" in symbolic
     assert symbolic & _imported_from(oracle, "based") == set()
     assert _loaded_names(ideal, "vanishes_at") & _imported_from(ideal, "based") == set()
+    tests = {"is_associative", "vanishes_at", "symbolic_member"}
     fiber = _loaded_names(oracle, "fiber_check")
-    assert "universal_family" in fiber
-    assert fiber & {"is_associative", "vanishes_at", "symbolic_member"} == set()
+    assert {"family_at", "pivot_keys"} <= fiber
+    assert fiber & tests == set()
+    # the family at the point is the input the fiber and the table share
+    family = _loaded_names(_module("lifting"), "family_at")
+    assert "universal_family" in family
+    assert family & tests == set()
+    assert _loaded_names(_module("linalg"), "pivot_keys") & tests == set()
