@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import lcm
 
 from .linalg import EchelonSpan
@@ -33,9 +33,9 @@ from .poly import (
     T_KIND,
     Poly,
     PolyRing,
+    exact,
     mono_mul,
     mono_multidegree,
-    mono_sort_key,
     var_text,
 )
 
@@ -71,7 +71,7 @@ def obstruction_quadric(n: int, i: int, j: int, k: int, l: int) -> Poly:
                 terms[m] = c
             else:
                 del terms[m]
-    return Poly(n, {m: Fraction(c) for m, c in terms.items()})
+    return Poly(n, terms)
 
 
 def cyclic_sum(n: int, i: int, j: int, k: int, l: int) -> Poly:
@@ -135,30 +135,39 @@ class IdealPresentation:
 
         A generator dependent in degree 2 is a combination of earlier ones,
         so each of its products already lies in the span of rows inserted
-        before it: inserting it would change nothing."""
+        before it: inserting it would change nothing.
+
+        For d > 2 the products are formed in span keys: a product's key is
+        the sorted positions of both factors, and its block is the sum of
+        the factors' blocks, found once per product."""
         span = self._spans.get(d)
         if span is None:
             _require_quadratic_presentation(self)
+            span = GradedSpan(self.n)
             if d == 2:
-                indices = range(len(self.generators))
+                for idx, g in enumerate(self.generators):
+                    if span.insert(g.terms_dict(), ((), idx)):
+                        self._independent.append(idx)
             else:
                 self.span(2)
-                indices = self._independent
-            ring = PolyRing.get(self.n)
-            # combinations come out sorted, so counting gives the monomial
-            monos = [
-                tuple(Counter(vs).items())
-                for vs in combinations_with_replacement(ring.t_variables(), d - 2)
-            ]
-            span = GradedSpan(self.n)
-            for idx in indices:
-                terms = self.generators[idx].terms_dict().items()
-                for m in monos:
-                    gained = span.insert(
-                        {mono_mul(m, gm): c for gm, c in terms}, (m, idx)
-                    )
-                    if gained and d == 2:
-                        self._independent.append(idx)
+                ring = PolyRing.get(self.n)
+                # combinations come out sorted, so counting gives the monomial
+                monos = [
+                    tuple(Counter(vs).items())
+                    for vs in combinations_with_replacement(ring.t_variables(), d - 2)
+                ]
+                factors = [span._encode(m) for m in monos]
+                for idx in self._independent:
+                    encoded = [
+                        (span._encode(gm), c)
+                        for gm, c in self.generators[idx].terms_dict().items()
+                    ]
+                    block = encoded[0][0][0]  # span(2) put g in one block
+                    terms = [(key[1:], c) for (_, key), c in encoded]
+                    for m, (mblock, mkey) in zip(monos, factors):
+                        mpos = mkey[1:]
+                        row = {(-d, *sorted(mpos + pos)): c for pos, c in terms}
+                        span.insert((block + mblock, row), (m, idx))
             self._spans[d] = span
         return span
 
@@ -246,6 +255,13 @@ def alternate_generators(n: int) -> IdealPresentation:
 # -- membership ----------------------------------------------------------------
 
 
+def _packed(multidegree: tuple) -> int:
+    """A multidegree as one int, component i in base-2^32 digit i; packing
+    adds, and it is one-to-one while every component stays below 2^31 in
+    size."""
+    return sum(w << 32 * i for i, w in enumerate(multidegree))
+
+
 class GradedSpan:
     """Tracked echelon spans split into blocks by torus multidegree, with
     pivots taken in descending graded-lex order.  Each block is homogeneous
@@ -255,49 +271,106 @@ class GradedSpan:
 
     Every inserted vector must lie in one block (rows are homogeneous); a
     query may mix blocks and is reduced block by block, with one combined
-    certificate.
+    certificate.  ``insert`` and ``reduce`` take vectors keyed by monomials
+    (``insert`` also a row already in span keys), and ``reduce`` returns its
+    residual keyed by monomials.
+
+    Inside, a block's rows are keyed by span keys: a monomial of degree d
+    becomes the flat tuple (-d, p_1, ..., p_d) of the positions of its
+    variables in the fixed order x < t < s, each repeated by its exponent.
+    Tuples of ints compare in C, and their own order is ``mono_sort_key``'s:
+    higher degree first, then, within a degree, the one whose first
+    differing position is smaller, which is the one with the earlier
+    variable or the higher exponent of the same variable.  So the pivots are
+    the ones the graded-lex order takes.  A block key is the multidegree
+    packed into one int (``_packed``), so the block of a product is the sum
+    of its factors' blocks.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.blocks: dict = {}  # block key -> EchelonSpan
+        ring = PolyRing.get(n)
+        # position -> variable, and variable -> (block key, position)
+        self._variables = (
+            [ring.x_var(i) for i in range(1, n + 1)]
+            + ring.t_variables()
+            + ring.s_variables()
+        )
+        self._codes = {
+            v: (_packed(mono_multidegree(((v, 1),), n)), pos)
+            for pos, v in enumerate(self._variables)
+        }
 
     @property
     def rank(self) -> int:
         return sum(s.rank for s in self.blocks.values())
 
+    def _encode(self, m) -> tuple:
+        """(block key, span key) of a monomial."""
+        codes = self._codes
+        block = 0
+        key = [0]
+        for v, e in m:
+            w, pos = codes[v]
+            if e == 1:
+                block += w
+                key.append(pos)
+            else:
+                block += w * e
+                key += [pos] * e
+        key[0] = 1 - len(key)
+        return block, tuple(key)
+
+    def _monomial(self, key) -> tuple:
+        """The monomial of a span key."""
+        variables = self._variables
+        return tuple((variables[p], len(list(run))) for p, run in groupby(key[1:]))
+
     def _split(self, vec: dict) -> dict:
+        """The nonzero terms of a monomial-keyed vector, in span keys, by
+        block."""
+        encode = self._encode
         parts: dict = {}
         for m, c in vec.items():
             if c:
-                parts.setdefault(mono_multidegree(m, self.n), {})[m] = c
+                block, key = encode(m)
+                parts.setdefault(block, {})[key] = c
         return parts
 
-    def insert(self, vec: dict, tag) -> bool:
-        """Add a vector to its block; False if it was already contained."""
-        parts = self._split(vec)
-        if not parts:
-            return False
-        if len(parts) != 1:
-            raise ValueError("inserted vector spans several blocks")
-        ((key, part),) = parts.items()
+    def insert(self, vec, tag) -> bool:
+        """Add a vector to its block; False if it was already contained.
+
+        ``vec`` maps monomials to coefficients, or is a pair (block key,
+        row in span keys), the form in which ``IdealPresentation.span``
+        forms its products."""
+        if type(vec) is tuple:
+            key, part = vec
+        else:
+            parts = self._split(vec)
+            if not parts:
+                return False
+            if len(parts) != 1:
+                raise ValueError("inserted vector spans several blocks")
+            ((key, part),) = parts.items()
         span = self.blocks.get(key)
         if span is None:
-            span = self.blocks[key] = EchelonSpan(keysort=mono_sort_key)
+            span = self.blocks[key] = EchelonSpan()
         return span.insert(part, tag)
 
     def reduce(self, vec: dict):
-        """Return (residual, used) with vec = sum(used[tag]*input) + residual."""
+        """Return (residual, used) with vec = sum(used[tag]*input) + residual;
+        the residual is keyed by monomials."""
         residual: dict = {}
         used: dict = {}
+        monomial = self._monomial
         for key, part in self._split(vec).items():
             span = self.blocks.get(key)
-            if span is None:
-                residual.update(part)
-                continue
-            r, u = span.reduce(part)
-            residual.update(r)
-            used.update(u)
+            if span is not None:
+                part, u = span.reduce(part)
+                used.update(u)
+            for k, c in part.items():
+                residual[monomial(k)] = c
         return residual, used
 
 
@@ -374,10 +447,11 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
         raise UnsupportedDegreeError(f"membership not supported in t-degree {d}")
     residual, used = pres.span(d).reduce(vec)
     if residual:
+        residual = {m: exact(c) for m, c in residual.items()}
         return Membership(member=False, degree=d, residual=Poly(p.n, residual))
     terms: dict = {}
     for (m, idx), c in used.items():
-        terms.setdefault(idx, {})[m] = c
+        terms.setdefault(idx, {})[m] = exact(c)
     mults = {idx: Poly(p.n, terms[idx]) for idx in sorted(terms)}
     return Membership(member=True, degree=d, multipliers=mults)
 

@@ -1,8 +1,9 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts mapping orderable keys to nonzero rationals (``int`` or
-``Fraction``).  EchelonSpan keeps one normalized row per pivot key and
-tracks, for every inserted row, an exact expression in terms of the
+``Fraction``).  Pivots are taken least key first, in the keys' own order or
+in the order of a sort key.  EchelonSpan keeps one normalized row per pivot
+key and tracks, for every inserted row, an exact expression in terms of the
 original input vectors; reducing a query vector then yields either a zero
 residual together with an explicit certificate (the query as a rational
 combination of the inputs) or a nonzero residual, which is a proof of
@@ -12,8 +13,9 @@ non-membership.
 keys lead the rows of an echelon basis.  It eliminates fraction-free, in
 integers, and never normalizes a pivot to 1.
 
-Inside the span an integral value is held as an ``int`` and any other value
-as a ``Fraction``; most entries of the spans built in this package are
+Inside the span every value is held in the form ``poly.exact`` gives it, the
+form of a ``Poly`` coefficient: an ``int`` when it is integral and a
+``Fraction`` otherwise; most entries of the spans built in this package are
 integers, and int arithmetic is exact and far cheaper.  Values returned by
 ``reduce`` are always ``Fraction``s.
 """
@@ -24,22 +26,17 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-
-def _exact(x):
-    """A rational as an int when it is integral, else as a Fraction."""
-    return x.numerator if x.denominator == 1 else x
+from .poly import exact
 
 
 def _add_multiple(acc: dict, c, vec: dict) -> None:
     """acc -= c*vec in place, dropping zeros."""
     for k, x in vec.items():
         nv = acc.get(k, 0) - c * x
-        if not nv:
-            del acc[k]
-        elif type(nv) is int or nv.denominator != 1:
-            acc[k] = nv
+        if nv:
+            acc[k] = nv if type(nv) is int else exact(nv)
         else:
-            acc[k] = nv.numerator
+            del acc[k]
 
 
 def _divide(vec: dict, c) -> dict:
@@ -49,7 +46,7 @@ def _divide(vec: dict, c) -> dict:
         return vec
     if c == -1:
         return {k: -x for k, x in vec.items()}
-    return {k: _exact(Fraction(x, c)) for k, x in vec.items()}
+    return {k: exact(Fraction(x, c)) for k, x in vec.items()}
 
 
 class EchelonSpan:
@@ -59,7 +56,7 @@ class EchelonSpan:
     def __init__(self, keysort=None):
         self._rows: dict = {}  # pivot key -> row (pivot coefficient 1)
         self._combos: dict = {}  # pivot key -> {tag: coefficient}
-        self._key = keysort if keysort is not None else (lambda k: k)
+        self._key = keysort  # None: the keys' own order
 
     @property
     def rank(self) -> int:
@@ -75,27 +72,33 @@ class EchelonSpan:
         return residual, {tag: Fraction(c) for tag, c in used.items()}
 
     def _reduce(self, vec: dict):
-        """``reduce`` with values in the internal int-or-Fraction form.
+        """``reduce`` with values in the internal ``exact`` form.
 
-        Eliminates the hit of least sort key first.  A row's other keys all
-        sort after its pivot, so an elimination only brings in keys that sort
-        after the one eliminated, and a key's sort key is computed only when
-        it enters the vector as a hit.
+        Eliminates the least hit first.  A row's other keys all sort after
+        its pivot, so an elimination only brings in keys that sort after the
+        one eliminated.  With a sort key, the heap holds (sort key, key)
+        pairs, and a key's sort key is computed only when it enters the
+        vector as a hit.
         """
         rows, key = self._rows, self._key
-        v = {k: _exact(c) for k, c in vec.items() if c}
+        v = {k: c if type(c) is int else exact(c) for k, c in vec.items() if c}
         used: dict = {}
-        heap = [(key(k), k) for k in v if k in rows]
-        heap.sort()
+        if key is None:
+            heap = [k for k in v if k in rows]
+        else:
+            heap = [(key(k), k) for k in v if k in rows]
+        heapify(heap)
         while heap:
-            p = heappop(heap)[1]
+            p = heappop(heap)
+            if key is not None:
+                p = p[1]
             c = v.get(p)
             if c is None:
                 continue  # cancelled since it was queued
             row = rows[p]
             for k in row:
                 if k in rows and k not in v:
-                    heappush(heap, (key(k), k))
+                    heappush(heap, k if key is None else (key(k), k))
             _add_multiple(v, c, row)  # row[p] is 1, so p cancels
             _add_multiple(used, -c, self._combos[p])
         return v, used
@@ -105,7 +108,7 @@ class EchelonSpan:
         residual, used = self._reduce(vec)
         if not residual:
             return False
-        p = min(residual, key=self._key)
+        p = min(residual) if self._key is None else min(residual, key=self._key)
         c = residual[p]
         self._rows[p] = _divide(residual, c)
         combo = {tag: 1}

@@ -15,9 +15,13 @@ X < T < S, so tuple comparison realises the fixed variable order
 
 A monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable,
 with every exponent positive.  A polynomial maps monomials to nonzero
-Fractions.  All arithmetic is exact and results stay canonical (no zero
-coefficients, no zero exponents), so structural equality is mathematical
-equality.
+rationals, each held in its one exact form (``exact``): an ``int`` when it is
+integral, a ``Fraction`` otherwise.  Most coefficients in this package are
+integers, and int arithmetic is exact and far cheaper.  All arithmetic is
+exact and results stay canonical (no zero coefficients, no zero exponents,
+no ``Fraction`` with denominator 1), so structural equality is mathematical
+equality.  ``Fraction(k) == k`` and ``hash(Fraction(k)) == hash(k)``, so
+equality and hashing do not see the form, and neither does ``text``.
 
 Monomials are compared graded-lexicographically: total degree first, then
 lexicographically on exponent vectors over the fixed variable order.
@@ -28,6 +32,7 @@ printing and for pivot selection in the exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Union
 
 X_KIND, T_KIND, S_KIND = 0, 1, 2
@@ -42,6 +47,25 @@ GRADINGS = ("x", "t", "s", "internal", "total")
 
 class UniverseMismatchError(ValueError):
     """Combination of polynomials over incompatible ambient rings."""
+
+
+def exact(x):
+    """A rational as an ``int`` when it is integral, else as a ``Fraction``:
+    the form of every coefficient a ``Poly`` stores and of every value
+    inside an ``EchelonSpan``."""
+    return x if type(x) is int else x.numerator if x.denominator == 1 else x
+
+
+def _numerators(terms: dict) -> tuple:
+    """(numerators, d): the coefficients times their least common
+    denominator d, as ints (``terms`` itself when d is 1)."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return terms, 1
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -127,7 +151,11 @@ def mono_text(m: Monomial, cas: bool = False) -> str:
 
 
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, each an
+    ``int`` when it is integral and a ``Fraction`` otherwise (``exact``).
+
+    The constructor stores ``terms`` as given; every operation below returns
+    its coefficients in that form."""
 
     __slots__ = ("n", "_terms", "_hash")
 
@@ -146,7 +174,7 @@ class Poly:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = exact(other)
             return Poly(self.n, {(): c} if c else {})
         return NotImplemented
 
@@ -160,7 +188,7 @@ class Poly:
         for m, c in other._terms.items():
             nc = out.get(m, 0) + c
             if nc:
-                out[m] = nc
+                out[m] = nc if type(nc) is int else exact(nc)
             else:
                 out.pop(m, None)
         return Poly(self.n, out)
@@ -181,16 +209,20 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = exact(other)
             if not c:
                 return Poly(self.n, {})
-            return Poly(self.n, {m: v * c for m, v in self._terms.items()})
+            return Poly(self.n, {m: exact(v * c) for m, v in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        # multiply the integer numerators over each side's common
+        # denominator, and divide once per product term
+        a, da = _numerators(a)
+        b, db = _numerators(b)
         out: dict = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -200,6 +232,9 @@ class Poly:
                     out[m] = nc
                 else:
                     del out[m]
+        den = da * db
+        if den != 1:
+            out = {m: exact(Fraction(c, den)) for m, c in out.items()}
         return Poly(self.n, out)
 
     __rmul__ = __mul__
@@ -207,7 +242,7 @@ class Poly:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly(self.n, {(): Fraction(1)})
+        result = Poly(self.n, {(): 1})
         base = self
         while exp:
             if exp & 1:
@@ -246,7 +281,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[()]
+        return Fraction(self._terms[()])
 
     def terms(self) -> Iterator[tuple]:
         """Iterate (monomial, coefficient) in descending monomial order."""
@@ -304,7 +339,7 @@ class Poly:
                     fixed.append((v, e))
             if not num:
                 continue
-            term = Poly(self.n, {tuple(fixed): num})
+            term = Poly(self.n, {tuple(fixed): exact(num)})
             for f in poly_factors:
                 term = term * f
             out = out + term
@@ -321,7 +356,7 @@ class Poly:
             for idx, (var, e) in enumerate(mono):
                 if var == v:
                     rest = mono[:idx] + ((var, e - 1),) * (e > 1) + mono[idx + 1:]
-                    out[rest] = coeff * e
+                    out[rest] = exact(coeff * e)
                     break
         return Poly(self.n, out)
 
@@ -407,14 +442,14 @@ class PolyRing:
         return Poly(self.n, {})
 
     def one(self) -> Poly:
-        return Poly(self.n, {(): Fraction(1)})
+        return Poly(self.n, {(): 1})
 
     def const(self, c) -> Poly:
-        c = Fraction(c)
+        c = exact(Fraction(c))
         return Poly(self.n, {(): c} if c else {})
 
     def var_poly(self, v: VarId) -> Poly:
-        return Poly(self.n, {((v, 1),): Fraction(1)})
+        return Poly(self.n, {((v, 1),): 1})
 
     def x(self, i: int) -> Poly:
         return self.var_poly(self.x_var(i))

@@ -1,5 +1,6 @@
 """Quadric identities, generator presentations, membership and normal forms."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbworst.based import _reduced_assoc_span, _reduced_associators
 from hilbworst.ideal import (
     GradedSpan,
     IdealPresentation,
@@ -24,7 +26,8 @@ from hilbworst.ideal import (
     span_equal_degree2,
     vanishes_at,
 )
-from hilbworst.poly import PolyRing
+from hilbworst.linalg import EchelonSpan
+from hilbworst.poly import Poly, PolyRing, mono_sort_key, mono_text
 
 # Golden values computed when the suite was first built: number of kept
 # generators and the dimension of their degree-2 span (the presentation
@@ -424,3 +427,125 @@ def test_random_degree2_members_certified():
             p = p + g * Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         cert = membership(p, pres)
         assert cert.member and cert.verify(p, pres)
+
+
+# sha256 of every block of span(2) and span(3) of the hilbert, miniversal and
+# alternate presentations at n=3 and 4, recorded at commit a737998, before
+# the spans were keyed by position tuples (see _span_digest)
+SPAN_DIGEST = "e2730fb1f0e0701b01ed5fc44811326c7230ee265ece9815d95ccb27eb5ac8f4"
+
+
+def _block_text(span, block):
+    """One line per pivot, in pivot insertion order: the pivot, its row and
+    its combination of the inputs, keys as monomial text in sorted order and
+    values as canonical rationals."""
+    lines = []
+    for p, row in block._rows.items():
+        entries = sorted(
+            (mono_text(span._monomial(k)), str(Fraction(c))) for k, c in row.items()
+        )
+        combo = sorted(
+            (mono_text(m) + "|" + str(idx), str(Fraction(c)))
+            for (m, idx), c in block._combos[p].items()
+        )
+        lines.append("%s: %s ; %s" % (mono_text(span._monomial(p)), entries, combo))
+    return "\n".join(lines)
+
+
+def _span_digest():
+    """Blocks are hashed in the sorted order of their text, so the digest
+    does not depend on the order in which blocks were created."""
+    h = hashlib.sha256()
+    for n in (3, 4):
+        for name, pres in (
+            ("hilbert", ideal_generators(n)),
+            ("miniversal", ideal_generators(n, "miniversal")),
+            ("alternate", alternate_generators(n)),
+        ):
+            pres = _fresh_copy(pres)
+            for d in (2, 3):
+                span = pres.span(d)
+                blocks = sorted(_block_text(span, b) for b in span.blocks.values())
+                h.update(("%s n=%d d=%d\n" % (name, n, d)).encode())
+                h.update("\n\n".join(blocks).encode())
+    return h.hexdigest()
+
+
+def test_span_blocks_golden_digest():
+    # every pivot, row and certificate of the membership spans, exactly
+    assert _span_digest() == SPAN_DIGEST
+
+
+def _random_span_queries(rng, inputs, monomials, count):
+    """Rational combinations of one to three inputs, some of them plus a
+    random monomial, which is usually not in the span."""
+    n = inputs[0][1].n
+    queries = []
+    for _ in range(count):
+        p = PolyRing.get(n).zero()
+        for _, vec in rng.sample(inputs, rng.randint(1, 3)):
+            p = p + vec * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if rng.random() < 0.4:
+            p = p + Poly(n, {rng.choice(monomials): Fraction(rng.randint(1, 5), 2)})
+        queries.append(p)
+    return queries
+
+
+def _check_reduce_invariants(span, inputs, queries):
+    """query == sum(used[tag] * input[tag]) + residual exactly, the residual
+    is keyed by monomials, and none of its keys is a pivot.  Also, the
+    blocked reduction equals one unblocked EchelonSpan over monomials with
+    pivots in descending graded-lex order (mono_sort_key) and the same
+    insertion order: the span keys order monomials as mono_sort_key does,
+    across degrees too."""
+    by_tag = dict(inputs)
+    n = inputs[0][1].n
+    pivots = {span._monomial(k) for b in span.blocks.values() for k in b.pivots()}
+    reference = EchelonSpan(keysort=mono_sort_key)
+    for tag, vec in inputs:
+        reference.insert(vec.terms_dict(), tag)
+    assert reference.rank == span.rank
+    for q in queries:
+        residual, used = span.reduce(q.terms_dict())
+        assert (residual, used) == reference.reduce(q.terms_dict())
+        for m in residual:
+            assert type(m) is tuple and list(m) == sorted(m)
+            assert all(type(v) is tuple and type(e) is int and e > 0 for v, e in m)
+        assert not set(residual) & pivots
+        total = Poly(n, dict(residual))
+        for tag, c in used.items():
+            total = total + by_tag[tag] * c
+        assert total == q
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_graded_span_reduce_invariants(n, d):
+    pres = _fresh_copy(ideal_generators(n))
+    span = pres.span(d)
+    R = PolyRing.get(n)
+    monos = [()] if d == 2 else [((v, 1),) for v in R.t_variables()]
+    indices = range(len(pres)) if d == 2 else pres._independent
+    inputs = [
+        ((m, idx), Poly(n, {m: 1}) * pres.generators[idx])
+        for idx in indices
+        for m in monos
+    ]
+    monomials = sorted({m for _, vec in inputs for m in vec.terms_dict()})
+    rng = random.Random(500 + 10 * n + d)
+    queries = _random_span_queries(rng, inputs, monomials, 30)
+    _check_reduce_invariants(span, inputs, queries)
+
+
+def test_reduced_assoc_span_reduce_invariants():
+    # blocks of mixed total degree: s-monomials of degrees 1 and 2 share a
+    # torus multidegree
+    span = _reduced_assoc_span(3)
+    inputs = list(enumerate(_reduced_associators(3).generators))
+    degrees = {
+        -k[0] for b in span.blocks.values() for row in b._rows.values() for k in row
+    }
+    assert len(degrees) > 1
+    monomials = sorted({m for _, vec in inputs for m in vec.terms_dict()})
+    rng = random.Random(503)
+    queries = _random_span_queries(rng, inputs, monomials, 40)
+    _check_reduce_invariants(span, inputs, queries)

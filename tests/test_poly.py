@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from hilbworst.based import based_ideal_generators
+from hilbworst.ideal import ideal_generators
+from hilbworst.lifting import universal_family
 from hilbworst.poly import Poly, PolyRing, UniverseMismatchError, mono_sort_key
 
 
@@ -163,3 +166,182 @@ def test_multidegree():
 def test_sort_key_total_order():
     monos = [m for m, _ in (R3.x(1) * R3.x(2) + R3.x(1) ** 2 + R3.x(2) ** 2).terms()]
     assert sorted(monos, key=mono_sort_key) == monos
+
+
+# -- exact coefficient form and seeded properties against Fraction references --
+
+
+def _exact_form(p) -> bool:
+    """Every stored coefficient is a nonzero int, or a Fraction that is not
+    integral."""
+    return all(
+        (type(c) is int and c) or (type(c) is Fraction and c.denominator != 1)
+        for c in p.terms_dict().values()
+    )
+
+
+def _all_families(ring):
+    n = ring.n
+    return (
+        [ring.x_var(i) for i in range(1, n + 1)]
+        + ring.t_variables()[:8]
+        + ring.s_variables()[:8]
+    )
+
+
+def _random_exact_poly(rng, ring, nterms=5):
+    """Random polynomial built directly in exact form: x-, t- and s-variables,
+    int and non-integral coefficients mixed."""
+    variables = _all_families(ring)
+    terms = {}
+    for _ in range(nterms):
+        exps = {}
+        for _ in range(rng.randint(0, 3)):
+            v = rng.choice(variables)
+            exps[v] = exps.get(v, 0) + 1
+        if rng.random() < 0.5:
+            c = rng.choice([-3, -2, -1, 1, 2, 5])
+        else:
+            c = Fraction(rng.choice([-5, -1, 1, 7, 11]), rng.choice([2, 3, 4]))
+        terms[tuple(sorted(exps.items()))] = c
+    return Poly(ring.n, terms)
+
+
+def _ref(p) -> dict:
+    return {m: Fraction(c) for m, c in p.terms_dict().items()}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    """Product over Fractions, each monomial merged through an exponent
+    dict."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items()))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_ring_axioms_against_fraction_reference():
+    rng = random.Random(31337)
+    for n in (3, 4):
+        R = PolyRing.get(n)
+        for _ in range(30):
+            a, b, c = (_random_exact_poly(rng, R) for _ in range(3))
+            ab, ba = a * b, b * a
+            assert ab.terms_dict() == _ref_mul(_ref(a), _ref(b))
+            assert ba == ab
+            abc = _ref_mul(_ref_mul(_ref(a), _ref(b)), _ref(c))
+            assert (ab * c).terms_dict() == abc
+            assert (a * (b * c)).terms_dict() == abc
+            dist = a * (b + c)
+            assert dist.terms_dict() == _ref_mul(_ref(a), _ref_add(_ref(b), _ref(c)))
+            assert dist == ab + a * c
+            assert (a + (-a)).is_zero and (a - a).is_zero
+            assert (a + b).terms_dict() == _ref_add(_ref(a), _ref(b))
+            q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            assert (a * q).terms_dict() == _ref_mul(_ref(a), {(): q} if q else {})
+            assert (a**2).terms_dict() == _ref_mul(_ref(a), _ref(a))
+            results = (ab, ba, ab * c, dist, a + b, a - b, a * q, q * a, a**2, -a)
+            assert all(_exact_form(r) for r in results)
+
+
+def _single_coefficient(p):
+    (c,) = p.terms_dict().values()
+    return c
+
+
+def test_integral_results_are_ints():
+    half = Fraction(1, 2) * R3.x(1)
+    assert type(_single_coefficient(half * (2 * R3.x(2)))) is int
+    assert type(_single_coefficient(half * 2)) is int
+    assert type(_single_coefficient(half + half)) is int
+    third = R3.const(Fraction(1, 3)) * R3.t(1, 2, 3)
+    assert type(_single_coefficient(third**3 * 27)) is int
+    assert type(_single_coefficient(R3.const(Fraction(6, 3)))) is int
+    assert type(_single_coefficient((half**2).derivative(R3.x_var(1)))) is Fraction
+    assert type(_single_coefficient((half * 2) ** 2 * 2)) is int
+    assert type(_single_coefficient((R3.x(1) ** 2).derivative(R3.x_var(1)))) is int
+    # the public contract: a constant's value is a Fraction
+    assert type(R3.const(Fraction(4, 2)).constant_value()) is Fraction
+    assert R3.const(Fraction(4, 2)).constant_value() == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_library_polynomials_hold_exact_coefficients(n):
+    polys = (
+        list(ideal_generators(n).generators)
+        + list(ideal_generators(n, "miniversal").generators)
+        + list(universal_family(n))
+        + list(based_ideal_generators(n).generators)
+    )
+    assert all(_exact_form(p) for p in polys)
+    # the family carries the 1/(n-1) tail, so both forms occur
+    coeffs = [c for p in universal_family(n) for c in p.terms_dict().values()]
+    assert any(type(c) is int for c in coeffs)
+    assert any(type(c) is Fraction for c in coeffs)
+
+
+def _ref_value(p, point: dict) -> Fraction:
+    total = Fraction(0)
+    for m, c in p.terms_dict().items():
+        term = Fraction(c)
+        for v, e in m:
+            term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
+def _variables_of(*polys) -> list:
+    return sorted({v for p in polys for m in p.terms_dict() for v, _ in m})
+
+
+def test_substitute_matches_evaluate():
+    rng = random.Random(4242)
+    R = PolyRing.get(4)
+
+    def value():
+        if rng.random() < 0.5:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+
+    for _ in range(40):
+        p = _random_exact_poly(rng, R, nterms=6)
+        variables = _variables_of(p)
+        point = {v: value() for v in variables}
+        expected = _ref_value(p, point)
+        # full substitution collapses to a Fraction
+        full = p.substitute(point)
+        assert full.is_constant and _exact_form(full)
+        assert type(full.constant_value()) is Fraction
+        assert full.constant_value() == expected
+        evaluated = p.evaluate(point)
+        assert type(evaluated) is Fraction and evaluated == expected
+        # a partial substitution, finished by a second one
+        if variables:
+            first = set(rng.sample(variables, rng.randint(0, len(variables))))
+            partial = p.substitute({v: point[v] for v in first})
+            assert _exact_form(partial)
+            rest = {v: point[v] for v in variables if v not in first}
+            assert partial.evaluate(rest) == expected
+        # a Poly value: substituting q for v and evaluating agrees with
+        # evaluating p where v takes q's value
+        if variables:
+            v = rng.choice(variables)
+            q = _random_exact_poly(rng, R, nterms=3)
+            composed = p.substitute({v: q})
+            assert _exact_form(composed)
+            outer = {w: value() for w in _variables_of(p, q)}
+            inner = dict(outer)
+            inner[v] = _ref_value(q, outer)
+            assert composed.evaluate(outer) == _ref_value(p, inner)
