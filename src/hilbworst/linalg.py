@@ -1,23 +1,23 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals, eliminated in integers.
 
-Vectors are dicts mapping orderable keys to nonzero rationals (``int`` or
-``Fraction``).  Pivots are taken least key first, in the keys' own order or
-in the order of a sort key.  EchelonSpan keeps one normalized row per pivot
-key and tracks, for every inserted row, an exact expression in terms of the
-original input vectors; reducing a query vector then yields either a zero
-residual together with an explicit certificate (the query as a rational
-combination of the inputs) or a nonzero residual, which is a proof of
-non-membership.
+Vectors are dicts mapping orderable keys to rationals (``int`` or
+``Fraction``; zero values are ignored), and pivots are taken least key
+first, in the keys' own order.  Every vector enters scaled to integers, and
+one fraction-free loop, ``_eliminate``, cancels its entries on stored
+pivots, so every value held in a span is an ``int``.
 
-``pivot_keys`` answers the one question that needs no certificate, which
-keys lead the rows of an echelon basis.  It eliminates fraction-free, in
-integers, and never normalizes a pivot to 1.
+``EchelonSpan`` keeps, under each pivot key, a primitive integer row with a
+positive pivot entry and that row's integer combination of the inserted
+vectors.  Reducing a query yields either a zero residual with an explicit
+certificate (the query as a rational combination of the inputs) or a
+nonzero residual, which is a proof of non-membership.  Both are returned as
+``Fraction``s, and both are unique: a span element that is zero on every
+pivot is zero, and the inserted vectors are independent.  So they do not
+depend on how the stored rows are scaled.
 
-Inside the span every value is held in the form ``poly.exact`` gives it, the
-form of a ``Poly`` coefficient: an ``int`` when it is integral and a
-``Fraction`` otherwise; most entries of the spans built in this package are
-integers, and int arithmetic is exact and far cheaper.  Values returned by
-``reduce`` are always ``Fraction``s.
+``pivot_keys`` runs the same loop without combinations, for the one
+question that needs no certificate: which keys lead the rows of an echelon
+basis.
 """
 
 from __future__ import annotations
@@ -26,37 +26,78 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .poly import exact
+
+def _integral(vec: dict) -> tuple:
+    """(v, d): the nonzero values of a rational vector times the least common
+    denominator d of its values, as ints."""
+    if all(type(x) is int for x in vec.values()):
+        return {k: x for k, x in vec.items() if x}, 1
+    d = lcm(*(x.denominator for x in vec.values()))
+    return {k: x.numerator * (d // x.denominator) for k, x in vec.items() if x}, d
 
 
-def _add_multiple(acc: dict, c, vec: dict) -> None:
-    """acc -= c*vec in place, dropping zeros."""
-    for k, x in vec.items():
-        nv = acc.get(k, 0) - c * x
-        if nv:
-            acc[k] = nv if type(nv) is int else exact(nv)
-        else:
-            del acc[k]
+def _divided(vec: dict, c: int) -> dict:
+    """vec / c for a c that divides every value (vec itself when c is 1)."""
+    return vec if c == 1 else {k: x // c for k, x in vec.items()}
 
 
-def _divide(vec: dict, c) -> dict:
-    """vec / c, exactly, with integral values as ints (vec itself when c
-    is 1)."""
-    if c == 1:
-        return vec
-    if c == -1:
-        return {k: -x for k, x in vec.items()}
-    return {k: exact(Fraction(x, c)) for k, x in vec.items()}
+def _eliminate(v: dict, rows: dict, combos, used) -> int:
+    """Cancel, in place, every value of the int vector v on a pivot key of
+    ``rows``, and return the factor m by which the input was scaled.
+
+    A hit c = v[p] on the row r with pivot entry a = r[p] is cancelled by
+    v <- (a/g)*v - (c/g)*r with g = gcd(a, c) (Bareiss, Math. Comp. 22,
+    1968), hits of least key first; a row's other keys sort after its pivot,
+    so cancelling p only brings in keys after p.  The same step takes
+    ``used`` along against ``combos[p]``, the row as a combination of the
+    inputs, unless ``used`` is None.  At the end
+    m*input = v - sum(used[tag]*inserted[tag]).
+    """
+    m = 1
+    heap = [k for k in v if k in rows]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        c = v.get(p)
+        if c is None:
+            continue  # cancelled since it was queued
+        row = rows[p]
+        a = row[p]
+        if a != 1:
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                m *= a
+                for k in v:
+                    v[k] *= a
+                if used:
+                    for t in used:
+                        used[t] *= a
+        for k, x in row.items():
+            nv = v.get(k, 0) - c * x
+            if nv:
+                if k not in v and k in rows:
+                    heappush(heap, k)
+                v[k] = nv
+            else:
+                del v[k]
+        if used is not None:
+            for t, x in combos[p].items():
+                nu = used.get(t, 0) - c * x
+                if nu:
+                    used[t] = nu
+                else:
+                    del used[t]
+    return m
 
 
 class EchelonSpan:
     """Incremental row echelon basis of sparse exact vectors, each row with
     its combination of the inserted vectors."""
 
-    def __init__(self, keysort=None):
-        self._rows: dict = {}  # pivot key -> row (pivot coefficient 1)
-        self._combos: dict = {}  # pivot key -> {tag: coefficient}
-        self._key = keysort  # None: the keys' own order
+    def __init__(self):
+        self._rows: dict = {}  # pivot key -> primitive int row, pivot entry > 0
+        self._combos: dict = {}  # pivot key -> {tag: int}, the row's combination
 
     @property
     def rank(self) -> int:
@@ -66,100 +107,54 @@ class EchelonSpan:
         return self._rows.keys()
 
     def reduce(self, vec: dict):
-        """Return (residual, used) with vec = sum(used[tag]*input) + residual."""
-        v, used = self._reduce(vec)
-        residual = {k: Fraction(c) for k, c in v.items()}
-        return residual, {tag: Fraction(c) for tag, c in used.items()}
-
-    def _reduce(self, vec: dict):
-        """``reduce`` with values in the internal ``exact`` form.
-
-        Eliminates the least hit first.  A row's other keys all sort after
-        its pivot, so an elimination only brings in keys that sort after the
-        one eliminated.  With a sort key, the heap holds (sort key, key)
-        pairs, and a key's sort key is computed only when it enters the
-        vector as a hit.
-        """
-        rows, key = self._rows, self._key
-        v = {k: c if type(c) is int else exact(c) for k, c in vec.items() if c}
+        """Return (residual, used) with vec = sum(used[tag]*input) + residual,
+        every value a ``Fraction``."""
+        v, d = _integral(vec)
         used: dict = {}
-        if key is None:
-            heap = [k for k in v if k in rows]
-        else:
-            heap = [(key(k), k) for k in v if k in rows]
-        heapify(heap)
-        while heap:
-            p = heappop(heap)
-            if key is not None:
-                p = p[1]
-            c = v.get(p)
-            if c is None:
-                continue  # cancelled since it was queued
-            row = rows[p]
-            for k in row:
-                if k in rows and k not in v:
-                    heappush(heap, k if key is None else (key(k), k))
-            _add_multiple(v, c, row)  # row[p] is 1, so p cancels
-            _add_multiple(used, -c, self._combos[p])
-        return v, used
+        m = d * _eliminate(v, self._rows, self._combos, used)
+        residual = {k: Fraction(x, m) for k, x in v.items()}
+        return residual, {tag: Fraction(-x, m) for tag, x in used.items()}
 
     def insert(self, vec: dict, tag=None) -> bool:
-        """Add a vector to the span; False if it was already contained."""
-        residual, used = self._reduce(vec)
-        if not residual:
+        """Add a vector to the span; False if it was already contained.  A
+        tag inserted before names the sum of its vectors."""
+        v, d = _integral(vec)
+        used: dict = {}
+        m = d * _eliminate(v, self._rows, self._combos, used)
+        if not v:
             return False
-        p = min(residual) if self._key is None else min(residual, key=self._key)
-        c = residual[p]
-        self._rows[p] = _divide(residual, c)
-        combo = {tag: 1}
-        _add_multiple(combo, 1, used)
-        self._combos[p] = _divide(combo, c)
+        # v = m*vec + sum(used[tag]*inserted[tag])
+        c = used.get(tag, 0) + m
+        if c:
+            used[tag] = c
+        else:
+            del used[tag]
+        p = min(v)
+        content = gcd(*v.values(), *used.values())
+        if v[p] < 0:
+            content = -content
+        self._rows[p] = _divided(v, content)
+        self._combos[p] = _divided(used, content)
         return True
-
-
-def _primitive(vec: dict) -> dict:
-    """The nonzero entries of a rational vector, scaled to coprime ints."""
-    den = lcm(*(x.denominator for x in vec.values()))
-    v = {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}
-    content = gcd(*v.values())
-    return v if content == 1 else {k: x // content for k, x in v.items()}
 
 
 def pivot_keys(rows) -> set:
     """The pivot keys of the row space of sparse rational vectors: the least
     key of each row of an echelon basis.
 
-    Fraction-free: every vector is scaled to a primitive integer vector on
-    entry.  A hit p of a stored row r (pivot entry a) is cancelled by
-    v <- (a/g)*v - (c/g)*r with c = v[p] and g = gcd(a, c), hits of least
-    key first; a row's other keys sort after its pivot, so cancelling p only
-    brings in keys after p.  A nonzero residual is divided by its content
-    and stored under its least key."""
-    echelon: dict = {}  # pivot key -> primitive int row
+    Each vector is scaled to a primitive integer vector on entry, which
+    keeps the numbers of the elimination small, and reduced by
+    ``_eliminate``; a nonzero residual is divided by its content and stored
+    under its least key."""
+    echelon: dict = {}  # pivot key -> primitive int row, pivot entry > 0
     for vec in rows:
-        v = _primitive(vec)
-        heap = [k for k in v if k in echelon]
-        heapify(heap)
-        while heap:
-            p = heappop(heap)
-            c = v.get(p)
-            if c is None:
-                continue  # cancelled since it was queued
-            row = echelon[p]
-            a = row[p]
-            g = gcd(a, c)
-            a, c = a // g, c // g
-            if a != 1:
-                v = {k: a * x for k, x in v.items()}
-            for k, x in row.items():
-                nv = v.get(k, 0) - c * x
-                if nv:
-                    if k not in v and k in echelon:
-                        heappush(heap, k)
-                    v[k] = nv
-                else:
-                    del v[k]
+        v, _ = _integral(vec)
+        if not v:
+            continue
+        v = _divided(v, gcd(*v.values()))
+        _eliminate(v, echelon, None, None)
         if v:
+            p = min(v)
             content = gcd(*v.values())
-            echelon[min(v)] = {k: x // content for k, x in v.items()}
+            echelon[p] = _divided(v, content if v[p] > 0 else -content)
     return set(echelon)

@@ -66,9 +66,10 @@ def point_from_configuration(points: list) -> dict:
     of affine n-space (n is one less than the number of points).
 
     Solves, for every pair (i, j), the expansion of x_i*x_j in the residue
-    basis 1, x_1, ..., x_n on the configuration (the reduction against an
-    ``EchelonSpan`` of the evaluation columns) and negates the
-    linear coefficients (family sign convention).  Raises
+    basis 1, x_1, ..., x_n on the configuration, as the certificate of its
+    reduction against an ``EchelonSpan`` of the evaluation columns (which
+    scales every column to integers and eliminates fraction-free), and
+    negates the linear coefficients (family sign convention).  Raises
     BasisCriterionError when the evaluation matrix is singular.
     """
     if not points:

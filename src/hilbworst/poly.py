@@ -51,8 +51,7 @@ class UniverseMismatchError(ValueError):
 
 def exact(x):
     """A rational as an ``int`` when it is integral, else as a ``Fraction``:
-    the form of every coefficient a ``Poly`` stores and of every value
-    inside an ``EchelonSpan``."""
+    the form of every coefficient a ``Poly`` stores."""
     return x if type(x) is int else x.numerator if x.denominator == 1 else x
 
 
@@ -242,13 +241,14 @@ class Poly:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly(self.n, {(): 1})
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base if exp > 1 else base
-            exp >>= 1
+        if not exp:
+            return Poly(self.n, {(): 1})
+        # binary powering from the leading bit, which is the base itself
+        result = self
+        for bit in bin(exp)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

@@ -376,36 +376,3 @@ def tangent_dims(n: int) -> TangentDims:
     if t1_rank != (n + 2) * n * (n - 1) // 2:
         raise AssertionError(f"t1 rank {t1_rank} != (n+2)n(n-1)/2 at n={n}")
     return TangentDims(hom_dim=hom_rank, t1_dim=t1_rank)
-
-
-# -- degree bound for the obstruction module --------------------------------------
-
-
-def linear_syzygy_residual(n: int, i: int, j: int, k: int, l: int) -> FreeModElt:
-    """x_l * r(e_ij ^ e_ik) - x_k * r(e_ij ^ e_il) + x_j * r(e_ik ^ e_il);
-    identically zero for distinct j, k, l."""
-    ring = PolyRing.get(n)
-    return (
-        r_oriented(n, (i, j), (i, k)).scale(ring.x(l))
-        - r_oriented(n, (i, j), (i, l)).scale(ring.x(k))
-        + r_oriented(n, (i, k), (i, l)).scale(ring.x(j))
-    )
-
-
-def obstruction_degree_check(n: int) -> dict:
-    """Sweep the linear syzygies over all i and distinct j, k, l.
-
-    Their vanishing bounds the degrees of the obstruction module from below
-    (no homogeneous piece below degree -2)."""
-    checked = 0
-    failures = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if j == k or j == l or k == l:
-                        continue
-                    checked += 1
-                    if not linear_syzygy_residual(n, i, j, k, l).is_zero:
-                        failures.append((i, j, k, l))
-    return {"checked": checked, "failures": failures, "ok": not failures}

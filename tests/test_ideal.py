@@ -437,15 +437,17 @@ SPAN_DIGEST = "e2730fb1f0e0701b01ed5fc44811326c7230ee265ece9815d95ccb27eb5ac8f4"
 
 def _block_text(span, block):
     """One line per pivot, in pivot insertion order: the pivot, its row and
-    its combination of the inputs, keys as monomial text in sorted order and
-    values as canonical rationals."""
+    its combination of the inputs, both divided by the row's pivot entry,
+    keys as monomial text in sorted order and values as canonical
+    rationals."""
     lines = []
     for p, row in block._rows.items():
+        a = row[p]
         entries = sorted(
-            (mono_text(span._monomial(k)), str(Fraction(c))) for k, c in row.items()
+            (mono_text(span._monomial(k)), str(Fraction(c, a))) for k, c in row.items()
         )
         combo = sorted(
-            (mono_text(m) + "|" + str(idx), str(Fraction(c)))
+            (mono_text(m) + "|" + str(idx), str(Fraction(c, a)))
             for (m, idx), c in block._combos[p].items()
         )
         lines.append("%s: %s ; %s" % (mono_text(span._monomial(p)), entries, combo))
@@ -491,23 +493,31 @@ def _random_span_queries(rng, inputs, monomials, count):
     return queries
 
 
+def _sort_keyed(p) -> dict:
+    """The terms of p keyed by (sort key, monomial), so that least key first
+    is descending graded-lex order across degrees."""
+    return {(mono_sort_key(m), m): c for m, c in p.terms_dict().items()}
+
+
 def _check_reduce_invariants(span, inputs, queries):
     """query == sum(used[tag] * input[tag]) + residual exactly, the residual
     is keyed by monomials, and none of its keys is a pivot.  Also, the
-    blocked reduction equals one unblocked EchelonSpan over monomials with
-    pivots in descending graded-lex order (mono_sort_key) and the same
-    insertion order: the span keys order monomials as mono_sort_key does,
+    blocked reduction equals one unblocked EchelonSpan over the keys
+    (mono_sort_key(m), m), pivots in descending graded-lex order, with the
+    same insertion order: the span keys order monomials as mono_sort_key does,
     across degrees too."""
     by_tag = dict(inputs)
     n = inputs[0][1].n
     pivots = {span._monomial(k) for b in span.blocks.values() for k in b.pivots()}
-    reference = EchelonSpan(keysort=mono_sort_key)
+    reference = EchelonSpan()
     for tag, vec in inputs:
-        reference.insert(vec.terms_dict(), tag)
+        reference.insert(_sort_keyed(vec), tag)
     assert reference.rank == span.rank
     for q in queries:
         residual, used = span.reduce(q.terms_dict())
-        assert (residual, used) == reference.reduce(q.terms_dict())
+        ref_residual, ref_used = reference.reduce(_sort_keyed(q))
+        assert residual == {m: c for (_, m), c in ref_residual.items()}
+        assert used == ref_used
         for m in residual:
             assert type(m) is tuple and list(m) == sorted(m)
             assert all(type(v) is tuple and type(e) is int and e > 0 for v, e in m)

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
+from hilbworst.ideal import ideal_generators
 from hilbworst.linalg import EchelonSpan, pivot_keys
+from hilbworst.poly import Poly, PolyRing
 
 
 def F(x):
@@ -123,6 +125,116 @@ def test_kernel_matches_fraction_reference():
                 for k, x in dict(vectors)[tag].items():
                     total[k] = total.get(k, F(0)) + c * x
             assert {k: x for k, x in total.items() if x} == query
+
+
+def _check_stored_form(span, inputs):
+    """Every stored row and combination value is an int, each (row,
+    combination) pair has content 1 and a positive pivot entry at its least
+    key, and the row is exactly the combination of the inputs (by tag)."""
+    for p, row in span._rows.items():
+        combo = span._combos[p]
+        values = list(row.values()) + list(combo.values())
+        assert all(type(x) is int for x in values)
+        assert gcd(*values) == 1
+        assert p == min(row) and row[p] > 0
+        total: dict = {}
+        for tag, c in combo.items():
+            for k, x in inputs[tag].items():
+                total[k] = total.get(k, 0) + c * x
+        assert {k: x for k, x in total.items() if x} == row
+
+
+def test_stored_rows_are_primitive_integer_combinations():
+    rng = random.Random(1001)
+    keys = list(range(12))
+    for _ in range(20):
+        inputs = {t: _random_vector(rng, keys, rng.randint(1, 5)) for t in range(10)}
+        # dependent inputs: combinations of earlier ones
+        for t in range(10, 14):
+            a, b = rng.sample(sorted(inputs), 2)
+            ca, cb = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 3))
+            combo = {
+                k: ca * inputs[a].get(k, 0) + cb * inputs[b].get(k, 0) for k in keys
+            }
+            inputs[t] = {k: c for k, c in combo.items() if c}
+        span = EchelonSpan()
+        for tag in rng.sample(sorted(inputs), len(inputs)):
+            span.insert(inputs[tag], tag)
+        _check_stored_form(span, inputs)
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_membership_spans_store_primitive_integer_combinations(n, d):
+    pres = ideal_generators(n)
+    span = pres.span(d)
+    monos = [()] if d == 2 else [((v, 1),) for v in PolyRing.get(n).t_variables()]
+    indices = range(len(pres)) if d == 2 else pres._independent
+    inputs = {}  # tag -> its product, in span keys, by block
+    for idx in indices:
+        for m in monos:
+            product = Poly(n, {m: 1}) * pres.generators[idx]
+            ((block, part),) = span._split(product.terms_dict()).items()
+            inputs.setdefault(block, {})[(m, idx)] = part
+    assert set(span.blocks) == set(inputs)
+    for block, echelon in span.blocks.items():
+        _check_stored_form(echelon, inputs[block])
+
+
+def test_big_entries_match_fraction_reference():
+    rng = random.Random(4040)
+    keys = list(range(10))
+
+    def big_vector(size):
+        vec = {}
+        for k in rng.sample(keys, size):
+            vec[k] = Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**20))
+        return vec
+
+    vectors = [(t, big_vector(rng.randint(1, 6))) for t in range(8)]
+    for t in range(8, 11):
+        (_, a), (_, b) = rng.sample(vectors, 2)
+        ca = Fraction(rng.randint(1, 10**20), 7)
+        cb = Fraction(-3, rng.randint(1, 10**20))
+        combo = {k: ca * a.get(k, 0) + cb * b.get(k, 0) for k in keys}
+        vectors.append((t, {k: c for k, c in combo.items() if c}))
+    rng.shuffle(vectors)
+    span = EchelonSpan()
+    gained = [span.insert(vec, tag) for tag, vec in vectors]
+    rows, reference = _reference_span(vectors)
+    assert span.rank == len(rows) == sum(gained) == 8
+    assert set(span.pivots()) == set(rows)
+    _check_stored_form(span, dict(vectors))
+    for _ in range(10):
+        query = big_vector(rng.randint(1, 8))
+        assert span.reduce(query) == reference(query)
+    for _, vec in vectors:
+        assert span.reduce(vec)[0] == {}
+
+
+def test_repeated_tag_merges_its_coefficients():
+    span = EchelonSpan()
+    assert span.insert({"a": 1, "b": 2}, tag="g")
+    # the second row is -4*b = input2 - 3*input1, so the tag's coefficients
+    # 1 and -3 merge into -2, and the primitive row is 2*b with combination g
+    assert span.insert({"a": 3, "b": 2}, tag="g")
+    assert span._rows["b"] == {"b": 2} and span._combos["b"] == {"g": 1}
+    assert span.reduce({"b": 1}) == ({}, {"g": Fraction(1, 2)})
+    # the same against the reference, with tags drawn from a small set
+    rng = random.Random(77)
+    keys = list(range(8))
+    for _ in range(20):
+        vectors = [
+            (rng.choice("xyz"), _random_vector(rng, keys, rng.randint(1, 4)))
+            for _ in range(7)
+        ]
+        span = EchelonSpan()
+        for tag, vec in vectors:
+            span.insert(vec, tag)
+        rows, reference = _reference_span(vectors)
+        assert set(span.pivots()) == set(rows)
+        for _ in range(5):
+            query = _random_vector(rng, keys, rng.randint(1, 6))
+            assert span.reduce(query) == reference(query)
 
 
 def _matrix(rng, case):

@@ -299,13 +299,12 @@ def _fiber_by_substitution(tvals, n):
     ring = PolyRing.get(n)
     assignment = t_assignment(n, tvals)
     gens = [g.substitute(assignment) for g in universal_family(n)]
-    span = EchelonSpan(keysort=mono_sort_key)
-    for g in gens:
-        span.insert(g.terms_dict())
-    for i in range(1, n + 1):
-        for g in gens:
-            span.insert((ring.x(i) * g).terms_dict())
-    collapsed = sum(1 for piv in span.pivots() if mono_degree(piv) <= 1)
+    span = EchelonSpan()
+    rows = gens + [ring.x(i) * g for i in range(1, n + 1) for g in gens]
+    for g in rows:
+        # keys (sort key, monomial): least key first is descending graded-lex
+        span.insert({(mono_sort_key(m), m): c for m, c in g.terms_dict().items()})
+    collapsed = sum(1 for _, piv in span.pivots() if mono_degree(piv) <= 1)
     return FiberReport(dimension=n + 1 - collapsed, basis_ok=collapsed == 0)
 
 

@@ -256,6 +256,18 @@ def test_ring_axioms_against_fraction_reference():
             assert all(_exact_form(r) for r in results)
 
 
+def test_powers_against_fraction_reference():
+    rng = random.Random(4242)
+    R = PolyRing.get(3)
+    for _ in range(10):
+        a = _random_exact_poly(rng, R, nterms=3)
+        ref = {(): Fraction(1)}
+        for e in range(6):
+            assert (a**e).terms_dict() == ref and _exact_form(a**e)
+            ref = _ref_mul(ref, _ref(a))
+    assert R3.zero() ** 0 == R3.one() and (R3.zero() ** 3).is_zero
+
+
 def _single_coefficient(p):
     (c,) = p.terms_dict().values()
     return c

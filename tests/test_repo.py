@@ -1,6 +1,7 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, no
-private name is imported from one package module into another, and the
-three membership tests of the oracle stay independent code paths."""
+private name is imported from one package module into another, the three
+membership tests of the oracle stay independent code paths, and the exact
+linear algebra has one elimination loop."""
 
 import ast
 import shutil
@@ -91,3 +92,24 @@ def test_oracle_tests_stay_independent():
     assert "universal_family" in family
     assert family & tests == set()
     assert _loaded_names(_module("linalg"), "pivot_keys") & tests == set()
+
+
+def test_linalg_has_one_elimination_loop():
+    # EchelonSpan.insert, EchelonSpan.reduce and pivot_keys share one loop;
+    # a span option could fork it again
+    tree = _module("linalg")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    looping = [
+        f.name for f in functions if any(isinstance(n, ast.While) for n in ast.walk(f))
+    ]
+    assert len(looping) == 1
+    (init,) = [
+        f
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "EchelonSpan"
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+    ]
+    args = init.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["self"]
+    assert args.vararg is None and args.kwarg is None

@@ -18,9 +18,7 @@ from hilbworst.taylor import (
     f_map,
     is_koszul,
     koszul_differential,
-    linear_syzygy_residual,
     nonkoszul_triple,
-    obstruction_degree_check,
     r_map,
     r_oriented,
     r_symbol,
@@ -221,6 +219,36 @@ def test_derivation_image_decomposition():
             for key, c in _hom_vector(n, (min(i, j), max(i, j), j)).items():
                 expected[key] = expected.get(key, 0) + weight * c
         assert derivation_image_vector(n, i) == expected
+
+
+def linear_syzygy_residual(n: int, i: int, j: int, k: int, l: int) -> FreeModElt:
+    """x_l * r(e_ij ^ e_ik) - x_k * r(e_ij ^ e_il) + x_j * r(e_ik ^ e_il);
+    identically zero for distinct j, k, l."""
+    ring = PolyRing.get(n)
+    return (
+        r_oriented(n, (i, j), (i, k)).scale(ring.x(l))
+        - r_oriented(n, (i, j), (i, l)).scale(ring.x(k))
+        + r_oriented(n, (i, k), (i, l)).scale(ring.x(j))
+    )
+
+
+def obstruction_degree_check(n: int) -> dict:
+    """Sweep the linear syzygies over all i and distinct j, k, l.
+
+    Their vanishing bounds the degrees of the obstruction module from below
+    (no homogeneous piece below degree -2)."""
+    checked = 0
+    failures = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    if j == k or j == l or k == l:
+                        continue
+                    checked += 1
+                    if not linear_syzygy_residual(n, i, j, k, l).is_zero:
+                        failures.append((i, j, k, l))
+    return {"checked": checked, "failures": failures, "ok": not failures}
 
 
 def test_linear_syzygy_examples():
