@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -123,8 +124,7 @@ def _route_classical(n: int):
         "cubic_syzygy_certificates", n, not flat.cubic_detail, flat.cubic_detail
     )
     yield _check("flatness", n, flat.ok, flat.flatness_detail)
-    koszul = lifting.koszul_full_residual(n)
-    yield _check("koszul_trivial_lift", n, all(p.is_zero for p in koszul.values()))
+    yield _check("koszul_trivial_lift", n, not lifting.koszul_lift_failures(n))
 
 
 def _generator_check(name: str, n: int, sym, residual) -> dict:
@@ -367,14 +367,29 @@ def main(argv=None) -> int:
             Path(path or ".").mkdir(parents=True, exist_ok=True)
             path = None
         with open(path, "w") if path else nullcontext(sys.stdout) as out:
-            return handlers[args.command](args, out)
+            status = handlers[args.command](args, out)
+            out.flush()  # a failed write surfaces here, not at interpreter exit
+            return status
     except OSError as exc:
         # the handlers do no I/O but on --out: an error that names no file
-        # came from writing or closing the --out file itself
+        # came from writing or closing the --out file itself, or stdout
         name = path if exc.filename is None else exc.filename
-        if name is None:  # stdout
-            raise
+        if name is None:
+            return _stdout_failed(exc)
         parser.error(f"argument --out: cannot write {name}: {exc.strerror}")
+
+
+def _stdout_failed(exc: OSError) -> int:
+    """Exit status 1 after a write to stdout failed; silent on a closed
+    pipe, one stderr line otherwise.  Stdout is pointed at os.devnull, so
+    the interpreter's flush at exit cannot fail again (the "Note on SIGPIPE"
+    in Python's ``signal`` docs)."""
+    if not isinstance(exc, BrokenPipeError):
+        print(f"hilbworst: cannot write stdout: {exc.strerror}", file=sys.stderr)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
 
 
 if __name__ == "__main__":

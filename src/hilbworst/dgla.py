@@ -41,7 +41,6 @@ from functools import lru_cache, wraps
 
 from .ideal import (
     IdealPresentation,
-    membership,
     miniversal_restriction,
     set_diagonal_zero,
     span_equal_degree2,
@@ -65,10 +64,7 @@ from .taylor import (
     is_koszul,
     koszul_differential,
     leibniz_value,
-    nonkoszul_triple,
-    pair,
     r_map,
-    reduce_mod_squares,
     wedge_symbols,
 )
 
@@ -84,11 +80,6 @@ def _differential(n: int, sym) -> FreeModElt:
     the Koszul differential on an exterior-square symbol."""
     gen = FreeModElt(n, {sym: PolyRing.get(n).one()})
     return r_map(gen) if sym[0] == WEDGE_NS else koszul_differential(gen)
-
-
-def square_zero_check(n: int) -> bool:
-    """d.d vanishes on every degree -2 generator."""
-    return all(f_map(_differential(n, sym)).is_zero for sym in _degree2_generators(n))
 
 
 def _maybe_restrict(p: Poly, miniversal: bool) -> Poly:
@@ -194,30 +185,6 @@ def kuranishi_quadratic_locus(n: int, miniversal: bool = True) -> KuranishiSyste
         for sym, tail in build_f(n)[2].items()
     }
     return KuranishiSystem(equations=equations, psi=psi)
-
-
-def coboundary_residuals(n: int, miniversal: bool = True) -> dict:
-    """Residual of the defining equation of the locus with the canonical psi:
-    per shared-index wedge, the x-coefficients of
-    square + x_k psi(e_ij) - x_j psi(e_ik), each of which must lie in the
-    locus' degree-2 span."""
-    cup = cup_product(n, miniversal)
-    sys = kuranishi_quadratic_locus(n, miniversal)
-    ring = PolyRing.get(n)
-    out = {}
-    for sym, value in cup.wedge_values.items():
-        i, j, k = nonkoszul_triple(sym)
-        lhs = (
-            value
-            + ring.x(k) * sys.psi[pair(i, j)]
-            - ring.x(j) * sys.psi[pair(i, k)]
-        )
-        lhs = reduce_mod_squares(lhs)
-        out[sym] = {
-            xm[0][0][1]: membership(c, sys.equations)
-            for xm, c in lhs.split_by_x().items()
-        }
-    return out
 
 
 @dataclass(frozen=True)

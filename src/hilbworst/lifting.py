@@ -17,8 +17,8 @@ explicit linear-form certificate.  ``flatness_residual`` reports both, one
 ``membership`` query per cubic, each certificate re-verified by exact
 multiplication (``Membership.verify``) before it counts.
 Disjoint-pair wedges lift trivially to all orders, by ``leibniz_value`` of
-the perturbed generator map; the composite vanishes identically there
-(``koszul_full_residual``).
+the perturbed generator map; ``koszul_lift_failures`` checks that lift by its
+form, which makes the composite vanish by commutativity alone.
 
 ``family_at`` evaluates the universal family at a rational point in
 integers, from a form of the family compiled once per n; the oracle reads
@@ -389,13 +389,29 @@ def flatness_residual(n: int) -> FlatnessReport:
     return FlatnessReport(n=n, wedges=wedges)
 
 
-def koszul_full_residual(n: int) -> dict:
-    """Composite of the full perturbed maps on disjoint-pair wedges, with the
-    trivial lift ``leibniz_value`` of e[p] -> its generator in
-    ``universal_family``; vanishes identically at every order."""
-    full = {(E_NS,) + p: g for p, g in zip(basis_pairs(n), universal_family(n))}
-    return {
-        sym: apply_images(full, leibniz_value(n, sym, full.__getitem__))
-        for sym in wedge_symbols(n)
-        if is_koszul(sym)
-    }
+def koszul_lift_failures(n: int) -> list:
+    """The disjoint wedges e_p^e_q, in ``wedge_symbols`` order, whose trivial
+    lift does not have its form.  With g_r the generator of
+    ``universal_family(n)`` on the pair r, ``leibniz_value`` of e_r -> g_r
+    must be exactly g_p e_q - g_q e_p, and ``leibniz_value`` of f0 must be
+    the Koszul relation r0 of ``build_r``, which ``taylor.r_symbol`` builds
+    separately.
+
+    That is enough: the family applied to the lift is g_p g_q - g_q g_p,
+    zero because ``Poly`` multiplication commutes
+    (tests/test_poly.py::test_ring_axioms_against_fraction_reference), so
+    the composite is not multiplied out."""
+    f0 = build_f(n)[0]
+    family = dict(zip(f0, universal_family(n)))  # both in pair order
+    r0 = build_r(n)[0]
+    failures = []
+    for sym in wedge_symbols(n):
+        if not is_koszul(sym):
+            continue
+        e_p, e_q = (E_NS,) + sym[1], (E_NS,) + sym[2]
+        lift = dict(leibniz_value(n, sym, family.__getitem__).terms())
+        if lift != {e_q: family[e_p], e_p: -family[e_q]} or (
+            leibniz_value(n, sym, f0.__getitem__) != r0[sym]
+        ):
+            failures.append(sym)
+    return failures

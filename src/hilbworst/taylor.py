@@ -182,15 +182,6 @@ def e_elt(n: int, i: int, j: int, coeff=1) -> FreeModElt:
     return FreeModElt(n, {(E_NS, *pair(i, j)): c})
 
 
-def wedge_elt(n: int, p: tuple, q: tuple, coeff=1, ns: str = WEDGE_NS) -> FreeModElt:
-    """Oriented wedge e_p ^ e_q (or e_p v e_q), canonicalized with sign."""
-    sym, sign = wedge_symbol(ns, pair(*p), pair(*q))
-    if sign == 0:
-        return zero_elt(n)
-    c = coeff if isinstance(coeff, Poly) else PolyRing.get(n).const(coeff)
-    return FreeModElt(n, {sym: c * sign})
-
-
 # -- the complex ----------------------------------------------------------------
 
 
@@ -232,11 +223,6 @@ def r_symbol(n: int, p: tuple, q: tuple) -> FreeModElt:
 def r_map(elt: FreeModElt) -> FreeModElt:
     n = elt.n
     return elt.apply_linear(lambda sym: r_symbol(n, *sym[1:]), zero_elt(n), WEDGE_NS)
-
-
-def r_oriented(n: int, p: tuple, q: tuple) -> FreeModElt:
-    """r on an oriented wedge given by two index pairs (sign-correct)."""
-    return r_map(wedge_elt(n, p, q))
 
 
 def leibniz_value(n: int, sym, image) -> FreeModElt:

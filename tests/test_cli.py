@@ -475,6 +475,36 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert docs and all(d["status"] == "ok" and d["n"] == 3 for d in docs)
 
 
+def _cli_process(argv, stdout, tmp_path):
+    env = dict(os.environ)
+    src = str(Path(hilbworst.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "hilbworst", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+    )
+
+
+def test_closed_stdout_pipe_exits_1_quietly(tmp_path):
+    # 258 KB of text outgrows the pipe buffer, so writes fail once it is closed
+    argv = ["gens", "--n", "6", "--format", "text"]
+    proc = _cli_process(argv, subprocess.PIPE, tmp_path)
+    assert proc.stdout.readline().startswith("q(")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_1_with_one_line(tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["gens", "--n", "3"], full, tmp_path)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == "hilbworst: cannot write stdout: No space left on device\n"
+
+
 def test_export_writes_bundle(tmp_path, capsys):
     rc, docs = run_json(
         capsys, ["export", "--n", "3", "--out", str(tmp_path)]

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import hilbworst.lifting as lifting
+from hilbworst.cli import main
 from hilbworst.ideal import (
     diagonal_sum,
     ideal_generators,
@@ -20,14 +22,22 @@ from hilbworst.lifting import (
     f1_image,
     first_order_residual,
     flatness_residual,
-    koszul_full_residual,
+    koszul_lift_failures,
     r1_oriented,
     second_order_obstruction,
     syzygy_cubic,
     universal_family,
 )
 from hilbworst.poly import PolyRing
-from hilbworst.taylor import basis_pairs, e_elt, pair, wedge_symbols, zero_elt
+from hilbworst.taylor import (
+    E_NS,
+    basis_pairs,
+    e_elt,
+    is_koszul,
+    pair,
+    wedge_symbols,
+    zero_elt,
+)
 
 R3 = PolyRing.get(3)
 
@@ -235,10 +245,70 @@ def test_flatness_checks_the_cubic_identity(monkeypatch):
     assert report.cubic_detail == ""
 
 
+def _koszul_composite(n):
+    """Reference for ``koszul_lift_failures``: the family applied to the
+    trivial lift ``lifting.leibniz_value`` of e[p] -> its generator in
+    ``universal_family``, on every disjoint wedge; zero at every order."""
+    full = {(E_NS,) + p: g for p, g in zip(basis_pairs(n), universal_family(n))}
+    return {
+        sym: lifting.apply_images(full, lifting.leibniz_value(n, sym, full.__getitem__))
+        for sym in wedge_symbols(n)
+        if is_koszul(sym)
+    }
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_koszul_wedges_lift_trivially_to_all_orders(n):
-    res = koszul_full_residual(n)
+    res = _koszul_composite(n)
     assert res and all(p.is_zero for p in res.values())
+    assert koszul_lift_failures(n) == []
+
+
+_LEIBNIZ = lifting.leibniz_value
+
+
+def _g_q_on_both(n, sym, image):
+    g_q = image((E_NS,) + sym[2])
+    return e_elt(n, *sym[2], coeff=g_q) - e_elt(n, *sym[1], coeff=g_q)
+
+
+# wrong trivial lifts: -(g_p e_q - g_q e_p); the same rule with p and q
+# swapped; g_q on both symbols
+KOSZUL_LIFT_MUTATIONS = {
+    "sign flip": lambda n, sym, image: -_LEIBNIZ(n, sym, image),
+    "p/q swap": lambda n, sym, image: _LEIBNIZ(n, (sym[0], sym[2], sym[1]), image),
+    "g_q on both": _g_q_on_both,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mutation", sorted(KOSZUL_LIFT_MUTATIONS))
+def test_koszul_check_fails_a_wrong_lift(n, mutation, monkeypatch):
+    # the cached tables are built first, so no mutated r1 leaks out
+    build_f(n), build_r(n)
+    monkeypatch.setattr(lifting, "leibniz_value", KOSZUL_LIFT_MUTATIONS[mutation])
+    failures = koszul_lift_failures(n)
+    assert failures and all(is_koszul(sym) for sym in failures)
+    composite_fails = not all(p.is_zero for p in _koszul_composite(n).values())
+    # the composite misses the first two; whatever it catches, so does the check
+    assert composite_fails == (mutation == "g_q on both")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_koszul_check_ties_the_lift_to_the_koszul_relation(n, monkeypatch):
+    r0 = build_r(n)[0]
+    sym = next(s for s in wedge_symbols(n) if is_koszul(s))
+    monkeypatch.setitem(r0, sym, -r0[sym])  # restored after the test
+    assert koszul_lift_failures(n) == [sym]
+    assert all(p.is_zero for p in _koszul_composite(n).values())
+
+
+def test_wrong_koszul_lift_fails_verify(monkeypatch, capsys):
+    build_f(3), build_r(3)
+    monkeypatch.setattr(lifting, "leibniz_value", KOSZUL_LIFT_MUTATIONS["sign flip"])
+    assert main(["verify", "--n", "3", "--route", "classical"]) == 1
+    captured = capsys.readouterr()
+    assert "classical/koszul_trivial_lift" in captured.err
 
 
 def test_low_n_rejected():

@@ -1,7 +1,8 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, no
-private name is imported from one package module into another, the three
-membership tests of the oracle stay independent code paths, and the exact
-linear algebra has one elimination loop."""
+private name is imported from one package module into another, every public
+function of the package is used by the package, the three membership tests
+of the oracle stay independent code paths, and the exact linear algebra has
+one elimination loop."""
 
 import ast
 import shutil
@@ -37,6 +38,34 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert crossing == []
+
+
+def _referenced_names(node):
+    """Names that a call, attribute access or import under ``node`` refers to."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names |= {sub.name, sub.asname}
+    return names
+
+
+def test_every_public_function_is_used_by_the_package():
+    # a function that only tests call belongs in the tests
+    paths = sorted((ROOT / "src" / "hilbworst").glob("*.py"))
+    tops = [node for path in paths for node in ast.parse(path.read_text()).body]
+    refs = [_referenced_names(node) for node in tops]
+    unused = [
+        node.name
+        for node in tops
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not any(node.name in r for other, r in zip(tops, refs) if other is not node)
+    ]
+    assert unused == []
 
 
 def _module(name):

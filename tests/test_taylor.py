@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbworst.poly import PolyRing
+from hilbworst.poly import Poly, PolyRing
 from hilbworst.taylor import (
     CURLY_NS,
     E_NS,
@@ -19,19 +19,33 @@ from hilbworst.taylor import (
     is_koszul,
     koszul_differential,
     nonkoszul_triple,
+    pair,
     r_map,
-    r_oriented,
     r_symbol,
     reduce_mod_squares,
     tangent_dims,
     tangent_hom_apply,
-    wedge_elt,
+    wedge_symbol,
     wedge_symbols,
     zero_elt,
     _hom_vector,
 )
 
 R3 = PolyRing.get(3)
+
+
+def wedge_elt(n: int, p: tuple, q: tuple, coeff=1, ns: str = WEDGE_NS) -> FreeModElt:
+    """Oriented wedge e_p ^ e_q (or e_p v e_q), canonicalized with sign."""
+    sym, sign = wedge_symbol(ns, pair(*p), pair(*q))
+    if sign == 0:
+        return zero_elt(n)
+    c = coeff if isinstance(coeff, Poly) else PolyRing.get(n).const(coeff)
+    return FreeModElt(n, {sym: c * sign})
+
+
+def r_oriented(n: int, p: tuple, q: tuple) -> FreeModElt:
+    """r on an oriented wedge given by two index pairs (sign-correct)."""
+    return r_map(wedge_elt(n, p, q))
 
 
 def test_f_map_basics():
