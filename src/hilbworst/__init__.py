@@ -10,7 +10,6 @@ from .ideal import (
     Membership,
     UnsupportedDegreeError,
     alternate_generators,
-    cyclic_sum,
     diagonal_sum,
     ideal_generators,
     membership,

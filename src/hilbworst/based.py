@@ -23,10 +23,9 @@ multiplied it back out exactly.
 Multiplication tables (``MulTable``) hold rational or symbolic entries.
 ``associativity_residual`` lists every associator coordinate of any table;
 ``is_associative`` decides a rational table exactly, by testing whether its
-multiplication operators commute.  ``table_from_point`` converts a rational
-point of the parameter space into the table of the corresponding fiber
-algebra, using the sign convention of the universal family (structure
-constants are the negated parameters).
+multiplication operators commute.  ``table_from_point`` reads the table of
+the fiber algebra off the universal family at a rational point, using the
+family's sign convention (structure constants are the negated parameters).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .ideal import (
     ideal_generators,
     membership,
 )
-from .lifting import family_at
 from .poly import Poly, PolyRing
 from .taylor import basis_pairs, pair
 
@@ -352,16 +350,16 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
 # -- points and tables -----------------------------------------------------------------
 
 
-def table_from_point(tvals: dict, n: int) -> MulTable:
+def table_from_point(family: tuple, n: int) -> MulTable:
     """Multiplication table of the fiber algebra at a parameter point, read
-    off the family at the point (``family_at``) in its sign convention:
-    s(i,j,k) = -(coefficient of x_k) = -t(i,j,k) for positive k and
-    s(i,j,0) = -(constant term) = -sum_k q(i,j,k|k)(t)/(n-1), in the
-    generator of the pair (i, j)."""
+    off the family at the point (as ``lifting.family_at`` gives it) in its
+    sign convention: s(i,j,k) = -(coefficient of x_k) = -t(i,j,k) for
+    positive k and s(i,j,0) = -(constant term) = -sum_k q(i,j,k|k)(t)/(n-1),
+    in the generator of the pair (i, j)."""
     ring = PolyRing.get(n)
     linear = [((ring.x_var(k), 1),) for k in range(1, n + 1)]
     entries = {}
-    for (i, j), coeffs in zip(basis_pairs(n), family_at(n, tvals)):
+    for (i, j), coeffs in zip(basis_pairs(n), family):
         for k, xk in enumerate(linear, start=1):
             entries[(i, j, k)] = -coeffs.get(xk, 0)
         entries[(i, j, 0)] = -coeffs.get((), 0)

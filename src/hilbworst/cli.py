@@ -93,7 +93,7 @@ def cmd_subspaces(args, out) -> int:
 
 def cmd_table(args, out) -> int:
     n, tvals = args.point
-    table = based.table_from_point(tvals, n)
+    table = based.table_from_point(lifting.family_at(n, tvals), n)
     residuals = based.associativity_residual(table)
     nonzero = sorted(
         list(key) for key, vec in residuals.items() if any(v != 0 for v in vec)
@@ -236,9 +236,9 @@ def _read_point(path: str) -> tuple:
     Parsed with the flags, so a malformed file is a usage error before any
     output file is opened."""
     error = argparse.ArgumentTypeError
-    try:
+    try:  # json.loads raises RecursionError on deeply nested arrays
         data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
     n = data.get("n") if isinstance(data, dict) else None
     if type(n) is not int or n < 3:  # the universal family starts at n = 3
@@ -351,6 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exact values are read and printed in full: the
+    interpreter's int/str digit limit (``sys.set_int_max_str_digits``, where
+    it exists) is lifted for the call and restored on return."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

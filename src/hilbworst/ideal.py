@@ -74,15 +74,6 @@ def obstruction_quadric(n: int, i: int, j: int, k: int, l: int) -> Poly:
     return Poly(n, terms)
 
 
-def cyclic_sum(n: int, i: int, j: int, k: int, l: int) -> Poly:
-    """The symbolic sum over cyclic rotations of (i, j, k); contract: zero."""
-    return (
-        obstruction_quadric(n, i, j, k, l)
-        + obstruction_quadric(n, j, k, i, l)
-        + obstruction_quadric(n, k, i, j, l)
-    )
-
-
 def diagonal_sum(n: int, i: int, j: int) -> Poly:
     """Sum over lam of the quadrics with repeated trailing index lam.
 
@@ -114,8 +105,8 @@ class IdealPresentation:
         default_factory=list, init=False, compare=False, repr=False
     )
     # the generators compiled for ``vanishes_at``: (t-variable -> position,
-    # per generator a tuple of (degree gap, integer numerators, position
-    # tuples) groups); set on first use
+    # per generator its integer numerators and position tuples); set on
+    # first use
     _compiled: tuple | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -481,11 +472,10 @@ def span_equal_degree2(a: IdealPresentation, b: IdealPresentation) -> bool:
 def _compiled_generators(pres: IdealPresentation) -> tuple:
     """The compiled form of ``pres`` for ``vanishes_at``, built once.
 
-    Each generator g of t-degree d becomes its integer numerators over the
-    lcm of its coefficient denominators, grouped by the gap d - deg m of
-    their monomials m.  A monomial is the tuple of its variables' positions
-    in ``t_variables()`` order, each repeated by its exponent, and one tuple
-    is shared by every generator that holds the monomial."""
+    Each generator becomes its integer numerators over the lcm of its
+    coefficient denominators, and its monomials, each the tuple of its
+    variables' positions in ``t_variables()`` order, repeated by exponent;
+    one tuple is shared by every generator that holds the monomial."""
     if pres._compiled is None:
         index = {v: pos for pos, v in enumerate(PolyRing.get(pres.n).t_variables())}
         shared: dict = {}  # monomial -> position tuple
@@ -501,62 +491,51 @@ def _compiled_generators(pres: IdealPresentation) -> tuple:
                                 f"holds {var_text(v)}"
                             )
                     shared[m] = tuple(index[v] for v, e in m for _ in range(e))
+            if len({len(shared[m]) for m in terms}) > 1:
+                raise ValueError(
+                    f"vanishes_at evaluates homogeneous generators; got {g.text()}"
+                )
             den = lcm(*(c.denominator for c in terms.values()))
-            degree = max((len(shared[m]) for m in terms), default=0)
-            groups: dict = {}  # degree gap -> (numerators, position tuples)
-            for m, c in terms.items():
-                nums, monos = groups.setdefault(degree - len(shared[m]), ([], []))
-                nums.append(c.numerator * (den // c.denominator))
-                monos.append(shared[m])
-            compiled.append(
-                tuple((gap, tuple(ns), tuple(ms)) for gap, (ns, ms) in groups.items())
-            )
+            nums = tuple(c.numerator * (den // c.denominator) for c in terms.values())
+            compiled.append((nums, tuple(shared[m] for m in terms)))
         object.__setattr__(pres, "_compiled", (index, tuple(compiled)))
     return pres._compiled
 
 
-def vanishes_at(pres: IdealPresentation, assignment: dict) -> bool:
-    """Every generator evaluates to zero at a (t-variable -> rational)
-    assignment; t-variables it leaves out are 0, and a key t(j,i,k) names
-    t(i,j,k) as in ``PolyRing.t_var``.  Stops at the first generator that
-    does not vanish.
+def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
+    """Every generator evaluates to zero at a rational point; ``tvals`` maps
+    (i, j, k) to a rational as in ``lifting.family_at``, a key (j, i, k)
+    names t(i,j,k) as in ``PolyRing.t_var``, and t-variables it leaves out
+    are 0.  Stops at the first generator that does not vanish.
 
     Exact: with D the lcm of the point's denominators, x = D*t is an
     integer point.  A generator g of t-degree d is e*g = sum_m c_m m with
-    integers c_m over its common denominator e, and
-
-        sum_m c_m D^(d - deg m) x^m = e * D^d * g(t),
-
-    an integer that is 0 exactly when g(t) is, homogeneous or not.  The
-    generators are compiled once per presentation (``_compiled_generators``).
+    integers c_m over its common denominator e, and, g being homogeneous,
+    sum_m c_m x^m = e * D^d * g(t), an integer that is 0 exactly when g(t)
+    is.  The generators are compiled once per presentation
+    (``_compiled_generators``).
 
     The test evaluates the generators only and calls neither the operator
     commutators of ``based.is_associative`` nor the fiber elimination of
     ``oracle.fiber_check``, so that the oracle's agreement of the three is
     evidence and not a consequence of shared code.
 
-    Raises ValueError when a generator or a key holds an x- or s-variable.
+    Raises ValueError on a generator that is not homogeneous or holds an x-
+    or s-variable, and on an index outside 1..n.
     """
     index, compiled = _compiled_generators(pres)
     ring = PolyRing.get(pres.n)
-    values = [Fraction(0)] * len(index)
-    for v, val in assignment.items():
-        if v[0] != T_KIND:
-            raise ValueError(
-                f"vanishes_at assigns t-variables only, got {var_text(v)}"
-            )
-        values[index[ring.t_var(*v[1:])]] = Fraction(val)
-    scale = lcm(*(val.denominator for val in values))
-    x = [val.numerator * (scale // val.denominator) for val in values]
-    for groups in compiled:
+    point = {index[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}
+    scale = lcm(*(val.denominator for val in point.values()))
+    x = [0] * len(index)
+    for pos, val in point.items():
+        x[pos] = val.numerator * (scale // val.denominator)
+    for nums, monos in compiled:
         total = 0
-        for gap, nums, monos in groups:
-            part = 0
-            for c, positions in zip(nums, monos):
-                for pos in positions:
-                    c *= x[pos]
-                part += c
-            total += part * scale**gap
+        for c, positions in zip(nums, monos):
+            for pos in positions:
+                c *= x[pos]
+            total += c
         if total:
             return False
     return True

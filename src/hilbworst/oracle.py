@@ -8,10 +8,10 @@ point, and each is exact:
     integers, at the point scaled by the lcm of its denominators, which
     multiplies each value by a nonzero integer.
   * algebraic (``based.is_associative`` on ``table_from_point``): the
-    multiplication table built from the point (family sign convention) is
-    associative.  For a symmetric unital table that is the same as its
-    multiplication operators commuting pairwise, which is tested in
-    integers over one common denominator.
+    multiplication table read off the family at the point (family sign
+    convention) is associative.  For a symmetric unital table that is the
+    same as its multiplication operators commuting pairwise, which is tested
+    in integers over one common denominator.
   * geometric (``fiber_check``): the fiber of the instantiated family is an
     (n+1)-dimensional algebra in which the residue classes of 1, x_1, ...,
     x_n stay a basis.  It row-reduces the instantiated family generators
@@ -27,10 +27,11 @@ entries, the third eliminates over the instantiated family.  The chart
 quadrics are themselves associator coordinates, so a helper shared by the
 first two would make their agreement hold by construction and prove
 nothing.  The second and third share only their input, the family at the
-point (``lifting.family_at``): the table is read off its coefficients and
-the fiber is cut out by it.  That map from a point to the family is not a
-membership test, and the symbolic test does not use it.
-``tests/test_repo.py`` checks that they stay apart.
+point, which ``agreement_trial`` evaluates once (``lifting.family_at``) and
+passes to both: the table is read off its coefficients and the fiber is cut
+out by it.  That map from a point to the family is not a membership test,
+and the symbolic test does not use it.  ``tests/test_repo.py`` checks that
+they stay apart.
 
 ``point_from_configuration`` manufactures honest points of the chart: given
 n+1 rational points in general position, it solves for the structure
@@ -120,17 +121,18 @@ def _fiber_columns(n: int) -> tuple:
     return column, shifts
 
 
-def fiber_check(tvals: dict, n: int) -> FiberReport:
-    """Dimension of the (degree <= 3 truncated) fiber of the family at the
-    point, and whether 1, x_1, ..., x_n survive as a basis.
+def fiber_check(family: tuple, n: int) -> FiberReport:
+    """Dimension of the (degree <= 3 truncated) fiber of the family at a
+    point (as ``family_at`` gives it), and whether 1, x_1, ..., x_n survive
+    as a basis.
 
-    Each generator of the family at the point (``family_at``) becomes a
-    row over the columns of ``_fiber_columns``, its x_l multiples the same
-    row through the shift table of x_l; ``pivot_keys`` scales each row to a
-    primitive integer row.  The pivots in the last n+1 columns are the
-    collapses of the basis: the leading monomials of degree <= 1."""
+    Each generator of the family becomes a row over the columns of
+    ``_fiber_columns``, its x_l multiples the same row through the shift
+    table of x_l; ``pivot_keys`` scales each row to a primitive integer row.
+    The pivots in the last n+1 columns are the collapses of the basis: the
+    leading monomials of degree <= 1."""
     column, shifts = _fiber_columns(n)
-    rows = [{column[m]: c for m, c in coeffs.items()} for coeffs in family_at(n, tvals)]
+    rows = [{column[m]: c for m, c in coeffs.items()} for coeffs in family]
     rows += [{shift[c]: v for c, v in row.items()} for shift in shifts for row in rows]
     linear = len(column) - (n + 1)  # the first column of degree <= 1
     collapsed = sum(1 for piv in pivot_keys(rows) if piv >= linear)
@@ -139,9 +141,7 @@ def fiber_check(tvals: dict, n: int) -> FiberReport:
 
 def symbolic_member(tvals: dict, n: int) -> bool:
     """Every generator of the chart ideal vanishes at the point."""
-    ring = PolyRing.get(n)
-    point = {ring.t_var(i, j, k): val for (i, j, k), val in tvals.items()}
-    return vanishes_at(ideal_generators(n), point)
+    return vanishes_at(ideal_generators(n), tvals)
 
 
 def small_fraction(rng: random.Random) -> Fraction:
@@ -191,8 +191,9 @@ def coordinate_configuration(n: int) -> list:
 def agreement_trial(tvals: dict, n: int, kind: str) -> dict:
     """Run the three membership tests at one point and report agreement."""
     sym = symbolic_member(tvals, n)
-    assoc = is_associative(table_from_point(tvals, n))
-    fib = fiber_check(tvals, n)
+    family = family_at(n, tvals)
+    assoc = is_associative(table_from_point(family, n))
+    fib = fiber_check(family, n)
     return {
         "kind": kind,
         "symbolic": sym,

@@ -42,7 +42,7 @@ VarId = tuple
 Monomial = tuple
 Scalar = Union[int, Fraction]
 
-GRADINGS = ("x", "t", "s", "internal", "total")
+GRADINGS = ("x", "t", "s", "total")
 
 
 class UniverseMismatchError(ValueError):
@@ -96,10 +96,9 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 def mono_degree(m: Monomial, grading: str = "total") -> int:
     """Degree of a monomial in the given grading.
 
-    "total" and "internal" agree: every variable has internal degree 1.
-    "x"/"t"/"s" count exponents of that family only.
+    "total" counts every exponent, "x"/"t"/"s" those of that family only.
     """
-    if grading in ("total", "internal"):
+    if grading == "total":
         return sum(e for _, e in m)
     kind = {"x": X_KIND, "t": T_KIND, "s": S_KIND}[grading]
     return sum(e for v, e in m if v[0] == kind)
@@ -300,7 +299,7 @@ class Poly:
             return 0
         return max(mono_degree(m, grading) for m in self._terms)
 
-    def is_homogeneous(self, grading: str = "internal") -> bool:
+    def is_homogeneous(self, grading: str = "total") -> bool:
         degs = {mono_degree(m, grading) for m in self._terms}
         return len(degs) <= 1
 

@@ -88,9 +88,6 @@ class FreeModElt:
     def is_zero(self) -> bool:
         return not self._coef
 
-    def symbols(self):
-        return self._coef.keys()
-
     def terms(self):
         for s in sorted(self._coef):
             yield s, self._coef[s]
@@ -139,9 +136,6 @@ class FreeModElt:
             and self.n == other.n
             and self._coef == other._coef
         )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self._coef.items(), key=lambda t: t[0]))))
 
     @staticmethod
     def _sym_text(sym) -> str:

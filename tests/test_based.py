@@ -19,6 +19,7 @@ from hilbworst.based import (
     verify_structure_correspondence,
 )
 from hilbworst.ideal import diagonal_sum, ideal_generators, vanishes_at
+from hilbworst.lifting import family_at
 from hilbworst.poly import Poly, PolyRing
 
 R3 = PolyRing.get(3)
@@ -179,14 +180,14 @@ def test_structure_correspondence_certified(n):
 
 
 def test_table_from_zero_point_is_square_zero():
-    table = table_from_point({}, 3)
+    table = table_from_point(family_at(3, {}), 3)
     assert table.entries == {}
     assert is_associative(table)
 
 
 def test_table_from_idempotent_point():
     tvals = {(1, 1, 1): Fraction(-1)}
-    table = table_from_point(tvals, 3)
+    table = table_from_point(family_at(3, tvals), 3)
     assert table.value(1, 1, 1) == 1
     assert table.value(1, 1, 0) == 0
     assert is_associative(table)
@@ -200,19 +201,18 @@ def test_table_membership_equivalence_on_samples():
     n = 3
     rng = random.Random(11)
     pres = ideal_generators(n)
-    R = PolyRing.get(n)
     # members: subspace points; non-members: generic points
     member = {(1, 2, 3): Fraction(1, 2), (1, 1, 3): Fraction(-2)}
-    assert vanishes_at(pres, {R.t_var(*k): v for k, v in member.items()})
-    assert is_associative(table_from_point(member, n))
+    assert vanishes_at(pres, member)
+    assert is_associative(table_from_point(family_at(n, member), n))
     for _ in range(5):
         bad = random_generic_point(rng, n)
-        assert not vanishes_at(pres, {R.t_var(*k): v for k, v in bad.items()})
-        assert not is_associative(table_from_point(bad, n))
+        assert not vanishes_at(pres, bad)
+        assert not is_associative(table_from_point(family_at(n, bad), n))
 
 
 def test_unit_rows_of_derived_tables():
-    table = table_from_point({(1, 2, 3): Fraction(2)}, 3)
+    table = table_from_point(family_at(3, {(1, 2, 3): Fraction(2)}), 3)
     for i in range(4):
         for k in range(4):
             assert table.value(0, i, k) == (1 if i == k else 0)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -146,6 +148,156 @@ def test_table_malformed_input_usage_error(text, tmp_path, capsys):
     assert "usage:" in captured.err and str(src) in captured.err
     assert captured.out == ""
     assert dest.read_text() == "kept"  # no output file truncated
+
+
+def _digit_limit():
+    """The interpreter's int/str digit limit, or None where it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+EXACT = re.compile(r"-?\d+(/\d+)?")
+
+
+@pytest.mark.parametrize(
+    "rows, s123, longest",
+    [
+        ([[1, 2, 3, "1e5000"]], "-1" + "0" * 5000, 5002),
+        ([[1, 2, 3, "1e-5000"]], "-1/1" + "0" * 5000, 5004),
+        # t(1,2,3)*t(1,3,2) puts 4,400 digits in the constant column
+        ([[1, 2, 3, "1e2200"], [1, 3, 2, "1e2200"]], "-1" + "0" * 2200, 4401),
+    ],
+    ids=["1e5000", "1e-5000", "1e2200-twice"],
+)
+def test_table_prints_long_exact_values(rows, s123, longest, tmp_path, capsys):
+    # each value is under the interpreter's 4,300-digit int/str limit as
+    # input; the table prints every entry exactly, and the limit is back
+    # in force once main returns
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps({"n": 3, "t": rows}))
+    limit = _digit_limit()
+    rc, (doc,) = run_json(capsys, ["table", str(src)])
+    assert rc == 0 and _digit_limit() == limit
+    values = [v for _, _, _, v in doc["s"]]
+    assert all(EXACT.fullmatch(v) for v in values)
+    assert max(map(len, values)) == longest
+    assert {(i, j, k): v for i, j, k, v in doc["s"]}[(1, 2, 3)] == s123
+
+
+def test_table_deeply_nested_input_usage_error(tmp_path, capsys):
+    # json.loads raises RecursionError on 200,000 nested arrays
+    src = tmp_path / "point.json"
+    src.write_text("[" * 200_000)
+    dest = tmp_path / "out.json"
+    dest.write_text("kept")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", str(src), "--out", str(dest)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and f"cannot read {src}" in captured.err
+    assert captured.out == ""
+    assert dest.read_text() == "kept"
+
+
+_JUNK = [True, None, 0.5, "", "x", "1/0", "nan", [], {}, [1], {"p": 1}]
+
+
+def _table_document(rng):
+    """A valid table document at n = 3 or 4, then 0 to 3 mutations of it,
+    as JSON text."""
+    n = rng.choice([3, 3, 3, 4])  # a table at n = 4 takes about 0.07 s
+    values = {}
+    for _ in range(rng.randint(0, 5)):
+        i, j, k = (rng.randint(1, n) for _ in range(3))
+        values[(min(i, j), max(i, j), k)] = f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    rows = [[i, j, k, v] for (i, j, k), v in values.items()]
+    doc = {"n": n, "t": rows}
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        kind = rng.randrange(10)
+        lists = [r for r in rows if isinstance(r, list) and r]
+        if not lists:
+            lists.append([1, 1, 1, "1"])
+            rows.append(lists[0])
+        row = rng.choice(lists)
+        if kind == 0:  # a wrong type anywhere in a row
+            row[rng.randrange(len(row))] = rng.choice(_JUNK)
+        elif kind == 1:  # an index out of range
+            row[rng.randrange(min(3, len(row)))] = rng.choice([0, -1, n + 1, 10**20])
+        elif kind == 2:  # swapped indices
+            row[:2] = row[1::-1]
+        elif kind == 3:  # a repeat, swapped or not, agreeing or not
+            twin = row[:-1] + [rng.choice(["7/3", row[-1]])]
+            if rng.random() < 0.5:
+                twin[:2] = twin[1::-1]
+            rows.append(twin)
+        elif kind == 4:  # a long exponent
+            sign, digit = rng.choice(["", "-"]), rng.randint(1, 9)
+            exp = rng.randint(-5000, 5000)
+            row[-1] = f"{sign}{digit}e{exp}"
+        elif kind == 5:  # extra keys, extra or missing row items
+            if rng.random() < 0.5 and isinstance(doc, dict):
+                doc[rng.choice(["extra", "s", "N"])] = rng.choice(_JUNK)
+            elif rng.random() < 0.5:
+                row.append(rng.choice(_JUNK))
+            else:
+                row.pop()
+        elif not isinstance(doc, dict):
+            continue
+        elif kind == 6:  # "n" of the wrong type or range, or missing
+            doc["n"] = rng.choice([2, 0, -3, "3", 3.0, True, None, [3], {}])
+            if rng.random() < 0.2:
+                del doc["n"]
+        elif kind == 7:  # "t" of the wrong type, or missing
+            doc["t"] = rng.choice([5, "t", None, {}, {"1": 2}, [rows], rows[:1] * 2])
+            if rng.random() < 0.2:
+                del doc["t"]
+        elif kind == 8:  # another top-level value
+            doc = rng.choice([rows, n, "doc", None, [doc]])
+        else:  # a deeply nested value in place of a row, a value or a field
+            target = rng.choice(["row", "value", "n", "t"])
+            if target in ("n", "t"):
+                doc[target] = "@DEEP@"
+            elif target == "row":
+                rows.append("@DEEP@")
+            else:
+                row[-1] = "@DEEP@"
+    text = json.dumps(doc)
+    if "@DEEP@" in text:
+        depth = rng.choice([2, 50, 900, 200_000])
+        text = text.replace('"@DEEP@"', "[" * depth + "1" + "]" * depth)
+    if rng.random() < 0.05:  # truncated text
+        text = text[: rng.randrange(len(text) + 1)]
+    return text
+
+
+def test_table_documents_fuzzed(tmp_path, capsys):
+    # seeded mutations of valid table documents: each ends in exit 0 with one
+    # JSON document or in exit 2 with a usage message, and nothing else
+    rng = random.Random(20261019)
+    src, dest = tmp_path / "point.json", tmp_path / "out.json"
+    limit = _digit_limit()
+    exits = []
+    for case in range(100):
+        text = _table_document(rng)
+        src.write_text(text)
+        dest.write_text("kept")
+        argv = ["table", str(src)] + (["--out", str(dest)] if case % 2 else [])
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc in (0, 2), text[:300]
+        assert _digit_limit() == limit
+        if rc == 2:
+            assert "usage:" in captured.err and captured.out == "", text[:300]
+            assert dest.read_text() == "kept"
+        else:
+            printed = dest.read_text() if case % 2 else captured.out
+            (line,) = printed.splitlines()
+            assert json.loads(line)["schema"] == "hilbworst/1"
+        exits.append(rc)
+    assert exits.count(0) > 20 and exits.count(2) > 20
 
 
 def test_verify_route_exit_codes(capsys):

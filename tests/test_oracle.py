@@ -34,7 +34,7 @@ from hilbworst.oracle import (
     small_fraction,
     symbolic_member,
 )
-from hilbworst.poly import T_KIND, Poly, PolyRing, mono_degree, mono_sort_key
+from hilbworst.poly import Poly, PolyRing, mono_degree, mono_sort_key
 from hilbworst.subspaces import make_spec
 
 
@@ -57,7 +57,6 @@ def test_random_configurations_land_in_the_chart():
     rng = random.Random(5)
     n = 4
     pres = ideal_generators(n)
-    R = PolyRing.get(n)
     found = 0
     while found < 20:
         try:
@@ -65,7 +64,7 @@ def test_random_configurations_land_in_the_chart():
         except BasisCriterionError:
             continue
         found += 1
-        assert vanishes_at(pres, {R.t_var(*k): v for k, v in tvals.items()})
+        assert vanishes_at(pres, tvals)
 
 
 def test_degenerate_configuration_raises():
@@ -92,7 +91,7 @@ def test_collinear_scaled_configuration_raises():
 
 
 def test_fiber_at_origin():
-    report = fiber_check({}, 3)
+    report = fiber_check(family_at(3, {}), 3)
     assert report.dimension == 4 and report.basis_ok
 
 
@@ -100,14 +99,14 @@ def test_fiber_on_subspace_point():
     rng = random.Random(17)
     spec = make_spec(5, {1, 2, 3}, {4, 5})
     tvals = random_subspace_point(rng, spec)
-    report = fiber_check(tvals, 5)
+    report = fiber_check(family_at(5, tvals), 5)
     assert report.dimension == 6 and report.basis_ok
 
 
 def test_fiber_detects_non_members():
     rng = random.Random(23)
     tvals = random_generic_point(rng, 3)
-    report = fiber_check(tvals, 3)
+    report = fiber_check(family_at(3, tvals), 3)
     assert not (report.basis_ok and report.dimension == 4)
 
 
@@ -118,7 +117,7 @@ def test_roundtrip_configuration_fiber():
             tvals = point_from_configuration(random_configuration(rng, 3))
         except BasisCriterionError:
             continue
-        report = fiber_check(tvals, 3)
+        report = fiber_check(family_at(3, tvals), 3)
         assert report.dimension == 4 and report.basis_ok
 
 
@@ -222,7 +221,7 @@ def _perturbed(table, key, rng):
 def test_is_associative_agrees_with_the_residual(n):
     rng = random.Random(100 + n)
     points = _one_point_per_kind(rng, n)
-    tables = [table_from_point(tvals, n) for tvals in points.values()]
+    tables = [table_from_point(family_at(n, tvals), n) for tvals in points.values()]
     i = rng.randint(1, n)
     j = rng.randint(i, n)
     keys = [
@@ -260,30 +259,37 @@ def test_vanishes_at_agrees_with_substitution(n):
     answers = []
     for tvals in points:
         assignment = {ring.t_var(*key): val for key, val in tvals.items()}
-        answers.append(vanishes_at(pres, assignment))
+        answers.append(vanishes_at(pres, tvals))
         assert answers[-1] == _generators_vanish(pres, assignment)
         assert answers[-1] == symbolic_member(tvals, n)
     assert answers[:4] == [True, True, True, False]
 
 
-def test_vanishes_at_on_non_homogeneous_generators():
+def test_vanishes_at_rejects_non_homogeneous_generators():
     ring = PolyRing.get(3)
-    t = ring.t(1, 1, 1)
-    pres = IdealPresentation(
-        3, "hilbert", (t * t - t, ring.t(1, 2, 3) * Fraction(3, 2) - Fraction(1, 2))
-    )
+    t, u = ring.t(1, 1, 1), ring.t(1, 2, 3)
+    for g in (t * t - t, u * Fraction(3, 2) - Fraction(1, 2)):
+        pres = IdealPresentation(3, "hilbert", (u * u, g))
+        # a point where the first generator already fails still raises
+        with pytest.raises(ValueError, match="homogeneous generators"):
+            vanishes_at(pres, {(1, 2, 3): 1})
+    # homogeneous with a rational coefficient: t(1,1,1)^2 - (9/4) t(1,2,3)^2
+    pres = IdealPresentation(3, "hilbert", (t * t - u * u * Fraction(9, 4), t * u))
     for a, b, expected in [
-        (1, Fraction(1, 3), True),
-        (0, Fraction(1, 3), True),
-        (Fraction(1, 2), Fraction(1, 3), False),
-        (1, Fraction(1, 2), False),
-        (2, Fraction(1, 3), False),
+        (0, 0, True),
+        (Fraction(3, 2), 0, False),
+        (0, Fraction(1, 3), False),
+        (Fraction(3, 2), 1, False),
     ]:
-        # the key t(2,1,3) names t(1,2,3)
-        point = {ring.t_var(1, 1, 1): a, (T_KIND, 2, 1, 3): b}
+        # the key (2, 1, 3) names t(1,2,3)
+        point = {(1, 1, 1): a, (2, 1, 3): b}
         assert vanishes_at(pres, point) is expected
         canonical = {ring.t_var(1, 1, 1): a, ring.t_var(1, 2, 3): b}
         assert _generators_vanish(pres, canonical) is expected
+    first = IdealPresentation(3, "hilbert", pres.generators[:1])
+    for a, b in [(3, 2), (Fraction(-3, 2), 1), (Fraction(3, 5), Fraction(2, 5))]:
+        assert vanishes_at(first, {(1, 1, 1): a, (2, 1, 3): b})
+        assert not vanishes_at(first, {(1, 1, 1): a, (2, 1, 3): b + 1})
 
 
 def _family_by_substitution(n, tvals):
@@ -344,13 +350,14 @@ def test_family_at_agrees_with_substitution(n):
 def test_table_from_point_agrees_with_evaluation(n):
     points = _with_moved_members(random.Random(400 + n), n)
     for tvals in points + [_swapped(points[1])]:
-        assert table_from_point(tvals, n).entries == _table_by_evaluation(tvals, n).entries
+        table = table_from_point(family_at(n, tvals), n)
+        assert table.entries == _table_by_evaluation(tvals, n).entries
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_fiber_check_agrees_with_substitution(n):
     points = _with_moved_members(random.Random(500 + n), n)
-    reports = [fiber_check(tvals, n) for tvals in points]
+    reports = [fiber_check(family_at(n, tvals), n) for tvals in points]
     assert reports == [_fiber_by_substitution(tvals, n) for tvals in points]
     assert [r.basis_ok for r in reports[:4]] == [True, True, True, False]
     assert all(r.dimension == n + 1 for r in reports[:3])
@@ -369,3 +376,22 @@ def test_agreement_trial_never_substitutes(monkeypatch):
     trials = [agreement_trial(tvals, n, "seeded") for tvals in points]
     assert all(t["agree"] for t in trials)
     assert [t["symbolic"] for t in trials[:4]] == [True, True, True, False]
+
+
+def test_agreement_trial_evaluates_the_family_once(monkeypatch):
+    # the table and the fiber share one evaluation of the family at the point
+    import hilbworst.lifting as lifting
+    import hilbworst.oracle as oracle
+
+    calls = []
+
+    def counting(n, tvals):
+        calls.append(n)
+        return family_at(n, tvals)
+
+    monkeypatch.setattr(oracle, "family_at", counting)
+    monkeypatch.setattr(lifting, "family_at", counting)
+    for tvals in _with_moved_members(random.Random(700), 4):
+        calls.clear()
+        agreement_trial(tvals, 4, "seeded")
+        assert calls == [4]
