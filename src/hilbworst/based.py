@@ -38,7 +38,6 @@ from math import lcm
 from operator import mul
 
 from .ideal import (
-    GradedSpan,
     IdealPresentation,
     Membership,
     deduplicated,
@@ -283,7 +282,7 @@ def reduce_unit_sym(p: Poly, n: int) -> Poly:
 def _reduced_associators(n: int) -> IdealPresentation:
     """The associator coefficients with positive indices and j < k, reduced
     modulo the unit and symmetry relations; embedded generators are
-    certified as combinations of these."""
+    certified as combinations of these, reduced against its ``span(2)``."""
     pos = range(1, n + 1)
     gens = tuple(
         reduce_unit_sym(associator_coeff(n, i, j, k, l), n)
@@ -291,15 +290,6 @@ def _reduced_associators(n: int) -> IdealPresentation:
         if j < k
     )
     return IdealPresentation(n, "based_algebra", gens)
-
-
-@lru_cache(maxsize=None)
-def _reduced_assoc_span(n: int) -> GradedSpan:
-    """Span of ``_reduced_associators(n)``, tagged by generator index."""
-    span = GradedSpan(n)
-    for idx, g in enumerate(_reduced_associators(n).generators):
-        span.insert(g.terms_dict(), idx)
-    return span
 
 
 @dataclass
@@ -336,11 +326,12 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
         elif img.degree("t") == 3:
             report.pi_degree3 += 1
 
-    assoc, span = _reduced_associators(n), _reduced_assoc_span(n)
+    assoc = _reduced_associators(n)
+    span = assoc.span(2)
     for g, lab in zip(chart.generators, chart.labels):
         emb = reduce_unit_sym(params_to_structure(g, n), n)
         residual, used = span.reduce(emb.terms_dict())
-        mults = {idx: ring.const(c) for idx, c in used.items()}
+        mults = {idx: ring.const(c) for (_, idx), c in used.items()}
         cert = Membership(member=not residual, degree=2, multipliers=mults)
         if not cert.verify(emb, assoc):
             report.failures.append(("embedding", lab))

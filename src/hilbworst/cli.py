@@ -179,23 +179,20 @@ def _route_oracle(n: int, seed: int, samples: int):
     yield _check("oracle_agreement", n, not bad, detail=f"{len(trials)} samples")
 
 
+# route name -> its checks for the parsed flags, in the order of --route all
+_ROUTES = {
+    "classical": lambda args: _route_classical(args.n),
+    "dgla": lambda args: _route_dgla(args.n),
+    "based": lambda args: _route_based(args.n),
+    "oracle": lambda args: _route_oracle(args.n, args.seed, args.samples),
+}
+
+
 def cmd_verify(args, out) -> int:
-    routes = (
-        ["classical", "dgla", "based", "oracle"]
-        if args.route == "all"
-        else [args.route]
-    )
+    routes = list(_ROUTES) if args.route == "all" else [args.route]
     failures = []
     for route in routes:
-        if route == "classical":
-            checks = _route_classical(args.n)
-        elif route == "dgla":
-            checks = _route_dgla(args.n)
-        elif route == "based":
-            checks = _route_based(args.n)
-        else:
-            checks = _route_oracle(args.n, args.seed, args.samples)
-        for doc in checks:
+        for doc in _ROUTES[route](args):
             doc["route"] = route
             _emit(doc, out)
             if doc["status"] != "ok":
@@ -231,13 +228,33 @@ def cmd_export(args, out) -> int:
     return 0
 
 
+MAX_DIGITS = 10_000  # digits of a numerator or denominator that table reads
+
+
+def _past_max_digits(text: str) -> bool:
+    """Whether ``Fraction(text)`` may have a numerator or denominator of more
+    than MAX_DIGITS digits, judged from the text alone, since converting an
+    exponent such as 1e10000000 takes seconds: the length of the text before
+    its exponent plus the exponent's size bounds both."""
+    mantissa, _, exp = text.lower().partition("e")
+    # six digits already pass MAX_DIGITS; what is not a number Fraction refuses
+    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")[:6]
+    return len(mantissa) + (int(exp) if exp.isdecimal() else 0) > MAX_DIGITS
+
+
 def _read_point(path: str) -> tuple:
     """argparse type: (n, {(i, j, k): Fraction}) from a table input file.
     Parsed with the flags, so a malformed file is a usage error before any
     output file is opened."""
     error = argparse.ArgumentTypeError
+
+    def parse_int(literal: str) -> int:
+        if len(literal.lstrip("-")) > MAX_DIGITS:
+            raise error(f"{path}: a JSON integer has more than {MAX_DIGITS} digits")
+        return int(literal)
+
     try:  # json.loads raises RecursionError on deeply nested arrays
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), parse_int=parse_int)
     except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
     n = data.get("n") if isinstance(data, dict) else None
@@ -252,6 +269,11 @@ def _read_point(path: str) -> tuple:
             i, j, k, v = row
             if isinstance(v, (bool, float)):  # a JSON bool or float is not exact
                 raise TypeError
+            if isinstance(v, str) and _past_max_digits(v):
+                raise error(
+                    f"{path}: t entry {row[:3]!r} has a value of more than "
+                    f"{MAX_DIGITS} digits"
+                )
             value = Fraction(v)
         except (TypeError, ValueError, ZeroDivisionError):
             raise error(f'{path}: t entry {row!r} is not [i, j, k, "p/q"]') from None
@@ -283,6 +305,14 @@ def _int_at_least(low: int):
 _AMBIENT_N = _int_at_least(3)
 
 
+def _out_path(text: str) -> str:
+    """argparse type: a non-empty path (``Path("")`` would name the current
+    directory), else a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbworst",
@@ -303,27 +333,28 @@ def build_parser() -> argparse.ArgumentParser:
             const="json",
             help="shorthand for --format json",
         )
-        p.add_argument("--out", default=None, help="write to file instead of stdout")
+        p.add_argument("--out", type=_out_path, help="write to file instead of stdout")
         if flavor:
             p.add_argument(
                 "--flavor", choices=("hilbert", "miniversal"), default="hilbert"
             )
 
-    common(sub.add_parser("gens", help="generator presentation"), flavor=True)
-    common(sub.add_parser("family", help="universal family"), flavor=True)
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("verify", help="run verification pipelines")
+    common(command("gens", cmd_gens, "generator presentation"), flavor=True)
+    common(command("family", cmd_family, "universal family"), flavor=True)
+
+    p = command("verify", cmd_verify, "run verification pipelines")
     p.add_argument("--n", type=_AMBIENT_N, required=True)
-    p.add_argument(
-        "--route",
-        choices=("classical", "dgla", "based", "oracle", "all"),
-        default="all",
-    )
+    p.add_argument("--route", choices=(*_ROUTES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_int_at_least(1), default=100)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path)
 
-    p = sub.add_parser("subspaces", help="linear subspace report")
+    p = command("subspaces", cmd_subspaces, "linear subspace report")
     p.add_argument("--n", type=_AMBIENT_N, required=True)
     p.add_argument(
         "--list",
@@ -332,19 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumerate up to this many optimal subspaces",
     )
     p.add_argument("--json", action="store_true", help="JSON output (the default)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path)
 
-    p = sub.add_parser("table", help="multiplication table at a parameter point")
+    p = command("table", cmd_table, "multiplication table at a parameter point")
     p.add_argument(
         "point",
         metavar="input",
         type=_read_point,
         help='JSON file {"n": ..., "t": [[i,j,k,"p/q"], ...]}',
     )
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path)
 
     common(
-        sub.add_parser("export", help="write generator/family/tangent bundle"),
+        command("export", cmd_export, "write generator/family/tangent bundle"),
         formats=("json", "cas"),
     )
     return parser
@@ -367,21 +398,13 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "gens": cmd_gens,
-        "family": cmd_family,
-        "verify": cmd_verify,
-        "subspaces": cmd_subspaces,
-        "table": cmd_table,
-        "export": cmd_export,
-    }
     path = args.out
     try:
         if args.command == "export":  # --out is a directory; report on stdout
             Path(path or ".").mkdir(parents=True, exist_ok=True)
             path = None
         with open(path, "w") if path else nullcontext(sys.stdout) as out:
-            status = handlers[args.command](args, out)
+            status = args.handler(args, out)
             out.flush()  # a failed write surfaces here, not at interpreter exit
             return status
     except OSError as exc:

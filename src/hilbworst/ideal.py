@@ -13,19 +13,23 @@ package is homogeneous of t-degree at most 3, membership is decided by exact
 linear algebra: degree-2 queries are reduced against the span of the
 generators, degree-3 queries against the span of the products
 (variable * generator) for the generators that are independent in degree 2
-(the products of the others already lie in that span).  Both spans split
-into small independent blocks under the torus multidegree, which keeps the
-eliminations fast, and both track certificates so that every positive
-answer comes with explicit rational (resp. linear-form) multipliers.
+(the products of the others already lie in that span).  A chart
+presentation (flavor ``hilbert`` or ``miniversal``) is checked to consist
+of homogeneous t-quadrics once, when it is built; nothing re-checks its
+generators when they are used.  Both spans split into small independent
+blocks under the torus multidegree, which keeps the eliminations fast, and
+both track certificates so that every positive answer comes with explicit
+rational (resp. linear-form) multipliers.  A ``based_algebra``
+presentation is not constrained; it has a degree-2 span, which
+``based`` reduces against, and no membership test.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import groupby, product
 from math import lcm
 
 from .linalg import EchelonSpan
@@ -36,7 +40,6 @@ from .poly import (
     exact,
     mono_mul,
     mono_multidegree,
-    var_text,
 )
 
 FLAVORS = ("hilbert", "miniversal", "based_algebra")
@@ -112,28 +115,47 @@ class IdealPresentation:
     )
 
     def __post_init__(self):
+        """A ``hilbert`` or ``miniversal`` presentation is checked here, once:
+        every generator is a homogeneous quadric in the t-variables alone.
+        ``based_algebra`` generators are not constrained."""
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
+        if self.flavor == "based_algebra":
+            return
+        for g in self.generators:
+            for m in g.terms_dict():
+                if sum(e for _, e in m) != 2 or any(v[0] != T_KIND for v, _ in m):
+                    raise UnsupportedDegreeError(
+                        f"a {self.flavor} generator is a homogeneous quadric in "
+                        f"the deformation parameters; got {g.text()}"
+                    )
 
     def __len__(self):
         return len(self.generators)
 
     def span(self, d: int) -> GradedSpan:
-        """Span of the products m*g in t-degree d, for every t-monomial m of
-        degree d-2 and every generator g that is independent of the earlier
-        ones in degree 2, inserted generator by generator in
-        ``t_variables()`` order and tagged (m, generator index).
+        """Span of the generators in t-degree d = 2, and of the products v*g
+        in d = 3, for every t-variable v and every generator g that is
+        independent of the earlier ones in degree 2, inserted generator by
+        generator in ``t_variables()`` order; a row is tagged (monomial of
+        its multiplier, generator index), the monomial () in degree 2.
+        Other degrees raise UnsupportedDegreeError, and so does d = 3 on a
+        ``based_algebra`` presentation, whose generators need not be
+        quadrics.
 
         A generator dependent in degree 2 is a combination of earlier ones,
         so each of its products already lies in the span of rows inserted
         before it: inserting it would change nothing.
 
-        For d > 2 the products are formed in span keys: a product's key is
-        the sorted positions of both factors, and its block is the sum of
-        the factors' blocks, found once per product."""
+        The products are formed in span keys: a product's key is the sorted
+        positions of both factors, and its block is the sum of the factors'
+        blocks, found once per product."""
         span = self._spans.get(d)
         if span is None:
-            _require_quadratic_presentation(self)
+            if d not in (2, 3):
+                raise UnsupportedDegreeError(f"no span in t-degree {d}")
+            if d == 3 and self.flavor == "based_algebra":
+                raise UnsupportedDegreeError("no degree-3 span of based_algebra")
             span = GradedSpan(self.n)
             if d == 2:
                 for idx, g in enumerate(self.generators):
@@ -141,12 +163,7 @@ class IdealPresentation:
                         self._independent.append(idx)
             else:
                 self.span(2)
-                ring = PolyRing.get(self.n)
-                # combinations come out sorted, so counting gives the monomial
-                monos = [
-                    tuple(Counter(vs).items())
-                    for vs in combinations_with_replacement(ring.t_variables(), d - 2)
-                ]
+                monos = [((v, 1),) for v in PolyRing.get(self.n).t_variables()]
                 factors = [span._encode(m) for m in monos]
                 for idx in self._independent:
                     encoded = [
@@ -155,9 +172,8 @@ class IdealPresentation:
                     ]
                     block = encoded[0][0][0]  # span(2) put g in one block
                     terms = [(key[1:], c) for (_, key), c in encoded]
-                    for m, (mblock, mkey) in zip(monos, factors):
-                        mpos = mkey[1:]
-                        row = {(-d, *sorted(mpos + pos)): c for pos, c in terms}
+                    for m, (mblock, (_, pos)) in zip(monos, factors):
+                        row = {(-3, *sorted((pos, *gpos))): c for gpos, c in terms}
                         span.insert((block + mblock, row), (m, idx))
             self._spans[d] = span
         return span
@@ -365,15 +381,6 @@ class GradedSpan:
         return residual, used
 
 
-def _require_quadratic_presentation(pres: IdealPresentation):
-    for g in pres.generators:
-        if not (g.is_homogeneous("t") and g.degree("t") == 2 and not g.degree("s")):
-            raise UnsupportedDegreeError(
-                "membership requires a presentation generated by homogeneous "
-                "quadrics in the deformation parameters"
-            )
-
-
 @dataclass
 class Membership:
     """Outcome of an exact membership test.
@@ -412,10 +419,13 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
     p must be homogeneous in the t-variables.  Degrees 0 and 1 are decided
     trivially (only 0 belongs); degree 2 is reduced against the generator
     span, degree 3 against the span of variable*generator products.  Other
-    degrees raise UnsupportedDegreeError.
+    degrees, and a ``based_algebra`` presentation, raise
+    UnsupportedDegreeError.
     """
     if p.n != pres.n:
         raise ValueError("ambient n mismatch between query and presentation")
+    if pres.flavor == "based_algebra":
+        raise UnsupportedDegreeError("membership in based_algebra is not decided")
     vec = p.terms_dict()
     degrees = set()  # t-degrees of the terms, read in one pass
     for m in vec:
@@ -484,17 +494,7 @@ def _compiled_generators(pres: IdealPresentation) -> tuple:
             terms = g.terms_dict()
             for m in terms:
                 if m not in shared:
-                    for v, _ in m:
-                        if v[0] != T_KIND:
-                            raise ValueError(
-                                "vanishes_at evaluates t-polynomials; a generator "
-                                f"holds {var_text(v)}"
-                            )
                     shared[m] = tuple(index[v] for v, e in m for _ in range(e))
-            if len({len(shared[m]) for m in terms}) > 1:
-                raise ValueError(
-                    f"vanishes_at evaluates homogeneous generators; got {g.text()}"
-                )
             den = lcm(*(c.denominator for c in terms.values()))
             nums = tuple(c.numerator * (den // c.denominator) for c in terms.values())
             compiled.append((nums, tuple(shared[m] for m in terms)))
@@ -509,9 +509,9 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     are 0.  Stops at the first generator that does not vanish.
 
     Exact: with D the lcm of the point's denominators, x = D*t is an
-    integer point.  A generator g of t-degree d is e*g = sum_m c_m m with
-    integers c_m over its common denominator e, and, g being homogeneous,
-    sum_m c_m x^m = e * D^d * g(t), an integer that is 0 exactly when g(t)
+    integer point.  A generator g is e*g = sum_m c_m m with integers c_m
+    over its common denominator e, and, g being a homogeneous quadric,
+    sum_m c_m x^m = e * D^2 * g(t), an integer that is 0 exactly when g(t)
     is.  The generators are compiled once per presentation
     (``_compiled_generators``).
 
@@ -520,9 +520,11 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     ``oracle.fiber_check``, so that the oracle's agreement of the three is
     evidence and not a consequence of shared code.
 
-    Raises ValueError on a generator that is not homogeneous or holds an x-
-    or s-variable, and on an index outside 1..n.
+    Raises UnsupportedDegreeError on a ``based_algebra`` presentation, and
+    ValueError on an index outside 1..n.
     """
+    if pres.flavor == "based_algebra":
+        raise UnsupportedDegreeError("vanishes_at evaluates chart presentations")
     index, compiled = _compiled_generators(pres)
     ring = PolyRing.get(pres.n)
     point = {index[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}

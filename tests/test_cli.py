@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -7,13 +8,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hilbworst
-from hilbworst.cli import main
+from hilbworst.cli import build_parser, main
 
 
 def run_json(capsys, argv):
@@ -300,6 +302,30 @@ def test_table_documents_fuzzed(tmp_path, capsys):
     assert exits.count(0) > 20 and exits.count(2) > 20
 
 
+@pytest.mark.parametrize(
+    "value",
+    ['"1e10000000"', '"1e-10000000"', '"' + "7" * 100_001 + '"', "7" * 100_001],
+    ids=["1e10000000", "1e-10000000", "long-string", "long-integer"],
+)
+def test_table_refuses_values_past_the_digit_bound(value, tmp_path, capsys):
+    # refused from the text, before any conversion: converting 1e10000000
+    # alone takes seconds, and printing such entries takes far longer
+    src = tmp_path / "point.json"
+    src.write_text('{"n": 3, "t": [[1, 2, 3, ' + value + "]]}")
+    dest = tmp_path / "out.json"
+    dest.write_text("kept")
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["table", str(src), "--out", str(dest)])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "more than 10000 digits" in captured.err
+    assert len(captured.err) < 1000  # the value itself is not echoed
+    assert captured.out == ""
+    assert dest.read_text() == "kept"
+
+
 def test_verify_route_exit_codes(capsys):
     rc, docs = run_json(
         capsys, ["verify", "--n", "3", "--route", "oracle", "--samples", "12"]
@@ -489,17 +515,27 @@ def test_verify_reverifies_projection_certificates(capsys, monkeypatch):
     assert detail.startswith("projection:") and "embedding:" not in detail
 
 
-@pytest.mark.parametrize("used", [{}, {0: Fraction(1)}], ids=["empty", "wrong"])
+@pytest.mark.parametrize(
+    "used", [{}, {((), 0): Fraction(1)}], ids=["empty", "wrong"]
+)
 def test_verify_reverifies_embedding_certificates(used, capsys, monkeypatch):
     # the associator span reports a zero residual with an empty or a wrong
     # combination: no embedded generator counts as certified
     import hilbworst.based as based
+    from hilbworst.ideal import IdealPresentation
 
     class Forged:
         def reduce(self, vec):
             return {}, dict(used)
 
-    monkeypatch.setattr(based, "_reduced_assoc_span", lambda n: Forged())
+    real = based._reduced_associators
+
+    def forged(n):
+        pres = IdealPresentation(n, "based_algebra", real(n).generators)
+        pres._spans[2] = Forged()
+        return pres
+
+    monkeypatch.setattr(based, "_reduced_associators", forged)
     detail = run_based_detail(capsys)
     assert detail.startswith("embedding:") and "projection:" not in detail
 
@@ -601,6 +637,161 @@ def test_unwritable_out_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert kept.read_text() == "kept"
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gens", "--n", "3"],
+        ["family", "--n", "3"],
+        ["verify", "--n", "3", "--route", "dgla"],
+        ["subspaces", "--n", "3"],
+        ["table", "{point}"],
+        ["export", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_out_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # Path("") is the current directory: an empty --out names no file
+    point = tmp_path / "point.json"
+    point.write_text('{"n": 3, "t": [[1, 1, 1, "-1"]]}')
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(point=point) for a in argv] + ["--out", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert "argument --out: an empty path names no file" in captured.err
+    assert captured.out == ""
+    assert list(cwd.iterdir()) == []
+
+
+# upper bounds on the int values the argv fuzzer passes, so that every case
+# stays cheap: by (subcommand, dest), else by dest, else 64
+_FUZZ_CAPS = {("subspaces", "n"): 64, "n": 4, "samples": 5}
+_FUZZ_TEXTS = ["-1", "0", "1", "2", "3", "3", "4", "5", "16", "64"]
+_FUZZ_TEXTS += ["x", "", "3.5", "1e3", " 3", "--n", "{point}", "{bad}", "{dir}"]
+_OUT_TARGETS = ["{fresh}", "{fresh}", "{kept}", "{dir}", "{kept}/x", "no/such/x", ""]
+_OUT_TARGETS += ["/dev/full"] if os.path.exists("/dev/full") else []
+
+
+def _fuzz_values(name, action, paths):
+    """(good, bad): argument texts that the action's type and choices
+    accept within the fuzzer's caps, and texts that they refuse."""
+    if action.dest == "out":
+        return [t.format(**paths) for t in _OUT_TARGETS], []
+    good, bad = [], ["bogus"]
+    for text in (t.format(**paths) for t in _FUZZ_TEXTS):
+        try:
+            value = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, ValueError):  # ValueError: int
+            bad.append(text)
+            continue
+        cap = _FUZZ_CAPS.get((name, action.dest), _FUZZ_CAPS.get(action.dest, 64))
+        if type(value) is int and value > cap:
+            continue
+        if action.choices is None or value in action.choices:
+            good.append(text)
+    return good + list(action.choices or ()), bad
+
+
+def _fuzz_argv(rng, name, subparser, paths):
+    """A valid argv for one subcommand, built from its parser's actions, then
+    0 to 2 mutations: a refused value, a missing required argument, a
+    repeated flag, an unknown flag or a stray argument."""
+    actions = [
+        a for a in subparser._actions if not isinstance(a, argparse._HelpAction)
+    ]
+    groups = []  # (action, argument texts)
+    for action in actions:
+        if not (action.required or rng.random() < 0.5):
+            continue
+        flag = rng.choice(action.option_strings) if action.option_strings else None
+        if action.nargs == 0:
+            groups.append((action, [flag]))
+            continue
+        good, _ = _fuzz_values(name, action, paths)
+        value = rng.choice(good)
+        groups.append((action, [flag, value] if flag else [value]))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        kind = rng.randrange(5)
+        action = rng.choice(actions)
+        good, bad = _fuzz_values(name, action, paths)
+        flag = rng.choice(action.option_strings or [None])
+        if kind == 0 and action.nargs != 0:  # a refused value
+            value = rng.choice(bad or good)
+            groups.append((action, [flag, value] if flag else [value]))
+        elif kind == 1 and groups:  # a missing argument
+            groups.pop(rng.randrange(len(groups)))
+        elif kind == 2 and flag:  # a repeated flag
+            repeat = [] if action.nargs == 0 else [rng.choice(good + bad)]
+            groups.append((action, [flag] + repeat))
+        elif kind == 3:  # an unknown flag
+            groups.append((None, [rng.choice(["--bogus", "--bogus=1", "-z", "--"])]))
+        else:  # a stray argument
+            groups.append((None, [rng.choice(["extra", "3", "{}"])]))
+    rng.shuffle(groups)
+    argv = [name] + [t for _, texts in groups for t in texts]
+    if rng.random() < 0.03:  # no subcommand, or an unknown one
+        argv = rng.choice([[], ["bogus"], argv[1:]])
+    return argv
+
+
+def test_argv_fuzzed(tmp_path, monkeypatch, capsys):
+    # seeded argv vectors from build_parser()'s own subparsers and actions:
+    # each case ends in exit 0, 1 or 2; an exit 2 prints a usage message and
+    # leaves a pre-existing --out file intact; an exit 0 in a JSON format
+    # prints hilbworst/1 documents; and nothing is written in the working
+    # directory but what --out names
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    names = sorted(sub.choices)
+    monkeypatch.chdir(tmp_path)
+    point, bad = tmp_path / "point.json", tmp_path / "bad.json"
+    point.write_text('{"n": 3, "t": [[1, 2, 3, "1/2"], [2, 2, 1, "-3"]]}')
+    bad.write_text('{"n": 3, "t": [[1, 2, 4, "1"]]}')
+    kept = tmp_path / "kept"
+    paths = {"point": point, "bad": bad, "dir": tmp_path / "dir", "kept": kept}
+    (tmp_path / "dir").mkdir()
+    rng = random.Random(20261020)
+    known = set(tmp_path.iterdir()) | {kept}
+    exits = {}
+    for case in range(150):
+        name = names[case % len(names)]
+        paths["fresh"] = tmp_path / f"out{case}.json"
+        argv = _fuzz_argv(rng, name, sub.choices[name], paths)
+        kept.write_text("kept")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        target = None
+        if rc == 0:
+            args = parser.parse_args(argv)
+            if args.out is None and args.command == "export":  # into the cwd
+                known |= set(tmp_path.iterdir())
+            target = None if args.out is None else Path(args.out).absolute()
+        for entry in set(tmp_path.iterdir()) - known:
+            assert target and (entry == target or entry in target.parents), argv
+            known.add(entry)
+        if rc == 2:
+            assert "usage:" in captured.err and captured.out == "", argv
+            assert kept.read_text() == "kept", argv
+        elif rc == 0:
+            printed = captured.out
+            if args.out is not None and args.command != "export":
+                assert printed == "", argv  # the documents go to --out
+                printed = Path(args.out).read_text()
+            if getattr(args, "format", "json") != "text":
+                docs = [json.loads(line) for line in printed.splitlines()]
+                assert docs and all(d["schema"] == "hilbworst/1" for d in docs), argv
+        exits.setdefault(name, []).append(rc)
+    for name, codes in exits.items():
+        assert codes.count(0) and codes.count(2), name
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbworst.based import _reduced_assoc_span, _reduced_associators
+from hilbworst.based import _reduced_associators
 from hilbworst.ideal import (
     GradedSpan,
     IdealPresentation,
@@ -36,7 +36,8 @@ GOLDEN = {3: (18, 15), 4: (96, 64), 5: (300, 175)}
 
 def test_deduplicated_drops_zeros_duplicates_and_negations():
     R = PolyRing.get(3)
-    a, b = R.t(1, 2, 3), R.t(1, 1, 1) * R.t(2, 2, 2)
+    # a chart presentation holds t-quadrics only
+    a, b = R.t(1, 2, 3) * R.t(1, 1, 2), R.t(1, 1, 1) * R.t(2, 2, 2)
     labeled = [(R.zero(), "zero"), (a, "a"), (b, "b"), (a, "a again"), (-b, "-b")]
     pres = deduplicated(3, "miniversal", labeled)
     assert pres.n == 3 and pres.flavor == "miniversal"
@@ -210,10 +211,13 @@ def test_membership_rejects_x_and_s_variables_before_homogeneity():
 def test_vanishes_at_rejects_x_and_s_variables():
     R = PolyRing.get(3)
     for g in (R.s(1, 2, 3) - R.s(2, 1, 3), R.x(1) * R.t(1, 1, 1)):
-        pres = IdealPresentation(3, "hilbert", (R.t(1, 2, 3) ** 2, g))
-        # a point where the first generator already fails still raises
-        with pytest.raises(ValueError, match="t-polynomials"):
-            vanishes_at(pres, {(1, 2, 3): 1})
+        # such a presentation is refused when built, so no point reaches it
+        with pytest.raises(UnsupportedDegreeError) as exc:
+            IdealPresentation(3, "hilbert", (R.t(1, 2, 3) ** 2, g))
+        assert str(exc.value).endswith(g.text())
+    based = IdealPresentation(3, "based_algebra", (R.s(1, 2, 3) - R.s(2, 1, 3),))
+    with pytest.raises(UnsupportedDegreeError, match="chart presentations"):
+        vanishes_at(based, {(1, 2, 3): 1})
     # a point names t-variables by index triples in 1..n
     for key in ((1, 2, 4), (0, 1, 1)):
         with pytest.raises(ValueError, match="out of range"):
@@ -305,6 +309,41 @@ def test_span_cache_outside_equality_hash_and_repr():
     assert built == bare
     assert hash(built) == hash(bare)
     assert repr(built) == repr(bare)
+
+
+@pytest.mark.parametrize("flavor", ["hilbert", "miniversal"])
+def test_chart_presentation_checked_when_built(flavor):
+    # every generator of a chart presentation is a homogeneous t-quadric;
+    # the first one that is not is named
+    R = PolyRing.get(3)
+    t, u = R.t(1, 1, 2), R.t(1, 2, 3)
+    for bad in (u, t * t * u, t * t - u, R.x(1) * t, R.s(1, 2, 3) * t):
+        with pytest.raises(UnsupportedDegreeError) as exc:
+            IdealPresentation(3, flavor, (t * u, bad, u))
+        assert str(exc.value).endswith(f"; got {bad.text()}")
+
+
+def test_based_algebra_presentation_is_unconstrained_and_refused_by_queries():
+    # the reduced associators are inhomogeneous in the s-variables
+    pres = _fresh_copy(_reduced_associators(3))
+    assert any(not g.is_homogeneous("s") for g in pres.generators)
+    assert pres.span(2).rank > 0
+    R = PolyRing.get(3)
+    for query in (
+        lambda: membership(R.t(1, 2, 3) ** 2, pres),
+        lambda: vanishes_at(pres, {(1, 2, 3): 1}),
+        lambda: pres.span(3),
+    ):
+        with pytest.raises(UnsupportedDegreeError):
+            query()
+
+
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_span_serves_degrees_2_and_3_only(d):
+    pres = _fresh_copy(ideal_generators(3))
+    with pytest.raises(UnsupportedDegreeError, match=f"t-degree {d}"):
+        pres.span(d)
+    assert not pres._spans
 
 
 def test_membership_reuses_the_presentation_span(monkeypatch):
@@ -551,8 +590,9 @@ def test_graded_span_reduce_invariants(n, d):
 def test_reduced_assoc_span_reduce_invariants():
     # blocks of mixed total degree: s-monomials of degrees 1 and 2 share a
     # torus multidegree
-    span = _reduced_assoc_span(3)
-    inputs = list(enumerate(_reduced_associators(3).generators))
+    pres = _fresh_copy(_reduced_associators(3))
+    span = pres.span(2)
+    inputs = [(((), idx), g) for idx, g in enumerate(pres.generators)]
     degrees = {
         -k[0] for b in span.blocks.values() for row in b._rows.values() for k in row
     }

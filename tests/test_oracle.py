@@ -13,6 +13,7 @@ from hilbworst.based import (
 )
 from hilbworst.ideal import (
     IdealPresentation,
+    UnsupportedDegreeError,
     diagonal_sum,
     ideal_generators,
     vanishes_at,
@@ -269,10 +270,10 @@ def test_vanishes_at_rejects_non_homogeneous_generators():
     ring = PolyRing.get(3)
     t, u = ring.t(1, 1, 1), ring.t(1, 2, 3)
     for g in (t * t - t, u * Fraction(3, 2) - Fraction(1, 2)):
-        pres = IdealPresentation(3, "hilbert", (u * u, g))
-        # a point where the first generator already fails still raises
-        with pytest.raises(ValueError, match="homogeneous generators"):
-            vanishes_at(pres, {(1, 2, 3): 1})
+        # such a presentation is refused when built, so no point reaches it
+        with pytest.raises(UnsupportedDegreeError) as exc:
+            IdealPresentation(3, "hilbert", (u * u, g))
+        assert str(exc.value).endswith(g.text())
     # homogeneous with a rational coefficient: t(1,1,1)^2 - (9/4) t(1,2,3)^2
     pres = IdealPresentation(3, "hilbert", (t * t - u * u * Fraction(9, 4), t * u))
     for a, b, expected in [

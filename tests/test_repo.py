@@ -1,8 +1,8 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, no
 private name is imported from one package module into another, every public
 function of the package is used by the package, the three membership tests
-of the oracle stay independent code paths, and the exact linear algebra has
-one elimination loop."""
+of the oracle stay independent code paths, the exact linear algebra has
+one elimination loop, and one method builds every membership span."""
 
 import ast
 import re
@@ -153,3 +153,27 @@ def test_linalg_has_one_elimination_loop():
     args = init.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["self"]
     assert args.vararg is None and args.kwarg is None
+
+
+def test_one_span_builder():
+    # IdealPresentation.span builds every GradedSpan of the package, so a
+    # second builder cannot skip its degree and flavor rules
+    builders = []
+    for path in sorted((ROOT / "src" / "hilbworst").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {
+            id(call): f"{path.stem}.{cls.name}.{fn.name}"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            for call in ast.walk(fn)
+        }
+        builders += [
+            scopes.get(id(node), f"{path.stem}:{node.lineno}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "GradedSpan"
+        ]
+    assert builders == ["ideal.IdealPresentation.span"]
