@@ -15,10 +15,10 @@ the k=0 column to the (normalized) diagonal quadric sums.  The composite is
 the identity on every parameter, and both maps respect the two ideals,
 certified generator by generator in ``verify_structure_correspondence``:
 a projected generator by its ``membership`` certificate in the chart ideal,
-an embedded one, reduced modulo the unit and symmetry relations
-(``reduce_unit_sym``), by a rational combination of the reduced associator
-coefficients.  Either certificate counts only once ``Membership.verify`` has
-multiplied it back out exactly.
+an embedded one, already in the normal form modulo the unit and symmetry
+relations (``reduce_unit_sym``), by a rational combination of the reduced
+associator coefficients.  Either certificate counts only once
+``Membership.verify`` has multiplied it back out exactly.
 
 Multiplication tables (``MulTable``) hold rational or symbolic entries.
 ``associativity_residual`` lists every associator coordinate of any table;
@@ -244,13 +244,19 @@ def structure_to_params(p: Poly, n: int) -> Poly:
     return p.substitute(_pi_table(n))
 
 
+@lru_cache(maxsize=None)
+def _sigma_table(n: int) -> dict:
+    ring = PolyRing.get(n)
+    return {v: ring.s(v[1], v[2], v[3]) for v in ring.t_variables()}
+
+
 def params_to_structure(p: Poly, n: int) -> Poly:
-    """Section of the projection: t(i,j,k) -> s(i,j,k)."""
+    """Section of the projection: t(i,j,k) -> s(i,j,k).  A t-variable is
+    stored with i <= j, so the image holds only s(i,j,k) with 1 <= i <= j
+    and k >= 1, which ``reduce_unit_sym`` leaves fixed."""
     if p.degree("x") or p.degree("s"):
         raise ValueError("embedding acts on pure parameter polynomials")
-    ring = PolyRing.get(n)
-    sub = {v: ring.s(v[1], v[2], v[3]) for v in ring.t_variables()}
-    return p.substitute(sub)
+    return p.substitute(_sigma_table(n))
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +335,7 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
     assoc = _reduced_associators(n)
     span = assoc.span(2)
     for g, lab in zip(chart.generators, chart.labels):
-        emb = reduce_unit_sym(params_to_structure(g, n), n)
+        emb = params_to_structure(g, n)
         residual, used = span.reduce(emb.terms_dict())
         mults = {idx: ring.const(c) for (_, idx), c in used.items()}
         cert = Membership(member=not residual, degree=2, multipliers=mults)

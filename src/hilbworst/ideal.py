@@ -13,15 +13,18 @@ package is homogeneous of t-degree at most 3, membership is decided by exact
 linear algebra: degree-2 queries are reduced against the span of the
 generators, degree-3 queries against the span of the products
 (variable * generator) for the generators that are independent in degree 2
-(the products of the others already lie in that span).  A chart
-presentation (flavor ``hilbert`` or ``miniversal``) is checked to consist
-of homogeneous t-quadrics once, when it is built; nothing re-checks its
-generators when they are used.  Both spans split into small independent
-blocks under the torus multidegree, which keeps the eliminations fast, and
-both track certificates so that every positive answer comes with explicit
-rational (resp. linear-form) multipliers.  A ``based_algebra``
-presentation is not constrained; it has a degree-2 span, which
-``based`` reduces against, and no membership test.
+(the products of the others already lie in that span).  Every
+presentation is checked and encoded once, when it is built: a chart
+presentation (flavor ``hilbert`` or ``miniversal``) must consist of
+homogeneous t-quadrics, and each generator is held as its rows in span
+keys, one per torus block.  The degree-2 span inserts those rows, the
+degree-3 span forms its products from them and ``vanishes_at`` evaluates
+them; nothing re-checks or re-encodes a generator when it is used.  Both
+spans split into small independent blocks under the torus multidegree,
+which keeps the eliminations fast, and both track certificates so that
+every positive answer comes with explicit rational (resp. linear-form)
+multipliers.  A ``based_algebra`` presentation is not constrained; it has
+a degree-2 span, which ``based`` reduces against, and no membership test.
 """
 
 from __future__ import annotations
@@ -107,28 +110,30 @@ class IdealPresentation:
     _independent: list = field(
         default_factory=list, init=False, compare=False, repr=False
     )
-    # the generators compiled for ``vanishes_at``: (t-variable -> position,
-    # per generator its integer numerators and position tuples); set on
-    # first use
-    _compiled: tuple | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # per generator, its (block key, row in span keys) pairs, one per torus
+    # block its terms lie in; filled when the presentation is built
+    _rows: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """A ``hilbert`` or ``miniversal`` presentation is checked here, once:
-        every generator is a homogeneous quadric in the t-variables alone.
-        ``based_algebra`` generators are not constrained."""
+        """Every generator is encoded here, once, into its rows in span keys
+        (``_encode``).  A ``hilbert`` or ``miniversal`` presentation is checked
+        in the same pass: every generator is a homogeneous quadric in the
+        t-variables alone.  ``based_algebra`` generators are not
+        constrained."""
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "based_algebra":
-            return
+        chart = self.flavor != "based_algebra"
         for g in self.generators:
-            for m in g.terms_dict():
-                if sum(e for _, e in m) != 2 or any(v[0] != T_KIND for v, _ in m):
-                    raise UnsupportedDegreeError(
-                        f"a {self.flavor} generator is a homogeneous quadric in "
-                        f"the deformation parameters; got {g.text()}"
-                    )
+            terms = g.terms_dict()
+            if chart and any(
+                sum(e for _, e in m) != 2 or any(v[0] != T_KIND for v, _ in m)
+                for m in terms
+            ):
+                raise UnsupportedDegreeError(
+                    f"a {self.flavor} generator is a homogeneous quadric in "
+                    f"the deformation parameters; got {g.text()}"
+                )
+            self._rows.append(tuple(_encode(self.n, terms).items()))
 
     def __len__(self):
         return len(self.generators)
@@ -147,9 +152,10 @@ class IdealPresentation:
         so each of its products already lies in the span of rows inserted
         before it: inserting it would change nothing.
 
-        The products are formed in span keys: a product's key is the sorted
-        positions of both factors, and its block is the sum of the factors'
-        blocks, found once per product."""
+        Both read the generators' rows as encoded when the presentation was
+        built.  A product's key is the sorted positions of both factors,
+        and its block is the sum of the factors' blocks.  A refused build
+        (a generator in several blocks) stores nothing."""
         span = self._spans.get(d)
         if span is None:
             if d not in (2, 3):
@@ -158,23 +164,21 @@ class IdealPresentation:
                 raise UnsupportedDegreeError("no degree-3 span of based_algebra")
             span = GradedSpan(self.n)
             if d == 2:
-                for idx, g in enumerate(self.generators):
-                    if span.insert(g.terms_dict(), ((), idx)):
-                        self._independent.append(idx)
+                # a list, so that a refused insert leaves _independent empty
+                found = [i for i, r in enumerate(self._rows) if span.insert(r, ((), i))]
+                self._independent.extend(found)
             else:
                 self.span(2)
-                monos = [((v, 1),) for v in PolyRing.get(self.n).t_variables()]
-                factors = [span._encode(m) for m in monos]
+                codes = _layout(self.n)[1]
+                factors = [
+                    (((v, 1),), *codes[v]) for v in PolyRing.get(self.n).t_variables()
+                ]
                 for idx in self._independent:
-                    encoded = [
-                        (span._encode(gm), c)
-                        for gm, c in self.generators[idx].terms_dict().items()
-                    ]
-                    block = encoded[0][0][0]  # span(2) put g in one block
-                    terms = [(key[1:], c) for (_, key), c in encoded]
-                    for m, (mblock, (_, pos)) in zip(monos, factors):
-                        row = {(-3, *sorted((pos, *gpos))): c for gpos, c in terms}
-                        span.insert((block + mblock, row), (m, idx))
+                    ((block, row),) = self._rows[idx]  # span(2) took it whole
+                    terms = [(key[1:], c) for key, c in row.items()]
+                    for m, mblock, pos in factors:
+                        prod = {(-3, *sorted((pos, *gpos))): c for gpos, c in terms}
+                        span.insert(((block + mblock, prod),), (m, idx))
             self._spans[d] = span
         return span
 
@@ -269,6 +273,45 @@ def _packed(multidegree: tuple) -> int:
     return sum(w << 32 * i for i, w in enumerate(multidegree))
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple:
+    """The variables in the fixed order x < t < s, each at its position, and
+    variable -> (block key, position)."""
+    ring = PolyRing.get(n)
+    variables = (
+        [ring.x_var(i) for i in range(1, n + 1)]
+        + ring.t_variables()
+        + ring.s_variables()
+    )
+    codes = {
+        v: (_packed(mono_multidegree(((v, 1),), n)), pos)
+        for pos, v in enumerate(variables)
+    }
+    return variables, codes
+
+
+def _encode(n: int, vec: dict) -> dict:
+    """The nonzero terms of a monomial-keyed vector in span keys, by block
+    key, the blocks in the order they first occur."""
+    codes = _layout(n)[1]
+    parts: dict = {}
+    for m, c in vec.items():
+        if c:
+            block = 0
+            key = [0]
+            for v, e in m:
+                w, pos = codes[v]
+                if e == 1:
+                    block += w
+                    key.append(pos)
+                else:
+                    block += w * e
+                    key += [pos] * e
+            key[0] = 1 - len(key)
+            parts.setdefault(block, {})[tuple(key)] = c
+    return parts
+
+
 class GradedSpan:
     """Tracked echelon spans split into blocks by torus multidegree, with
     pivots taken in descending graded-lex order.  Each block is homogeneous
@@ -279,87 +322,51 @@ class GradedSpan:
     Every inserted vector must lie in one block (rows are homogeneous); a
     query may mix blocks and is reduced block by block, with one combined
     certificate.  ``insert`` and ``reduce`` take vectors keyed by monomials
-    (``insert`` also a row already in span keys), and ``reduce`` returns its
-    residual keyed by monomials.
+    (``insert`` also the (block key, row) pairs of an encoded vector), and
+    ``reduce`` returns its residual keyed by monomials.
 
     Inside, a block's rows are keyed by span keys: a monomial of degree d
     becomes the flat tuple (-d, p_1, ..., p_d) of the positions of its
-    variables in the fixed order x < t < s, each repeated by its exponent.
-    Tuples of ints compare in C, and their own order is ``mono_sort_key``'s:
-    higher degree first, then, within a degree, the one whose first
-    differing position is smaller, which is the one with the earlier
-    variable or the higher exponent of the same variable.  So the pivots are
-    the ones the graded-lex order takes.  A block key is the multidegree
-    packed into one int (``_packed``), so the block of a product is the sum
-    of its factors' blocks.
+    variables in the fixed order x < t < s (``_layout``), each repeated by
+    its exponent.  Tuples of ints compare in C, and their own order is
+    ``mono_sort_key``'s: higher degree first, then, within a degree, the one
+    whose first differing position is smaller, which is the one with the
+    earlier variable or the higher exponent of the same variable.  So the
+    pivots are the ones the graded-lex order takes.  A block key is the
+    multidegree packed into one int (``_packed``), so the block of a product
+    is the sum of its factors' blocks.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.blocks: dict = {}  # block key -> EchelonSpan
-        ring = PolyRing.get(n)
-        # position -> variable, and variable -> (block key, position)
-        self._variables = (
-            [ring.x_var(i) for i in range(1, n + 1)]
-            + ring.t_variables()
-            + ring.s_variables()
-        )
-        self._codes = {
-            v: (_packed(mono_multidegree(((v, 1),), n)), pos)
-            for pos, v in enumerate(self._variables)
-        }
 
     @property
     def rank(self) -> int:
         return sum(s.rank for s in self.blocks.values())
 
-    def _encode(self, m) -> tuple:
-        """(block key, span key) of a monomial."""
-        codes = self._codes
-        block = 0
-        key = [0]
-        for v, e in m:
-            w, pos = codes[v]
-            if e == 1:
-                block += w
-                key.append(pos)
-            else:
-                block += w * e
-                key += [pos] * e
-        key[0] = 1 - len(key)
-        return block, tuple(key)
-
     def _monomial(self, key) -> tuple:
         """The monomial of a span key."""
-        variables = self._variables
+        variables = _layout(self.n)[0]
         return tuple((variables[p], len(list(run))) for p, run in groupby(key[1:]))
 
     def _split(self, vec: dict) -> dict:
         """The nonzero terms of a monomial-keyed vector, in span keys, by
         block."""
-        encode = self._encode
-        parts: dict = {}
-        for m, c in vec.items():
-            if c:
-                block, key = encode(m)
-                parts.setdefault(block, {})[key] = c
-        return parts
+        return _encode(self.n, vec)
 
     def insert(self, vec, tag) -> bool:
         """Add a vector to its block; False if it was already contained.
 
-        ``vec`` maps monomials to coefficients, or is a pair (block key,
-        row in span keys), the form in which ``IdealPresentation.span``
-        forms its products."""
-        if type(vec) is tuple:
-            key, part = vec
-        else:
-            parts = self._split(vec)
-            if not parts:
-                return False
-            if len(parts) != 1:
-                raise ValueError("inserted vector spans several blocks")
-            ((key, part),) = parts.items()
+        ``vec`` maps monomials to coefficients, or is a tuple of (block key,
+        row in span keys) pairs, the form in which ``IdealPresentation``
+        holds its generators and forms its products."""
+        parts = vec if type(vec) is tuple else tuple(self._split(vec).items())
+        if not parts:
+            return False
+        if len(parts) != 1:
+            raise ValueError("inserted vector spans several blocks")
+        ((key, part),) = parts
         span = self.blocks.get(key)
         if span is None:
             span = self.blocks[key] = EchelonSpan()
@@ -479,29 +486,6 @@ def span_equal_degree2(a: IdealPresentation, b: IdealPresentation) -> bool:
     )
 
 
-def _compiled_generators(pres: IdealPresentation) -> tuple:
-    """The compiled form of ``pres`` for ``vanishes_at``, built once.
-
-    Each generator becomes its integer numerators over the lcm of its
-    coefficient denominators, and its monomials, each the tuple of its
-    variables' positions in ``t_variables()`` order, repeated by exponent;
-    one tuple is shared by every generator that holds the monomial."""
-    if pres._compiled is None:
-        index = {v: pos for pos, v in enumerate(PolyRing.get(pres.n).t_variables())}
-        shared: dict = {}  # monomial -> position tuple
-        compiled = []
-        for g in pres.generators:
-            terms = g.terms_dict()
-            for m in terms:
-                if m not in shared:
-                    shared[m] = tuple(index[v] for v, e in m for _ in range(e))
-            den = lcm(*(c.denominator for c in terms.values()))
-            nums = tuple(c.numerator * (den // c.denominator) for c in terms.values())
-            compiled.append((nums, tuple(shared[m] for m in terms)))
-        object.__setattr__(pres, "_compiled", (index, tuple(compiled)))
-    return pres._compiled
-
-
 def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     """Every generator evaluates to zero at a rational point; ``tvals`` maps
     (i, j, k) to a rational as in ``lifting.family_at``, a key (j, i, k)
@@ -509,11 +493,11 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     are 0.  Stops at the first generator that does not vanish.
 
     Exact: with D the lcm of the point's denominators, x = D*t is an
-    integer point.  A generator g is e*g = sum_m c_m m with integers c_m
-    over its common denominator e, and, g being a homogeneous quadric,
-    sum_m c_m x^m = e * D^2 * g(t), an integer that is 0 exactly when g(t)
-    is.  The generators are compiled once per presentation
-    (``_compiled_generators``).
+    integer point, indexed by variable position.  A chart generator's rows
+    hold its coefficients c as stored, each under a key (-2, a, b), so
+    sum c * x[a] * x[b] = D^2 * g(t): an exact rational (an int when the
+    coefficients are), 0 exactly when g(t) is.  The rows are the ones
+    encoded when the presentation was built.
 
     The test evaluates the generators only and calls neither the operator
     commutators of ``based.is_associative`` nor the fiber elimination of
@@ -525,19 +509,18 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     """
     if pres.flavor == "based_algebra":
         raise UnsupportedDegreeError("vanishes_at evaluates chart presentations")
-    index, compiled = _compiled_generators(pres)
+    variables, codes = _layout(pres.n)
     ring = PolyRing.get(pres.n)
-    point = {index[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}
+    point = {codes[ring.t_var(*key)][1]: Fraction(val) for key, val in tvals.items()}
     scale = lcm(*(val.denominator for val in point.values()))
-    x = [0] * len(index)
+    x = [0] * len(variables)
     for pos, val in point.items():
         x[pos] = val.numerator * (scale // val.denominator)
-    for nums, monos in compiled:
+    for rows in pres._rows:
         total = 0
-        for c, positions in zip(nums, monos):
-            for pos in positions:
-                c *= x[pos]
-            total += c
+        for _, row in rows:
+            for (_, a, b), c in row.items():
+                total += c * x[a] * x[b]
         if total:
             return False
     return True

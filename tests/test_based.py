@@ -125,6 +125,16 @@ def test_embedding_substitutes_structure_constants():
     assert params_to_structure(R3.t(1, 2, 3), 3) == R3.s(1, 2, 3)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_embedded_chart_generators_are_unit_sym_normal(n):
+    # the embedding only names s(i,j,k) with 1 <= i <= j and k >= 1, which
+    # the unit and symmetry relations leave fixed, so the correspondence
+    # certifies the embedded generators without reducing them
+    for g in ideal_generators(n).generators:
+        emb = params_to_structure(g, n)
+        assert reduce_unit_sym(emb, n) == emb
+
+
 def test_reduce_unit_sym_is_substitution_witness():
     n = 3
     # generators of the substitution sub-ideal reduce to zero ...

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from hilbworst.based import _reduced_associators
+from hilbworst.based import _reduced_associators, based_ideal_generators
 from hilbworst.ideal import (
     GradedSpan,
     IdealPresentation,
     Membership,
     UnsupportedDegreeError,
+    _packed,
     alternate_generators,
     deduplicated,
     diagonal_sum,
@@ -26,7 +27,7 @@ from hilbworst.ideal import (
     vanishes_at,
 )
 from hilbworst.linalg import EchelonSpan
-from hilbworst.poly import Poly, PolyRing, mono_sort_key, mono_text
+from hilbworst.poly import Poly, PolyRing, mono_multidegree, mono_sort_key, mono_text
 
 # Golden values computed when the suite was first built: number of kept
 # generators and the dimension of their degree-2 span (the presentation
@@ -344,6 +345,59 @@ def test_span_serves_degrees_2_and_3_only(d):
     with pytest.raises(UnsupportedDegreeError, match=f"t-degree {d}"):
         pres.span(d)
     assert not pres._spans
+
+
+def test_refused_span_stores_nothing():
+    # the second generator lies in two torus blocks, so span(2) is refused
+    # as a monomial-keyed insert of it is, and keeps no index of the first
+    R = PolyRing.get(3)
+    bad = R.s(1, 1, 1) ** 2 + R.s(1, 2, 3)
+    pres = IdealPresentation(3, "based_algebra", (R.s(1, 2, 3) - R.s(2, 1, 3), bad))
+    with pytest.raises(ValueError) as ref:
+        GradedSpan(3).insert(bad.terms_dict(), ((), 1))
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            pres.span(2)
+        assert (type(exc.value), str(exc.value)) == (type(ref.value), str(ref.value))
+        assert not pres._spans and pres._independent == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ideal_generators(3),
+        lambda: ideal_generators(4),
+        lambda: ideal_generators(3, "miniversal"),
+        lambda: ideal_generators(4, "miniversal"),
+        lambda: alternate_generators(3),
+        lambda: _reduced_associators(3),  # blocks of mixed total degree
+        lambda: based_ideal_generators(3),
+    ],
+    ids=[
+        "hilbert-3",
+        "hilbert-4",
+        "miniversal-3",
+        "miniversal-4",
+        "alternate-3",
+        "reduced-assoc-3",
+        "based-3",
+    ],
+)
+def test_encoded_rows_decode_to_the_generators(build):
+    # each generator is held as its rows in span keys, one per torus block:
+    # decoded, they give back its terms, each in the block of its multidegree
+    pres = build()
+    span = GradedSpan(pres.n)
+    assert len(pres._rows) == len(pres.generators)
+    for g, rows in zip(pres.generators, pres._rows):
+        decoded = {}
+        for block, row in rows:
+            for key, c in row.items():
+                m = span._monomial(key)
+                assert _packed(mono_multidegree(m, pres.n)) == block
+                decoded[m] = c
+        assert decoded == g.terms_dict()
+        assert len({block for block, _ in rows}) == len(rows)
 
 
 def test_membership_reuses_the_presentation_span(monkeypatch):

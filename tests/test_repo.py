@@ -2,7 +2,8 @@
 private name is imported from one package module into another, every public
 function of the package is used by the package, the three membership tests
 of the oracle stay independent code paths, the exact linear algebra has
-one elimination loop, and one method builds every membership span."""
+one elimination loop, one method builds every membership span, and a
+presentation's generators are encoded in one place."""
 
 import ast
 import re
@@ -155,25 +156,45 @@ def test_linalg_has_one_elimination_loop():
     assert args.vararg is None and args.kwarg is None
 
 
-def test_one_span_builder():
-    # IdealPresentation.span builds every GradedSpan of the package, so a
-    # second builder cannot skip its degree and flavor rules
-    builders = []
+def _callers(name):
+    """Where the package calls ``name``, by name or as an attribute: the
+    module.class.method or module.function around each call, else the
+    module and line."""
+    callers = []
     for path in sorted((ROOT / "src" / "hilbworst").glob("*.py")):
         tree = ast.parse(path.read_text())
-        scopes = {
-            id(call): f"{path.stem}.{cls.name}.{fn.name}"
+        functions = [
+            (f"{cls.name}.{fn.name}", fn)
             for cls in tree.body
             if isinstance(cls, ast.ClassDef)
             for fn in cls.body
             if isinstance(fn, ast.FunctionDef)
+        ] + [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        scopes = {
+            id(call): f"{path.stem}.{scope}"
+            for scope, fn in functions
             for call in ast.walk(fn)
         }
-        builders += [
+        callers += [
             scopes.get(id(node), f"{path.stem}:{node.lineno}")
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "GradedSpan"
+            and name in (getattr(node.func, a, None) for a in ("id", "attr"))
         ]
-    assert builders == ["ideal.IdealPresentation.span"]
+    return sorted(callers)
+
+
+def test_one_span_builder():
+    # IdealPresentation.span builds every GradedSpan of the package, so a
+    # second builder cannot skip its degree and flavor rules
+    assert _callers("GradedSpan") == ["ideal.IdealPresentation.span"]
+
+
+def test_one_generator_encoder():
+    # a presentation encodes its generators once, when it is built, and a
+    # GradedSpan encodes only its queries and monomial-keyed inserts, so no
+    # second compiled form of the generators can drift from the first
+    assert _callers("_encode") == [
+        "ideal.GradedSpan._split",
+        "ideal.IdealPresentation.__post_init__",
+    ]
