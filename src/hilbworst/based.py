@@ -45,7 +45,7 @@ from .ideal import (
     ideal_generators,
     membership,
 )
-from .poly import Poly, PolyRing
+from .poly import ONE, Poly, PolyRing
 from .taylor import basis_pairs, pair
 
 
@@ -132,18 +132,6 @@ class MulTable:
         if i and j:
             return self.entries.get(pair(i, j) + (k,), Fraction(0))
         return Fraction(_unit_row_value(i, j, k))
-
-    @classmethod
-    def generic(cls, n: int) -> "MulTable":
-        """Symbolic table with one canonical s-variable per stored entry."""
-        ring = PolyRing.get(n)
-        entries = {
-            (i, j, k): ring.s(i, j, k)
-            for i in range(1, n + 1)
-            for j in range(i, n + 1)
-            for k in range(n + 1)
-        }
-        return cls(n, entries)
 
 
 def associativity_residual(table: MulTable) -> dict:
@@ -354,12 +342,12 @@ def table_from_point(family: tuple, n: int) -> MulTable:
     positive k and s(i,j,0) = -(constant term) = -sum_k q(i,j,k|k)(t)/(n-1),
     in the generator of the pair (i, j)."""
     ring = PolyRing.get(n)
-    linear = [((ring.x_var(k), 1),) for k in range(1, n + 1)]
+    linear = [ring.var_mono(ring.x_var(k)) for k in range(1, n + 1)]
     entries = {}
     for (i, j), coeffs in zip(basis_pairs(n), family):
         for k, xk in enumerate(linear, start=1):
             entries[(i, j, k)] = -coeffs.get(xk, 0)
-        entries[(i, j, 0)] = -coeffs.get((), 0)
+        entries[(i, j, 0)] = -coeffs.get(ONE, 0)
     return MulTable(n, entries)
 
 

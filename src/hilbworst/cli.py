@@ -229,6 +229,9 @@ def cmd_export(args, out) -> int:
 
 
 MAX_DIGITS = 10_000  # digits of a numerator or denominator that table reads
+# the largest "n" that table reads: the time grows steeply with n, and n = 12
+# already takes about 3 s
+MAX_TABLE_N = 12
 
 
 def _past_max_digits(text: str) -> bool:
@@ -260,6 +263,8 @@ def _read_point(path: str) -> tuple:
     n = data.get("n") if isinstance(data, dict) else None
     if type(n) is not int or n < 3:  # the universal family starts at n = 3
         raise error(f'{path}: "n" must be an integer >= 3')
+    if n > MAX_TABLE_N:
+        raise error(f'{path}: "n" must be at most {MAX_TABLE_N}')
     rows = data.get("t", [])
     if not isinstance(rows, list):
         raise error(f'{path}: "t" must be a list of [i, j, k, "p/q"] entries')

@@ -14,17 +14,18 @@ linear algebra: degree-2 queries are reduced against the span of the
 generators, degree-3 queries against the span of the products
 (variable * generator) for the generators that are independent in degree 2
 (the products of the others already lie in that span).  Every
-presentation is checked and encoded once, when it is built: a chart
+presentation is checked and split once, when it is built: a chart
 presentation (flavor ``hilbert`` or ``miniversal``) must consist of
-homogeneous t-quadrics, and each generator is held as its rows in span
-keys, one per torus block.  The degree-2 span inserts those rows, the
-degree-3 span forms its products from them and ``vanishes_at`` evaluates
-them; nothing re-checks or re-encodes a generator when it is used.  Both
-spans split into small independent blocks under the torus multidegree,
-which keeps the eliminations fast, and both track certificates so that
-every positive answer comes with explicit rational (resp. linear-form)
-multipliers.  A ``based_algebra`` presentation is not constrained; it has
-a degree-2 span, which ``based`` reduces against, and no membership test.
+homogeneous t-quadrics, and each generator is held as its rows, one per
+torus block, keyed by the generator's own monomials.  The degree-2 span
+inserts those rows, the degree-3 span forms its products from them and
+``vanishes_at`` evaluates them; nothing re-checks or re-splits a generator
+when it is used.  Both spans split into small independent blocks under the
+torus multidegree, which keeps the eliminations fast, and both track
+certificates so that every positive answer comes with explicit rational
+(resp. linear-form) multipliers.  A ``based_algebra`` presentation is not
+constrained; it has a degree-2 span, which ``based`` reduces against, and no
+membership test.
 """
 
 from __future__ import annotations
@@ -32,18 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from math import lcm
 
 from .linalg import EchelonSpan
-from .poly import (
-    T_KIND,
-    Poly,
-    PolyRing,
-    exact,
-    mono_mul,
-    mono_multidegree,
-)
+from .poly import ONE, Poly, PolyRing, exact, mono_mul, mono_multidegree
 
 FLAVORS = ("hilbert", "miniversal", "based_algebra")
 
@@ -71,7 +65,7 @@ def obstruction_quadric(n: int, i: int, j: int, k: int, l: int) -> Poly:
             (ring.t_var(i, j, lam), ring.t_var(k, lam, l), 1),
             (ring.t_var(i, k, lam), ring.t_var(j, lam, l), -1),
         ):
-            m = mono_mul(((a, 1),), ((b, 1),))
+            m = mono_mul(ring.var_mono(a), ring.var_mono(b))
             c = terms.get(m, 0) + sign
             if c:
                 terms[m] = c
@@ -110,25 +104,24 @@ class IdealPresentation:
     _independent: list = field(
         default_factory=list, init=False, compare=False, repr=False
     )
-    # per generator, its (block key, row in span keys) pairs, one per torus
-    # block its terms lie in; filled when the presentation is built
+    # per generator, its (block key, row) pairs, one per torus block its
+    # terms lie in; filled when the presentation is built
     _rows: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """Every generator is encoded here, once, into its rows in span keys
+        """Every generator is split here, once, into its rows by block
         (``_encode``).  A ``hilbert`` or ``miniversal`` presentation is checked
         in the same pass: every generator is a homogeneous quadric in the
-        t-variables alone.  ``based_algebra`` generators are not
+        t-variables alone, which the degree and the first and last position
+        of each monomial show.  ``based_algebra`` generators are not
         constrained."""
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         chart = self.flavor != "based_algebra"
+        lo, hi = PolyRing.get(self.n).bounds["t"]
         for g in self.generators:
             terms = g.terms_dict()
-            if chart and any(
-                sum(e for _, e in m) != 2 or any(v[0] != T_KIND for v, _ in m)
-                for m in terms
-            ):
+            if chart and any(m[0] != -2 or m[1] < lo or m[2] >= hi for m in terms):
                 raise UnsupportedDegreeError(
                     f"a {self.flavor} generator is a homogeneous quadric in "
                     f"the deformation parameters; got {g.text()}"
@@ -143,7 +136,7 @@ class IdealPresentation:
         in d = 3, for every t-variable v and every generator g that is
         independent of the earlier ones in degree 2, inserted generator by
         generator in ``t_variables()`` order; a row is tagged (monomial of
-        its multiplier, generator index), the monomial () in degree 2.
+        its multiplier, generator index), the monomial ``ONE`` in degree 2.
         Other degrees raise UnsupportedDegreeError, and so does d = 3 on a
         ``based_algebra`` presentation, whose generators need not be
         quadrics.
@@ -152,10 +145,10 @@ class IdealPresentation:
         so each of its products already lies in the span of rows inserted
         before it: inserting it would change nothing.
 
-        Both read the generators' rows as encoded when the presentation was
-        built.  A product's key is the sorted positions of both factors,
-        and its block is the sum of the factors' blocks.  A refused build
-        (a generator in several blocks) stores nothing."""
+        Both read the generators' rows as split when the presentation was
+        built.  A product's monomial is the sorted positions of both
+        factors, and its block is the sum of the factors' blocks.  A refused
+        build (a generator in several blocks) stores nothing."""
         span = self._spans.get(d)
         if span is None:
             if d not in (2, 3):
@@ -165,20 +158,22 @@ class IdealPresentation:
             span = GradedSpan(self.n)
             if d == 2:
                 # a list, so that a refused insert leaves _independent empty
-                found = [i for i, r in enumerate(self._rows) if span.insert(r, ((), i))]
+                found = [
+                    i for i, r in enumerate(self._rows) if span.insert(r, (ONE, i))
+                ]
                 self._independent.extend(found)
             else:
                 self.span(2)
-                codes = _layout(self.n)[1]
-                factors = [
-                    (((v, 1),), *codes[v]) for v in PolyRing.get(self.n).t_variables()
-                ]
+                weights = _weights(self.n)
+                positions = range(*PolyRing.get(self.n).bounds["t"])
                 for idx in self._independent:
                     ((block, row),) = self._rows[idx]  # span(2) took it whole
-                    terms = [(key[1:], c) for key, c in row.items()]
-                    for m, mblock, pos in factors:
-                        prod = {(-3, *sorted((pos, *gpos))): c for gpos, c in terms}
-                        span.insert(((block + mblock, prod),), (m, idx))
+                    for pos in positions:
+                        prod = {
+                            (-3, *sorted((pos, a, b))): c
+                            for (_, a, b), c in row.items()
+                        }
+                        span.insert(((block + weights[pos], prod),), ((-1, pos), idx))
             self._spans[d] = span
         return span
 
@@ -274,41 +269,23 @@ def _packed(multidegree: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> tuple:
-    """The variables in the fixed order x < t < s, each at its position, and
-    variable -> (block key, position)."""
-    ring = PolyRing.get(n)
-    variables = (
-        [ring.x_var(i) for i in range(1, n + 1)]
-        + ring.t_variables()
-        + ring.s_variables()
-    )
-    codes = {
-        v: (_packed(mono_multidegree(((v, 1),), n)), pos)
-        for pos, v in enumerate(variables)
-    }
-    return variables, codes
+def _weights(n: int) -> tuple:
+    """The block key of each variable, by position."""
+    count = len(PolyRing.get(n).variables)
+    return tuple(_packed(mono_multidegree((-1, p), n)) for p in range(count))
 
 
 def _encode(n: int, vec: dict) -> dict:
-    """The nonzero terms of a monomial-keyed vector in span keys, by block
-    key, the blocks in the order they first occur."""
-    codes = _layout(n)[1]
+    """The nonzero terms of a vector by block key, the blocks in the order
+    they first occur."""
+    weights = _weights(n)
     parts: dict = {}
     for m, c in vec.items():
         if c:
             block = 0
-            key = [0]
-            for v, e in m:
-                w, pos = codes[v]
-                if e == 1:
-                    block += w
-                    key.append(pos)
-                else:
-                    block += w * e
-                    key += [pos] * e
-            key[0] = 1 - len(key)
-            parts.setdefault(block, {})[tuple(key)] = c
+            for p in m[1:]:
+                block += weights[p]
+            parts.setdefault(block, {})[m] = c
     return parts
 
 
@@ -321,20 +298,14 @@ class GradedSpan:
 
     Every inserted vector must lie in one block (rows are homogeneous); a
     query may mix blocks and is reduced block by block, with one combined
-    certificate.  ``insert`` and ``reduce`` take vectors keyed by monomials
-    (``insert`` also the (block key, row) pairs of an encoded vector), and
-    ``reduce`` returns its residual keyed by monomials.
-
-    Inside, a block's rows are keyed by span keys: a monomial of degree d
-    becomes the flat tuple (-d, p_1, ..., p_d) of the positions of its
-    variables in the fixed order x < t < s (``_layout``), each repeated by
-    its exponent.  Tuples of ints compare in C, and their own order is
-    ``mono_sort_key``'s: higher degree first, then, within a degree, the one
-    whose first differing position is smaller, which is the one with the
-    earlier variable or the higher exponent of the same variable.  So the
-    pivots are the ones the graded-lex order takes.  A block key is the
-    multidegree packed into one int (``_packed``), so the block of a product
-    is the sum of its factors' blocks.
+    certificate.  ``insert`` and ``reduce`` take vectors keyed by the
+    monomials of ``Poly`` (``insert`` also the (block key, row) pairs of a
+    split vector), and ``reduce`` returns its residual in the same keys.  A
+    block's rows are keyed by those monomials too, whose own order is the
+    descending graded-lex order, so the pivots are the ones that order takes,
+    with no sort key.  A block key is the multidegree packed into one int
+    (``_packed``), the sum of its variables' keys (``_weights``), so the
+    block of a product is the sum of its factors' blocks.
     """
 
     def __init__(self, n: int):
@@ -345,23 +316,13 @@ class GradedSpan:
     def rank(self) -> int:
         return sum(s.rank for s in self.blocks.values())
 
-    def _monomial(self, key) -> tuple:
-        """The monomial of a span key."""
-        variables = _layout(self.n)[0]
-        return tuple((variables[p], len(list(run))) for p, run in groupby(key[1:]))
-
-    def _split(self, vec: dict) -> dict:
-        """The nonzero terms of a monomial-keyed vector, in span keys, by
-        block."""
-        return _encode(self.n, vec)
-
     def insert(self, vec, tag) -> bool:
         """Add a vector to its block; False if it was already contained.
 
         ``vec`` maps monomials to coefficients, or is a tuple of (block key,
-        row in span keys) pairs, the form in which ``IdealPresentation``
-        holds its generators and forms its products."""
-        parts = vec if type(vec) is tuple else tuple(self._split(vec).items())
+        row) pairs, the form in which ``IdealPresentation`` holds its
+        generators and forms its products."""
+        parts = vec if type(vec) is tuple else tuple(_encode(self.n, vec).items())
         if not parts:
             return False
         if len(parts) != 1:
@@ -373,18 +334,15 @@ class GradedSpan:
         return span.insert(part, tag)
 
     def reduce(self, vec: dict):
-        """Return (residual, used) with vec = sum(used[tag]*input) + residual;
-        the residual is keyed by monomials."""
+        """Return (residual, used) with vec = sum(used[tag]*input) + residual."""
         residual: dict = {}
         used: dict = {}
-        monomial = self._monomial
-        for key, part in self._split(vec).items():
+        for key, part in _encode(self.n, vec).items():
             span = self.blocks.get(key)
             if span is not None:
                 part, u = span.reduce(part)
                 used.update(u)
-            for k, c in part.items():
-                residual[monomial(k)] = c
+            residual.update(part)
         return residual, used
 
 
@@ -434,16 +392,15 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
     if pres.flavor == "based_algebra":
         raise UnsupportedDegreeError("membership in based_algebra is not decided")
     vec = p.terms_dict()
+    lo, hi = PolyRing.get(p.n).bounds["t"]
     degrees = set()  # t-degrees of the terms, read in one pass
     for m in vec:
-        d = 0
-        for v, e in m:
-            if v[0] != T_KIND:
-                raise UnsupportedDegreeError(
-                    "membership queries must involve deformation parameters only"
-                )
-            d += e
-        degrees.add(d)
+        # positions are sorted, so the first and the last bound the rest
+        if m[0] and (m[1] < lo or m[-1] >= hi):
+            raise UnsupportedDegreeError(
+                "membership queries must involve deformation parameters only"
+            )
+        degrees.add(-m[0])
     if not vec:
         return Membership(member=True, degree=0)
     if len(degrees) > 1:
@@ -494,10 +451,10 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
 
     Exact: with D the lcm of the point's denominators, x = D*t is an
     integer point, indexed by variable position.  A chart generator's rows
-    hold its coefficients c as stored, each under a key (-2, a, b), so
+    hold its coefficients c as stored, each under a monomial (-2, a, b), so
     sum c * x[a] * x[b] = D^2 * g(t): an exact rational (an int when the
     coefficients are), 0 exactly when g(t) is.  The rows are the ones
-    encoded when the presentation was built.
+    split when the presentation was built.
 
     The test evaluates the generators only and calls neither the operator
     commutators of ``based.is_associative`` nor the fiber elimination of
@@ -509,11 +466,11 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     """
     if pres.flavor == "based_algebra":
         raise UnsupportedDegreeError("vanishes_at evaluates chart presentations")
-    variables, codes = _layout(pres.n)
     ring = PolyRing.get(pres.n)
-    point = {codes[ring.t_var(*key)][1]: Fraction(val) for key, val in tvals.items()}
+    position = ring.position
+    point = {position[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}
     scale = lcm(*(val.denominator for val in point.values()))
-    x = [0] * len(variables)
+    x = [0] * ring.bounds["t"][1]
     for pos, val in point.items():
         x[pos] = val.numerator * (scale // val.denominator)
     for rows in pres._rows:

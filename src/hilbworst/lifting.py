@@ -41,7 +41,7 @@ from .ideal import (
     membership,
     set_diagonal_zero,
 )
-from .poly import Poly, PolyRing
+from .poly import ONE, Poly, PolyRing
 from .taylor import (
     E_NS,
     WEDGE_NS,
@@ -171,7 +171,7 @@ def coefficient_system(n: int, wedge_value: dict, flavor: str, sign: int):
                 label = f"wedge({i};{j},{k})"
                 special = {k: (pair(i, j), sign), j: (pair(i, k), -sign)}
                 for l in range(1, n + 1):
-                    coeff = by_x.get(((ring.x_var(l), 1),), ring.zero())
+                    coeff = by_x.get(ring.var_mono(ring.x_var(l)), ring.zero())
                     if l in special:
                         pr, s = special[l]
                         candidates.setdefault(pr, []).append((label, coeff * s))
@@ -226,14 +226,12 @@ def universal_family(n: int, flavor: str = "hilbert") -> tuple:
 @lru_cache(maxsize=None)
 def _compiled_family(n: int) -> tuple:
     """``universal_family(n)`` compiled for ``family_at``, on its first call
-    for n: the dense index of the t-variables in ``t_variables()`` order
-    and, per generator, one entry per x-monomial.  An entry holds the
+    for n: per generator, one entry per x-monomial.  An entry holds the
     integer numerators of that x-monomial's t-coefficient over their common
-    denominator e, the coefficient's t-degree d, and its t-monomials as
-    tuples of variable positions, each repeated by its exponent.  The family
-    is homogeneous of degree 2 in x and t together, so each coefficient has
+    denominator e, the coefficient's t-degree d, and the positions of its
+    t-monomials (each monomial without its leading -d).  The family is
+    homogeneous of degree 2 in x and t together, so each coefficient has
     one t-degree."""
-    index = {v: pos for pos, v in enumerate(PolyRing.get(n).t_variables())}
     compiled = []
     for g in universal_family(n):
         entries = []
@@ -241,10 +239,10 @@ def _compiled_family(n: int) -> tuple:
             terms = coeff.terms_dict()
             den = lcm(*(c.denominator for c in terms.values()))
             nums = tuple(c.numerator * (den // c.denominator) for c in terms.values())
-            monos = tuple(tuple(index[v] for v, e in m for _ in range(e)) for m in terms)
+            monos = tuple(m[1:] for m in terms)
             entries.append((xmono, den, len(monos[0]), nums, monos))
         compiled.append(tuple(entries))
-    return index, tuple(compiled)
+    return tuple(compiled)
 
 
 def family_at(n: int, tvals: dict) -> tuple:
@@ -257,11 +255,12 @@ def family_at(n: int, tvals: dict) -> tuple:
     point, and a t-coefficient of t-degree d with integer numerators c_m
     over e is sum_m c_m x^m / (e * D^d).  The family is compiled once per n
     (``_compiled_family``)."""
-    index, compiled = _compiled_family(n)
+    compiled = _compiled_family(n)
     ring = PolyRing.get(n)
-    point = {index[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}
+    position = ring.position
+    point = {position[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}
     scale = lcm(*(val.denominator for val in point.values()))
-    x = [0] * len(index)
+    x = [0] * ring.bounds["t"][1]
     for pos, val in point.items():
         x[pos] = val.numerator * (scale // val.denominator)
     family = []
@@ -374,9 +373,9 @@ def flatness_residual(n: int) -> FlatnessReport:
         # (part, certified) in checking order; the first uncertified one fails
         parts = [("orders 0 and 1", low_zero)]
         for xmono, q in sorted(pieces[2].split_by_x().items()):
-            if not xmono:
+            if xmono == ONE:
                 raise AssertionError("unexpected x-free t-degree-2 part")
-            part = f"x_{xmono[0][0][1]}-coefficient of the t-degree-2 part"
+            part = f"x_{ring.variables[xmono[1]][1]}-coefficient of the t-degree-2 part"
             parts.append((part, membership(q, pres).verify(q, pres)))
         cubic = syzygy_cubic(n, *nonkoszul_triple(sym))
         deg3 = membership(cubic, pres)

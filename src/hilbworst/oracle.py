@@ -53,7 +53,7 @@ from .based import is_associative, table_from_point
 from .ideal import ideal_generators, vanishes_at
 from .lifting import family_at
 from .linalg import EchelonSpan, pivot_keys
-from .poly import X_KIND, PolyRing, mono_degree, mono_mul, mono_sort_key
+from .poly import ONE, PolyRing, mono_degree, mono_mul
 from .subspaces import LinearSubspaceSpec
 
 
@@ -105,17 +105,18 @@ class FiberReport:
 @lru_cache(maxsize=None)
 def _fiber_columns(n: int) -> tuple:
     """The x-monomials of degree <= 3 numbered in descending graded-lex
-    order (``mono_sort_key``), so that the least column of a row is its
-    leading monomial, and for each l = 1..n the shift table: the column of
-    m*x_l by the column of m, over the monomials m of degree <= 2."""
-    xs = [((X_KIND, l), 1) for l in range(1, n + 1)]
-    monos, layer = {()}, {()}
+    order (the monomials' own order), so that the least column of a row is
+    its leading monomial, and for each l = 1..n the shift table: the column
+    of m*x_l by the column of m, over the monomials m of degree <= 2."""
+    ring = PolyRing.get(n)
+    xs = [ring.var_mono(ring.x_var(l)) for l in range(1, n + 1)]
+    monos, layer = {ONE}, {ONE}
     for _ in range(3):
-        layer = {mono_mul(m, (x,)) for m in layer for x in xs}
+        layer = {mono_mul(m, x) for m in layer for x in xs}
         monos |= layer
-    column = {m: c for c, m in enumerate(sorted(monos, key=mono_sort_key))}
+    column = {m: c for c, m in enumerate(sorted(monos))}
     shifts = tuple(
-        {column[m]: column[mono_mul(m, (x,))] for m in column if mono_degree(m) <= 2}
+        {column[m]: column[mono_mul(m, x)] for m in column if mono_degree(m, n) <= 2}
         for x in xs
     )
     return column, shifts

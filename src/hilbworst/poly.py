@@ -9,29 +9,41 @@ Three variable families share one ambient ring, fixed by an integer n:
               no identification between s(i,j,k) and s(j,i,k)
 
 A variable is a plain tuple ``(kind, *indices)`` with kinds ordered
-X < T < S, so tuple comparison realises the fixed variable order
+X < T < S.  ``PolyRing.variables`` lists the variables of one n in the fixed
+order
 
     x(1) < ... < x(n) < t(1,1,1) < ... < t(n,n,n) < s(0,0,0) < ... < s(n,n,n)
 
-A monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable,
-with every exponent positive.  A polynomial maps monomials to nonzero
-rationals, each held in its one exact form (``exact``): an ``int`` when it is
-integral, a ``Fraction`` otherwise.  Most coefficients in this package are
-integers, and int arithmetic is exact and far cheaper.  All arithmetic is
-exact and results stay canonical (no zero coefficients, no zero exponents,
-no ``Fraction`` with denominator 1), so structural equality is mathematical
-equality.  ``Fraction(k) == k`` and ``hash(Fraction(k)) == hash(k)``, so
-equality and hashing do not see the form, and neither does ``text``.
+and a variable's index in that list is its position (``PolyRing.position``).
+The positions of each family are consecutive (``PolyRing.bounds``).
+
+A monomial of degree d is the flat tuple (-d, p_1, ..., p_d) of the sorted
+positions of its variables, each repeated by its exponent; the monomial 1 is
+``ONE = (0,)``.  A polynomial maps monomials to nonzero rationals, each held
+in its one exact form (``exact``): an ``int`` when it is integral, a
+``Fraction`` otherwise.  Most coefficients in this package are integers, and
+int arithmetic is exact and far cheaper.  All arithmetic is exact and
+results stay canonical (no zero coefficients, no ``Fraction`` with
+denominator 1), so structural equality is mathematical equality.
+``Fraction(k) == k`` and ``hash(Fraction(k)) == hash(k)``, so equality and
+hashing do not see the form, and neither does ``text``.
 
 Monomials are compared graded-lexicographically: total degree first, then
-lexicographically on exponent vectors over the fixed variable order.
-``mono_sort_key`` sorts monomials in *descending* order; it is used both for
-printing and for pivot selection in the exact linear algebra.
+lexicographically on exponent vectors over the fixed variable order.  The
+tuples' own order is that order, descending: higher degree first, then,
+within a degree, the one whose first differing position is smaller, which is
+the one with the earlier variable or the higher exponent of the same
+variable.  So ``sorted`` puts monomials in printing order with no key, and
+the exact linear algebra, which takes pivots least key first, takes them in
+graded-lex order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby, product
 from math import lcm
 from typing import Iterator, Mapping, Union
 
@@ -43,6 +55,8 @@ Monomial = tuple
 Scalar = Union[int, Fraction]
 
 GRADINGS = ("x", "t", "s", "total")
+
+ONE: Monomial = (0,)
 
 
 class UniverseMismatchError(ValueError):
@@ -68,45 +82,20 @@ def _numerators(terms: dict) -> tuple:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted exponent tuples."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+    """Merge the positions of two monomials."""
+    return (a[0] + b[0], *sorted(a[1:] + b[1:]))
 
 
-def mono_degree(m: Monomial, grading: str = "total") -> int:
+def mono_degree(m: Monomial, n: int, grading: str = "total") -> int:
     """Degree of a monomial in the given grading.
 
-    "total" counts every exponent, "x"/"t"/"s" those of that family only.
+    "total" counts every variable, "x"/"t"/"s" those of that family only:
+    the positions inside its bounds.
     """
     if grading == "total":
-        return sum(e for _, e in m)
-    kind = {"x": X_KIND, "t": T_KIND, "s": S_KIND}[grading]
-    return sum(e for v, e in m if v[0] == kind)
-
-
-def mono_sort_key(m: Monomial):
-    """Sort key putting monomials in descending graded-lex order."""
-    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+        return -m[0]
+    lo, hi = PolyRing.get(n).bounds[grading]
+    return bisect_left(m, hi, 1) - bisect_left(m, lo, 1)
 
 
 def mono_multidegree(m: Monomial, n: int) -> tuple:
@@ -118,18 +107,20 @@ def mono_multidegree(m: Monomial, n: int) -> tuple:
     homogeneous for this grading, which lets the linear algebra split into
     small independent blocks.
     """
+    variables = PolyRing.get(n).variables
     w = [0] * n
-    for v, e in m:
+    for p in m[1:]:
+        v = variables[p]
         if v[0] == X_KIND:
-            w[v[1] - 1] += e
+            w[v[1] - 1] += 1
         else:
             _, i, j, k = v
             if i:
-                w[i - 1] += e
+                w[i - 1] += 1
             if j:
-                w[j - 1] += e
+                w[j - 1] += 1
             if k:
-                w[k - 1] -= e
+                w[k - 1] -= 1
     return tuple(w)
 
 
@@ -141,11 +132,14 @@ def var_cas_text(v: VarId) -> str:
     return "_".join([_KIND_NAMES[v[0]]] + [str(i) for i in v[1:]])
 
 
-def mono_text(m: Monomial, cas: bool = False) -> str:
+def mono_text(m: Monomial, n: int, cas: bool = False) -> str:
     render = var_cas_text if cas else var_text
-    return "*".join(
-        render(v) + ("^%d" % e if e > 1 else "") for v, e in m
-    )
+    variables = PolyRing.get(n).variables
+    pieces = []
+    for p, run in groupby(m[1:]):
+        e = len(list(run))
+        pieces.append(render(variables[p]) + ("^%d" % e if e > 1 else ""))
+    return "*".join(pieces)
 
 
 class Poly:
@@ -173,7 +167,7 @@ class Poly:
             return other
         if isinstance(other, (int, Fraction)):
             c = exact(other)
-            return Poly(self.n, {(): c} if c else {})
+            return Poly(self.n, {ONE: c} if c else {})
         return NotImplemented
 
     # -- ring operations -----------------------------------------------------
@@ -241,7 +235,7 @@ class Poly:
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if not exp:
-            return Poly(self.n, {(): 1})
+            return Poly(self.n, {ONE: 1})
         # binary powering from the leading bit, which is the base itself
         result = self
         for bit in bin(exp)[3:]:
@@ -273,18 +267,18 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or self._terms.keys() == {()}
+        return not self._terms or self._terms.keys() == {ONE}
 
     def constant_value(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms[()])
+        return Fraction(self._terms[ONE])
 
     def terms(self) -> Iterator[tuple]:
         """Iterate (monomial, coefficient) in descending monomial order."""
-        for m in sorted(self._terms, key=mono_sort_key):
+        for m in sorted(self._terms):
             yield m, self._terms[m]
 
     def terms_dict(self) -> dict:
@@ -297,11 +291,7 @@ class Poly:
             raise ValueError(f"unknown grading {grading!r}")
         if not self._terms:
             return 0
-        return max(mono_degree(m, grading) for m in self._terms)
-
-    def is_homogeneous(self, grading: str = "total") -> bool:
-        degs = {mono_degree(m, grading) for m in self._terms}
-        return len(degs) <= 1
+        return max(mono_degree(m, self.n, grading) for m in self._terms)
 
     def multidegree(self) -> tuple:
         """Common torus multidegree; raises if not multihomogeneous."""
@@ -318,12 +308,14 @@ class Poly:
         Values may be Fractions, ints, or Polys over the same ambient n;
         unassigned variables remain symbolic.
         """
+        variables = PolyRing.get(self.n).variables
         out = Poly(self.n, {})
         for mono, coeff in self._terms.items():
             fixed = []
             num = coeff
             poly_factors = []
-            for v, e in mono:
+            for p in mono[1:]:
+                v = variables[p]
                 if v in assignment:
                     val = assignment[v]
                     if isinstance(val, Poly):
@@ -331,14 +323,14 @@ class Poly:
                             raise UniverseMismatchError(
                                 "substitution value over different ambient n"
                             )
-                        poly_factors.append(val**e)
+                        poly_factors.append(val)
                     else:
-                        num *= Fraction(val) ** e
+                        num *= Fraction(val)
                 else:
-                    fixed.append((v, e))
+                    fixed.append(p)
             if not num:
                 continue
-            term = Poly(self.n, {tuple(fixed): exact(num)})
+            term = Poly(self.n, {(-len(fixed), *fixed): exact(num)})
             for f in poly_factors:
                 term = term * f
             out = out + term
@@ -350,22 +342,24 @@ class Poly:
         return r.constant_value() if r.is_constant else r
 
     def derivative(self, v: VarId) -> "Poly":
+        p = PolyRing.get(self.n).position[v]
         out = {}
         for mono, coeff in self._terms.items():
-            for idx, (var, e) in enumerate(mono):
-                if var == v:
-                    rest = mono[:idx] + ((var, e - 1),) * (e > 1) + mono[idx + 1:]
-                    out[rest] = exact(coeff * e)
-                    break
+            e = mono[1:].count(p)
+            if e:
+                i = mono.index(p, 1)
+                out[(mono[0] + 1, *mono[1:i], *mono[i + 1 :])] = exact(coeff * e)
         return Poly(self.n, out)
 
     def split_by_x(self) -> dict:
-        """Group terms by their x-part: {x-monomial: coefficient Poly}."""
+        """Group terms by their x-part: {x-monomial: coefficient Poly}.  The
+        x-positions come first in a monomial."""
+        xend = PolyRing.get(self.n).bounds["x"][1]
         buckets: dict = {}
         for mono, c in self._terms.items():
-            xs = tuple(p for p in mono if p[0][0] == X_KIND)
-            rest = tuple(p for p in mono if p[0][0] != X_KIND)
-            buckets.setdefault(xs, {})[rest] = c
+            k = bisect_left(mono, xend, 1)
+            xs = (1 - k, *mono[1:k])
+            buckets.setdefault(xs, {})[(mono[0] + k - 1, *mono[k:])] = c
         return {xs: Poly(self.n, part) for xs, part in buckets.items()}
 
     # -- rendering -----------------------------------------------------------
@@ -377,7 +371,7 @@ class Poly:
         for idx, (m, c) in enumerate(self.terms()):
             sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
-            body = mono_text(m, cas=cas)
+            body = mono_text(m, self.n, cas=cas)
             if not body:
                 piece = str(mag)
             elif mag == 1:
@@ -398,7 +392,10 @@ class Poly:
 
 
 class PolyRing:
-    """Ambient ring context: fixes n, validates indices, builds variables."""
+    """Ambient ring context: fixes n, validates indices, builds variables,
+    and holds the layout of the monomials: every variable at its position
+    (``variables``, built on first use, and its inverse ``position``), and
+    per family the bounds lo <= position < hi (``bounds``)."""
 
     _cache: dict = {}
 
@@ -406,6 +403,12 @@ class PolyRing:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"ambient n must be a positive integer, got {n!r}")
         self.n = n
+        t_end = n + n * n * (n + 1) // 2
+        self.bounds = {
+            "x": (0, n),
+            "t": (n, t_end),
+            "s": (t_end, t_end + (n + 1) ** 3),
+        }
 
     @classmethod
     def get(cls, n: int) -> "PolyRing":
@@ -413,6 +416,27 @@ class PolyRing:
         if ring is None:
             ring = cls._cache[n] = cls(n)
         return ring
+
+    # -- the monomial layout ---------------------------------------------------
+
+    @cached_property
+    def variables(self) -> tuple:
+        """The x-, t- and s-variables in their enumeration order."""
+        n = self.n
+        r = range(1, n + 1)
+        return (
+            tuple((X_KIND, i) for i in r)
+            + tuple((T_KIND, i, j, k) for i in r for j in range(i, n + 1) for k in r)
+            + tuple((S_KIND, *ijk) for ijk in product(range(n + 1), repeat=3))
+        )
+
+    @cached_property
+    def position(self) -> dict:
+        return {v: p for p, v in enumerate(self.variables)}
+
+    def var_mono(self, v: VarId) -> Monomial:
+        """The monomial of one variable."""
+        return (-1, self.position[v])
 
     # -- variable identifiers ------------------------------------------------
 
@@ -441,14 +465,14 @@ class PolyRing:
         return Poly(self.n, {})
 
     def one(self) -> Poly:
-        return Poly(self.n, {(): 1})
+        return Poly(self.n, {ONE: 1})
 
     def const(self, c) -> Poly:
         c = exact(Fraction(c))
-        return Poly(self.n, {(): c} if c else {})
+        return Poly(self.n, {ONE: c} if c else {})
 
     def var_poly(self, v: VarId) -> Poly:
-        return Poly(self.n, {((v, 1),): 1})
+        return Poly(self.n, {self.var_mono(v): 1})
 
     def x(self, i: int) -> Poly:
         return self.var_poly(self.x_var(i))
@@ -462,22 +486,10 @@ class PolyRing:
     # -- variable enumerations (fixed order) ----------------------------------
 
     def t_variables(self) -> list:
-        n = self.n
-        return [
-            (T_KIND, i, j, k)
-            for i in range(1, n + 1)
-            for j in range(i, n + 1)
-            for k in range(1, n + 1)
-        ]
+        return list(self.variables[slice(*self.bounds["t"])])
 
     def s_variables(self) -> list:
-        n = self.n
-        return [
-            (S_KIND, i, j, k)
-            for i in range(n + 1)
-            for j in range(n + 1)
-            for k in range(n + 1)
-        ]
+        return list(self.variables[slice(*self.bounds["s"])])
 
     def __repr__(self):
         return f"PolyRing(n={self.n})"

@@ -116,14 +116,14 @@ def containment_check(spec: LinearSubspaceSpec) -> ContainmentReport:
             i, j, k, l = idx
             position = (((i - 1) * n + j - 1) * n + k - 1) * n + l
             return ContainmentReport(spec, position, 0, False)
-    alive = set(survivors)
+    alive = {ring.position[v] for v in survivors}
     generators = 0
     if n <= 8:
         for g in ideal_generators(n).generators:
             generators += 1
             # a monomial's first variable already rules most of them out
             if any(
-                m[0][0] in alive and all(v in alive for v, _ in m)
+                m[1] in alive and all(p in alive for p in m[2:])
                 for m in g.terms_dict()
             ):
                 return ContainmentReport(spec, n**4, generators, False)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import pivot_keys
-from .poly import Poly, PolyRing, X_KIND, mono_degree, mono_text
+from .poly import ONE, Poly, PolyRing, mono_degree, mono_text
 
 E_NS, WEDGE_NS, CURLY_NS = "e", "w", "c"
 
@@ -153,7 +153,7 @@ class FreeModElt:
         for sym, poly in self.terms():
             name = self._sym_text(sym)
             for m, c in poly.terms():
-                body = mono_text(m)
+                body = mono_text(m, self.n)
                 part = f"({c})"
                 if body:
                     part += f" * {body}"
@@ -247,7 +247,7 @@ def koszul_differential(elt: FreeModElt) -> FreeModElt:
 def reduce_mod_squares(p: Poly) -> Poly:
     """Canonical representative in the quotient by all x_i*x_j: drop every
     term of x-degree >= 2.  Coefficients may involve t- or s-variables."""
-    kept = {m: c for m, c in p.terms_dict().items() if mono_degree(m, "x") < 2}
+    kept = {m: c for m, c in p.terms_dict().items() if mono_degree(m, p.n, "x") < 2}
     return Poly(p.n, kept)
 
 
@@ -273,11 +273,12 @@ class QuotientElt:
     def components(self) -> dict:
         """Coordinates in the basis {0: 1, b: x_b}."""
         out: dict = {}
+        ring = PolyRing.get(self.rep.n)
         for m, c in self.rep.terms():
-            if not m:
+            if m == ONE:
                 out[0] = c
-            elif len(m) == 1 and m[0][0][0] == X_KIND and m[0][1] == 1:
-                out[m[0][0][1]] = c
+            elif m[0] == -1 and m[1] < ring.bounds["x"][1]:
+                out[ring.variables[m[1]][1]] = c
             else:
                 raise ValueError("non-scalar coordinates requested")
         return out

@@ -326,6 +326,25 @@ def test_table_refuses_values_past_the_digit_bound(value, tmp_path, capsys):
     assert dest.read_text() == "kept"
 
 
+@pytest.mark.parametrize("n", [13, 1_000_000])
+def test_table_refuses_n_past_the_ceiling(n, tmp_path, capsys):
+    # a 20-byte document at n = 16 ran for 14 s before the ceiling, and the
+    # time grows steeply with n
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps({"n": n, "t": []}))
+    dest = tmp_path / "out.json"
+    dest.write_text("kept")
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["table", str(src), "--out", str(dest)])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and '"n" must be at most 12' in captured.err
+    assert captured.out == ""
+    assert dest.read_text() == "kept"
+
+
 def test_verify_route_exit_codes(capsys):
     rc, docs = run_json(
         capsys, ["verify", "--n", "3", "--route", "oracle", "--samples", "12"]

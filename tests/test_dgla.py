@@ -66,7 +66,7 @@ def coboundary_residuals(n: int, miniversal: bool = True) -> dict:
             - ring.x(j) * locus.psi[pair(i, k)]
         )
         out[sym] = {
-            xm[0][0][1]: (c, membership(c, locus.equations))
+            ring.variables[xm[1]][1]: (c, membership(c, locus.equations))
             for xm, c in reduce_mod_squares(lhs).split_by_x().items()
         }
     return out

@@ -6,9 +6,9 @@ from math import gcd, lcm
 
 import pytest
 
-from hilbworst.ideal import ideal_generators
+from hilbworst.ideal import _packed, ideal_generators
 from hilbworst.linalg import EchelonSpan, pivot_keys
-from hilbworst.poly import Poly, PolyRing
+from hilbworst.poly import ONE, Poly, PolyRing
 
 
 def F(x):
@@ -167,14 +167,15 @@ def test_stored_rows_are_primitive_integer_combinations():
 def test_membership_spans_store_primitive_integer_combinations(n, d):
     pres = ideal_generators(n)
     span = pres.span(d)
-    monos = [()] if d == 2 else [((v, 1),) for v in PolyRing.get(n).t_variables()]
+    ring = PolyRing.get(n)
+    monos = [ONE] if d == 2 else [ring.var_mono(v) for v in ring.t_variables()]
     indices = range(len(pres)) if d == 2 else pres._independent
-    inputs = {}  # tag -> its product, in span keys, by block
+    inputs = {}  # tag -> its product, by block
     for idx in indices:
         for m in monos:
             product = Poly(n, {m: 1}) * pres.generators[idx]
-            ((block, part),) = span._split(product.terms_dict()).items()
-            inputs.setdefault(block, {})[(m, idx)] = part
+            block = _packed(product.multidegree())
+            inputs.setdefault(block, {})[(m, idx)] = product.terms_dict()
     assert set(span.blocks) == set(inputs)
     for block, echelon in span.blocks.items():
         _check_stored_form(echelon, inputs[block])

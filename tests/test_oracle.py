@@ -35,7 +35,7 @@ from hilbworst.oracle import (
     small_fraction,
     symbolic_member,
 )
-from hilbworst.poly import Poly, PolyRing, mono_degree, mono_sort_key
+from hilbworst.poly import Poly, PolyRing
 from hilbworst.subspaces import make_spec
 
 
@@ -300,6 +300,15 @@ def _family_by_substitution(n, tvals):
     return tuple(g.substitute(assignment).terms_dict() for g in universal_family(n))
 
 
+def _graded_lex_key(m, ring):
+    """Descending graded-lex sort key of an x-monomial, from its exponent
+    vector: total degree first, then the exponents of x_1, x_2, ..."""
+    exps = [0] * ring.n
+    for p in m[1:]:
+        exps[ring.variables[p][1] - 1] += 1
+    return (-sum(exps), tuple(-e for e in exps))
+
+
 def _fiber_by_substitution(tvals, n):
     """Test-side reference: the substituted family and its x_l multiples
     eliminated in an ``EchelonSpan``, pivots as leading monomials."""
@@ -310,8 +319,10 @@ def _fiber_by_substitution(tvals, n):
     rows = gens + [ring.x(i) * g for i in range(1, n + 1) for g in gens]
     for g in rows:
         # keys (sort key, monomial): least key first is descending graded-lex
-        span.insert({(mono_sort_key(m), m): c for m, c in g.terms_dict().items()})
-    collapsed = sum(1 for _, piv in span.pivots() if mono_degree(piv) <= 1)
+        span.insert(
+            {(_graded_lex_key(m, ring), m): c for m, c in g.terms_dict().items()}
+        )
+    collapsed = sum(1 for key, _ in span.pivots() if key[0] >= -1)
     return FiberReport(dimension=n + 1 - collapsed, basis_ok=collapsed == 0)
 
 

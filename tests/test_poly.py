@@ -8,10 +8,27 @@ import pytest
 from hilbworst.based import based_ideal_generators
 from hilbworst.ideal import ideal_generators
 from hilbworst.lifting import universal_family
-from hilbworst.poly import Poly, PolyRing, UniverseMismatchError, mono_sort_key
+from hilbworst.poly import ONE, Poly, PolyRing, UniverseMismatchError
 
 
 R3 = PolyRing.get(3)
+
+
+def _pairs(m, n) -> tuple:
+    """A monomial decoded test-side into its (variable, exponent) pairs,
+    sorted by variable."""
+    exps: dict = {}
+    for p in m[1:]:
+        v = PolyRing.get(n).variables[p]
+        exps[v] = exps.get(v, 0) + 1
+    return tuple(sorted(exps.items()))
+
+
+def _mono(exps: dict, n) -> tuple:
+    """The monomial of a variable -> exponent map, built test-side."""
+    position = PolyRing.get(n).position
+    ps = sorted(position[v] for v, e in exps.items() for _ in range(e))
+    return (-len(ps), *ps)
 
 
 def test_difference_of_squares():
@@ -97,7 +114,7 @@ def test_cas_text():
 
 def test_monomial_order_is_graded():
     terms = list((R3.x(1) + R3.x(1) * R3.x(2) + R3.one()).terms())
-    degrees = [sum(e for _, e in m) for m, _ in terms]
+    degrees = [sum(e for _, e in _pairs(m, 3)) for m, _ in terms]
     assert degrees == sorted(degrees, reverse=True)
 
 
@@ -151,9 +168,10 @@ def test_derivative():
 def test_split_by_x():
     p = R3.t(1, 2, 3) * R3.x(1) + R3.t(1, 1, 1) * R3.x(1) + R3.t(2, 2, 2)
     parts = p.split_by_x()
-    key_x1 = ((R3.x_var(1), 1),)
+    key_x1 = R3.var_mono(R3.x_var(1))
     assert parts[key_x1] == R3.t(1, 2, 3) + R3.t(1, 1, 1)
-    assert parts[()] == R3.t(2, 2, 2)
+    assert parts[ONE] == R3.t(2, 2, 2)
+    assert len(parts) == 2
 
 
 def test_multidegree():
@@ -164,8 +182,16 @@ def test_multidegree():
 
 
 def test_sort_key_total_order():
-    monos = [m for m, _ in (R3.x(1) * R3.x(2) + R3.x(1) ** 2 + R3.x(2) ** 2).terms()]
-    assert sorted(monos, key=mono_sort_key) == monos
+    # the monomials' own order is descending graded-lex: total degree
+    # first, then the (variable, exponent) pairs, higher exponent first
+    p = R3.x(1) * R3.x(2) + R3.x(1) ** 2 + R3.x(2) ** 2 + R3.t(1, 1, 1) * R3.x(3) ** 3
+    monos = [m for m, _ in p.terms()]
+
+    def graded_lex(m):
+        pairs = _pairs(m, 3)
+        return (-sum(e for _, e in pairs), tuple((v, -e) for v, e in pairs))
+
+    assert sorted(monos, key=graded_lex) == monos
 
 
 # -- exact coefficient form and seeded properties against Fraction references --
@@ -203,12 +229,13 @@ def _random_exact_poly(rng, ring, nterms=5):
             c = rng.choice([-3, -2, -1, 1, 2, 5])
         else:
             c = Fraction(rng.choice([-5, -1, 1, 7, 11]), rng.choice([2, 3, 4]))
-        terms[tuple(sorted(exps.items()))] = c
+        terms[_mono(exps, ring.n)] = c
     return Poly(ring.n, terms)
 
 
 def _ref(p) -> dict:
-    return {m: Fraction(c) for m, c in p.terms_dict().items()}
+    """The terms of p as a (variable, exponent) pairs -> Fraction map."""
+    return {_pairs(m, p.n): Fraction(c) for m, c in p.terms_dict().items()}
 
 
 def _ref_add(a: dict, b: dict) -> dict:
@@ -239,19 +266,19 @@ def test_ring_axioms_against_fraction_reference():
         for _ in range(30):
             a, b, c = (_random_exact_poly(rng, R) for _ in range(3))
             ab, ba = a * b, b * a
-            assert ab.terms_dict() == _ref_mul(_ref(a), _ref(b))
+            assert _ref(ab) == _ref_mul(_ref(a), _ref(b))
             assert ba == ab
             abc = _ref_mul(_ref_mul(_ref(a), _ref(b)), _ref(c))
-            assert (ab * c).terms_dict() == abc
-            assert (a * (b * c)).terms_dict() == abc
+            assert _ref(ab * c) == abc
+            assert _ref(a * (b * c)) == abc
             dist = a * (b + c)
-            assert dist.terms_dict() == _ref_mul(_ref(a), _ref_add(_ref(b), _ref(c)))
+            assert _ref(dist) == _ref_mul(_ref(a), _ref_add(_ref(b), _ref(c)))
             assert dist == ab + a * c
             assert (a + (-a)).is_zero and (a - a).is_zero
-            assert (a + b).terms_dict() == _ref_add(_ref(a), _ref(b))
+            assert _ref(a + b) == _ref_add(_ref(a), _ref(b))
             q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            assert (a * q).terms_dict() == _ref_mul(_ref(a), {(): q} if q else {})
-            assert (a**2).terms_dict() == _ref_mul(_ref(a), _ref(a))
+            assert _ref(a * q) == _ref_mul(_ref(a), {(): q} if q else {})
+            assert _ref(a**2) == _ref_mul(_ref(a), _ref(a))
             results = (ab, ba, ab * c, dist, a + b, a - b, a * q, q * a, a**2, -a)
             assert all(_exact_form(r) for r in results)
 
@@ -263,7 +290,7 @@ def test_powers_against_fraction_reference():
         a = _random_exact_poly(rng, R, nterms=3)
         ref = {(): Fraction(1)}
         for e in range(6):
-            assert (a**e).terms_dict() == ref and _exact_form(a**e)
+            assert _ref(a**e) == ref and _exact_form(a**e)
             ref = _ref_mul(ref, _ref(a))
     assert R3.zero() ** 0 == R3.one() and (R3.zero() ** 3).is_zero
 
@@ -308,14 +335,14 @@ def _ref_value(p, point: dict) -> Fraction:
     total = Fraction(0)
     for m, c in p.terms_dict().items():
         term = Fraction(c)
-        for v, e in m:
+        for v, e in _pairs(m, p.n):
             term *= Fraction(point[v]) ** e
         total += term
     return total
 
 
 def _variables_of(*polys) -> list:
-    return sorted({v for p in polys for m in p.terms_dict() for v, _ in m})
+    return sorted({v for p in polys for m in p.terms_dict() for v, _ in _pairs(m, p.n)})
 
 
 def test_substitute_matches_evaluate():
@@ -357,3 +384,64 @@ def test_substitute_matches_evaluate():
             inner = dict(outer)
             inner[v] = _ref_value(q, outer)
             assert composed.evaluate(outer) == _ref_value(p, inner)
+
+
+# -- the monomial layout that Poly, the spans and Membership.verify share ------
+
+
+def _weight(v, n) -> list:
+    """Torus weight of one variable, test-side: e_i for x(i), and
+    e_i + e_j - e_k for t(i,j,k) and s(i,j,k), index 0 contributing nothing."""
+    w = [0] * n
+    if v[0] == 0:
+        w[v[1] - 1] += 1
+        return w
+    _, i, j, k = v
+    for idx, sign in ((i, 1), (j, 1), (k, -1)):
+        if idx:
+            w[idx - 1] += sign
+    return w
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_monomial_layout_is_one_to_one(n):
+    ring = PolyRing.get(n)
+    r = range(1, n + 1)
+    xs = [ring.x_var(i) for i in r]
+    ts = [ring.t_var(i, j, k) for i in r for j in range(i, n + 1) for k in r]
+    r0 = range(n + 1)
+    ss = [ring.s_var(i, j, k) for i in r0 for j in r0 for k in r0]
+    assert list(ring.variables) == xs + ts + ss
+    assert ring.t_variables() == ts and ring.s_variables() == ss
+    assert len(ring.position) == len(ring.variables)
+    assert all(ring.position[v] == p for p, v in enumerate(ring.variables))
+    # the bounds split the positions into the three families, in order
+    bounds = [ring.bounds[f] for f in ("x", "t", "s")]
+    assert bounds[0][0] == 0 and bounds[-1][1] == len(ring.variables)
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    for kind, (lo, hi) in enumerate(bounds):
+        assert {v[0] for v in ring.variables[lo:hi]} == {kind}
+
+    rng = random.Random(7000 + n)
+    families = (xs, ts, ss)
+    seen: dict = {}  # multiset -> (monomial, text)
+    for _ in range(200):
+        picks = [rng.choice(rng.choice(families)) for _ in range(rng.randint(0, 4))]
+        exps: dict = {}
+        for v in picks:
+            exps[v] = exps.get(v, 0) + 1
+        product = ring.one()
+        for v in picks:
+            product = product * ring.var_poly(v)
+        ((m, c),) = product.terms_dict().items()
+        assert c == 1 and m == _mono(exps, n)
+        pieces = []
+        for v, e in sorted(exps.items()):
+            name = "%s(%s)" % ("xts"[v[0]], ",".join(map(str, v[1:])))
+            pieces.append(name + ("^%d" % e if e > 1 else ""))
+        assert product.text() == ("*".join(pieces) or "1")
+        expected = [sum(col) for col in zip([0] * n, *(_weight(v, n) for v in picks))]
+        assert list(product.multidegree()) == expected
+        seen[frozenset(exps.items())] = (m, product.text())
+    assert len({m for m, _ in seen.values()}) == len(seen)
+    assert len({text for _, text in seen.values()}) == len(seen)
