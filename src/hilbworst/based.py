@@ -15,10 +15,12 @@ the k=0 column to the (normalized) diagonal quadric sums.  The composite is
 the identity on every parameter, and both maps respect the two ideals,
 certified generator by generator in ``verify_structure_correspondence``:
 a projected generator by its ``membership`` certificate in the chart ideal,
+which counts once ``Membership.verify`` has multiplied it back out exactly;
 an embedded one, already in the normal form modulo the unit and symmetry
 relations (``reduce_unit_sym``), by a rational combination of the reduced
-associator coefficients.  Either certificate counts only once
-``Membership.verify`` has multiplied it back out exactly.
+associator coefficients, which counts once that combination, multiplied
+out, equals it.  The based generators are plain (generator, label) pairs,
+and the reduced associators keep one tracked ``EchelonSpan`` of their own.
 
 Multiplication tables (``MulTable``) hold rational or symbolic entries.
 ``associativity_residual`` lists every associator coordinate of any table;
@@ -37,14 +39,8 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from .ideal import (
-    IdealPresentation,
-    Membership,
-    deduplicated,
-    diagonal_sum,
-    ideal_generators,
-    membership,
-)
+from .ideal import diagonal_sum, ideal_generators, membership
+from .linalg import EchelonSpan
 from .poly import ONE, Poly, PolyRing
 from .taylor import basis_pairs, pair
 
@@ -73,10 +69,11 @@ def associator_coeff(n: int, i: int, j: int, k: int, l: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def based_ideal_generators(n: int) -> IdealPresentation:
-    """The four defining families: s(i,j,k)-s(j,i,k) for i < j; the unit
-    rows s(0,i,i)-1 and s(0,i,j) for i != j; and the associator coefficients
-    for j != k (deduplicated across the antisymmetry in j, k)."""
+def based_ideal_generators(n: int) -> tuple:
+    """The four defining families as (generator, label) pairs:
+    s(i,j,k)-s(j,i,k) for i < j; the unit rows s(0,i,i)-1 and s(0,i,j) for
+    i != j; and the associator coefficients for j < k (those for j > k are
+    their negatives)."""
     if n < 3:
         raise ValueError(f"ambient n must be >= 3, got {n}")
     ring = PolyRing.get(n)
@@ -93,13 +90,12 @@ def based_ideal_generators(n: int) -> IdealPresentation:
                 labeled.append((ring.s(0, i, j), f"unit0({i}|{j})"))
     for i in range(n + 1):
         for j in range(n + 1):
-            for k in range(n + 1):
+            for k in range(j + 1, n + 1):
                 for l in range(n + 1):
-                    if j != k:
-                        labeled.append(
-                            (associator_coeff(n, i, j, k, l), f"assoc({i},{j},{k}|{l})")
-                        )
-    return deduplicated(n, "based_algebra", labeled)
+                    labeled.append(
+                        (associator_coeff(n, i, j, k, l), f"assoc({i},{j},{k}|{l})")
+                    )
+    return tuple(labeled)
 
 
 # -- multiplication tables -------------------------------------------------------
@@ -273,17 +269,21 @@ def reduce_unit_sym(p: Poly, n: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _reduced_associators(n: int) -> IdealPresentation:
+def _reduced_associators(n: int) -> tuple:
     """The associator coefficients with positive indices and j < k, reduced
-    modulo the unit and symmetry relations; embedded generators are
-    certified as combinations of these, reduced against its ``span(2)``."""
+    modulo the unit and symmetry relations, and the tracked span of them,
+    each tagged by its index; embedded generators are certified as
+    combinations of these."""
     pos = range(1, n + 1)
     gens = tuple(
         reduce_unit_sym(associator_coeff(n, i, j, k, l), n)
         for i, j, k, l in product(pos, pos, pos, range(n + 1))
         if j < k
     )
-    return IdealPresentation(n, "based_algebra", gens)
+    span = EchelonSpan()
+    for idx, g in enumerate(gens):
+        span.insert(g.terms_dict(), idx)
+    return gens, span
 
 
 @dataclass
@@ -312,22 +312,20 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
         for v in ring.t_variables()
     )
 
-    based = based_ideal_generators(n)
-    for g, lab in zip(based.generators, based.labels):
+    for g, lab in based_ideal_generators(n):
         img = structure_to_params(g, n)
         if not membership(img, chart).verify(img, chart):
             report.failures.append(("projection", lab))
         elif img.degree("t") == 3:
             report.pi_degree3 += 1
 
-    assoc = _reduced_associators(n)
-    span = assoc.span(2)
+    # an embedding certificate counts only once it multiplies back exactly
+    assoc, span = _reduced_associators(n)
     for g, lab in zip(chart.generators, chart.labels):
         emb = params_to_structure(g, n)
         residual, used = span.reduce(emb.terms_dict())
-        mults = {idx: ring.const(c) for (_, idx), c in used.items()}
-        cert = Membership(member=not residual, degree=2, multipliers=mults)
-        if not cert.verify(emb, assoc):
+        back = sum((assoc[idx] * c for idx, c in used.items()), ring.zero())
+        if residual or back != emb:
             report.failures.append(("embedding", lab))
     return report
 

@@ -13,19 +13,17 @@ package is homogeneous of t-degree at most 3, membership is decided by exact
 linear algebra: degree-2 queries are reduced against the span of the
 generators, degree-3 queries against the span of the products
 (variable * generator) for the generators that are independent in degree 2
-(the products of the others already lie in that span).  Every
-presentation is checked and split once, when it is built: a chart
-presentation (flavor ``hilbert`` or ``miniversal``) must consist of
-homogeneous t-quadrics, and each generator is held as its rows, one per
-torus block, keyed by the generator's own monomials.  The degree-2 span
+(the products of the others already lie in that span).  A presentation
+holds a chart ideal (flavor ``hilbert`` or ``miniversal``) and is checked
+and split once, when it is built: it must consist of homogeneous
+t-quadrics, and each generator is held as its rows, one per torus block,
+keyed by the generator's own monomials.  The degree-2 span
 inserts those rows, the degree-3 span forms its products from them and
 ``vanishes_at`` evaluates them; nothing re-checks or re-splits a generator
 when it is used.  Both spans split into small independent blocks under the
 torus multidegree, which keeps the eliminations fast, and both track
 certificates so that every positive answer comes with explicit rational
-(resp. linear-form) multipliers.  A ``based_algebra`` presentation is not
-constrained; it has a degree-2 span, which ``based`` reduces against, and no
-membership test.
+(resp. linear-form) multipliers.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from math import lcm
 from .linalg import EchelonSpan
 from .poly import ONE, Poly, PolyRing, exact, mono_mul, mono_multidegree
 
-FLAVORS = ("hilbert", "miniversal", "based_algebra")
+FLAVORS = ("hilbert", "miniversal")
 
 
 class UnsupportedDegreeError(ValueError):
@@ -110,18 +108,15 @@ class IdealPresentation:
 
     def __post_init__(self):
         """Every generator is split here, once, into its rows by block
-        (``_encode``).  A ``hilbert`` or ``miniversal`` presentation is checked
-        in the same pass: every generator is a homogeneous quadric in the
-        t-variables alone, which the degree and the first and last position
-        of each monomial show.  ``based_algebra`` generators are not
-        constrained."""
+        (``_encode``), and checked in the same pass: it is a homogeneous
+        quadric in the t-variables alone, which the degree and the first and
+        last position of each monomial show."""
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        chart = self.flavor != "based_algebra"
         lo, hi = PolyRing.get(self.n).bounds["t"]
         for g in self.generators:
             terms = g.terms_dict()
-            if chart and any(m[0] != -2 or m[1] < lo or m[2] >= hi for m in terms):
+            if any(m[0] != -2 or m[1] < lo or m[2] >= hi for m in terms):
                 raise UnsupportedDegreeError(
                     f"a {self.flavor} generator is a homogeneous quadric in "
                     f"the deformation parameters; got {g.text()}"
@@ -137,9 +132,7 @@ class IdealPresentation:
         independent of the earlier ones in degree 2, inserted generator by
         generator in ``t_variables()`` order; a row is tagged (monomial of
         its multiplier, generator index), the monomial ``ONE`` in degree 2.
-        Other degrees raise UnsupportedDegreeError, and so does d = 3 on a
-        ``based_algebra`` presentation, whose generators need not be
-        quadrics.
+        Other degrees raise UnsupportedDegreeError.
 
         A generator dependent in degree 2 is a combination of earlier ones,
         so each of its products already lies in the span of rows inserted
@@ -153,8 +146,6 @@ class IdealPresentation:
         if span is None:
             if d not in (2, 3):
                 raise UnsupportedDegreeError(f"no span in t-degree {d}")
-            if d == 3 and self.flavor == "based_algebra":
-                raise UnsupportedDegreeError("no degree-3 span of based_algebra")
             span = GradedSpan(self.n)
             if d == 2:
                 # a list, so that a refused insert leaves _independent empty
@@ -364,7 +355,7 @@ class Membership:
 
     def verify(self, p: Poly, pres: IdealPresentation) -> bool:
         """A member whose multipliers give back p exactly; every check that
-        rests on a certificate reports ok only if this holds."""
+        rests on a membership certificate reports ok only if this holds."""
         if not self.member:
             return False
         acc: dict = {}  # sum of the products, term by term
@@ -384,13 +375,10 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
     p must be homogeneous in the t-variables.  Degrees 0 and 1 are decided
     trivially (only 0 belongs); degree 2 is reduced against the generator
     span, degree 3 against the span of variable*generator products.  Other
-    degrees, and a ``based_algebra`` presentation, raise
-    UnsupportedDegreeError.
+    degrees raise UnsupportedDegreeError.
     """
     if p.n != pres.n:
         raise ValueError("ambient n mismatch between query and presentation")
-    if pres.flavor == "based_algebra":
-        raise UnsupportedDegreeError("membership in based_algebra is not decided")
     vec = p.terms_dict()
     lo, hi = PolyRing.get(p.n).bounds["t"]
     degrees = set()  # t-degrees of the terms, read in one pass
@@ -450,7 +438,7 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     are 0.  Stops at the first generator that does not vanish.
 
     Exact: with D the lcm of the point's denominators, x = D*t is an
-    integer point, indexed by variable position.  A chart generator's rows
+    integer point, indexed by variable position.  A generator's rows
     hold its coefficients c as stored, each under a monomial (-2, a, b), so
     sum c * x[a] * x[b] = D^2 * g(t): an exact rational (an int when the
     coefficients are), 0 exactly when g(t) is.  The rows are the ones
@@ -461,11 +449,8 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     ``oracle.fiber_check``, so that the oracle's agreement of the three is
     evidence and not a consequence of shared code.
 
-    Raises UnsupportedDegreeError on a ``based_algebra`` presentation, and
-    ValueError on an index outside 1..n.
+    Raises ValueError on an index outside 1..n.
     """
-    if pres.flavor == "based_algebra":
-        raise UnsupportedDegreeError("vanishes_at evaluates chart presentations")
     ring = PolyRing.get(pres.n)
     position = ring.position
     point = {position[ring.t_var(*key)]: Fraction(val) for key, val in tvals.items()}

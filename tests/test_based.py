@@ -1,6 +1,7 @@
 """Based-algebra moduli: tables, associativity, the two ring maps and the
 certified correspondence with the chart ideal."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hilbworst.based import (
     MalformedTableError,
     MulTable,
+    _reduced_associators,
     associativity_residual,
     associator_coeff,
     based_ideal_generators,
@@ -20,7 +22,7 @@ from hilbworst.based import (
 )
 from hilbworst.ideal import diagonal_sum, ideal_generators, vanishes_at
 from hilbworst.lifting import family_at
-from hilbworst.poly import Poly, PolyRing
+from hilbworst.poly import Poly, PolyRing, mono_text
 
 R3 = PolyRing.get(3)
 
@@ -38,20 +40,52 @@ def _generic_table(n: int) -> MulTable:
 
 
 def test_moduli_ideal_contains_expected_generators():
-    pres = based_ideal_generators(3)
-    gens = set(pres.generators)
-    assert R3.s(0, 1, 1) - 1 in gens
-    assert R3.s(1, 2, 3) - R3.s(2, 1, 3) in gens
-    assert associator_coeff(3, 1, 2, 3, 0) in gens or -associator_coeff(
-        3, 1, 2, 3, 0
-    ) in gens
-    assert pres.flavor == "based_algebra"
+    pairs = dict(based_ideal_generators(3))
+    assert pairs[R3.s(0, 1, 1) - 1] == "unit(1)"
+    assert pairs[R3.s(1, 2, 3) - R3.s(2, 1, 3)] == "sym(1,2|3)"
+    assert pairs[associator_coeff(3, 1, 2, 3, 0)] == "assoc(1,2,3|0)"
+    # the associator with j > k is the negative of the one kept
+    assert -associator_coeff(3, 1, 3, 2, 0) in pairs
+    assert associator_coeff(3, 1, 3, 2, 0) not in pairs
 
 
 def test_moduli_ideal_counts():
-    pres = based_ideal_generators(3)
+    pairs = based_ideal_generators(3)
     # 24 symmetry + 4 unit + 12 unit-zero + 96 associator representatives
-    assert len(pres) == 136
+    assert len(pairs) == 136
+    assert len({g for g, _ in pairs} | {-g for g, _ in pairs}) == 2 * 136
+
+
+# sha256 of the based generators, one line "label text" each, and of every
+# embedded chart generator's residual and certificate against the associator
+# span, one line "index | monomial:value ... | associator:value ..." each;
+# recorded when the based generators were a deduplicated presentation and
+# the associators were reduced against that presentation's blocked span
+BASED_DIGESTS = {
+    3: (
+        "81aac22cf25ab10e997274affc03d0f212acc4175896647beb2e89ad8b2801fd",
+        "8941eb06b47c943b06815ca298a2bdbe7d3a65ad3287b74f8438ea78588108b3",
+    ),
+    4: (
+        "a9544cb42b1be590f1fd788c7c229da892687a0502dd16b0a42f0c0cc4e4ae2b",
+        "100de39c7d70238df53ac5928ce42f91691d39ab0f2dac6f0b5ea63123bf4a1a",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_based_data_golden_digests(n):
+    gens = hashlib.sha256()
+    for g, label in based_ideal_generators(n):
+        gens.update(f"{label} {g.text()}\n".encode())
+    _, span = _reduced_associators(n)
+    certs = hashlib.sha256()
+    for gi, g in enumerate(ideal_generators(n).generators):
+        residual, used = span.reduce(params_to_structure(g, n).terms_dict())
+        res = " ".join(f"{mono_text(m, n)}:{c}" for m, c in sorted(residual.items()))
+        cert = " ".join(f"{idx}:{c}" for idx, c in sorted(used.items()))
+        certs.update(f"{gi} | {res} | {cert}\n".encode())
+    assert (gens.hexdigest(), certs.hexdigest()) == BASED_DIGESTS[n]
 
 
 def test_associator_antisymmetric_in_middle_pair():

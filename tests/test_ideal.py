@@ -9,7 +9,7 @@ from itertools import groupby
 
 import pytest
 
-from hilbworst.based import _reduced_associators, based_ideal_generators
+from hilbworst.based import _reduced_associators
 from hilbworst.ideal import (
     GradedSpan,
     IdealPresentation,
@@ -222,9 +222,6 @@ def test_vanishes_at_rejects_x_and_s_variables():
         with pytest.raises(UnsupportedDegreeError) as exc:
             IdealPresentation(3, "hilbert", (R.t(1, 2, 3) ** 2, g))
         assert str(exc.value).endswith(g.text())
-    based = IdealPresentation(3, "based_algebra", (R.s(1, 2, 3) - R.s(2, 1, 3),))
-    with pytest.raises(UnsupportedDegreeError, match="chart presentations"):
-        vanishes_at(based, {(1, 2, 3): 1})
     # a point names t-variables by index triples in 1..n
     for key in ((1, 2, 4), (0, 1, 1)):
         with pytest.raises(ValueError, match="out of range"):
@@ -330,19 +327,15 @@ def test_chart_presentation_checked_when_built(flavor):
         assert str(exc.value).endswith(f"; got {bad.text()}")
 
 
-def test_based_algebra_presentation_is_unconstrained_and_refused_by_queries():
-    # the reduced associators are inhomogeneous in the s-variables
-    pres = _fresh_copy(_reduced_associators(3))
-    assert any(len(_degrees(g, "s")) > 1 for g in pres.generators)
-    assert pres.span(2).rank > 0
+def test_presentations_are_chart_ideals_only():
     R = PolyRing.get(3)
-    for query in (
-        lambda: membership(R.t(1, 2, 3) ** 2, pres),
-        lambda: vanishes_at(pres, {(1, 2, 3): 1}),
-        lambda: pres.span(3),
-    ):
-        with pytest.raises(UnsupportedDegreeError):
-            query()
+    with pytest.raises(ValueError, match="unknown flavor"):
+        IdealPresentation(3, "based_algebra", (R.s(1, 2, 3) - R.s(2, 1, 3),))
+    # the reduced associators, inhomogeneous in the s-variables, are no
+    # presentation: the based route keeps them with a span of its own
+    gens, span = _reduced_associators(3)
+    assert any(len(_degrees(g, "s")) > 1 for g in gens)
+    assert span.rank == 29
 
 
 @pytest.mark.parametrize("d", [0, 1, 4])
@@ -354,11 +347,12 @@ def test_span_serves_degrees_2_and_3_only(d):
 
 
 def test_refused_span_stores_nothing():
-    # the second generator lies in two torus blocks, so span(2) is refused
-    # as a monomial-keyed insert of it is, and keeps no index of the first
+    # the second generator, a t-quadric, lies in two torus blocks, so span(2)
+    # is refused as a monomial-keyed insert of it is, and keeps no index of
+    # the first
     R = PolyRing.get(3)
-    bad = R.s(1, 1, 1) ** 2 + R.s(1, 2, 3)
-    pres = IdealPresentation(3, "based_algebra", (R.s(1, 2, 3) - R.s(2, 1, 3), bad))
+    bad = R.t(1, 1, 2) ** 2 + R.t(1, 2, 3) ** 2
+    pres = IdealPresentation(3, "hilbert", (R.t(1, 1, 1) * R.t(1, 2, 3), bad))
     with pytest.raises(ValueError) as ref:
         GradedSpan(3).insert(bad.terms_dict(), (ONE, 1))
     for _ in range(2):
@@ -376,8 +370,6 @@ def test_refused_span_stores_nothing():
         lambda: ideal_generators(3, "miniversal"),
         lambda: ideal_generators(4, "miniversal"),
         lambda: alternate_generators(3),
-        lambda: _reduced_associators(3),  # blocks of mixed total degree
-        lambda: based_ideal_generators(3),
     ],
     ids=[
         "hilbert-3",
@@ -385,8 +377,6 @@ def test_refused_span_stores_nothing():
         "miniversal-3",
         "miniversal-4",
         "alternate-3",
-        "reduced-assoc-3",
-        "based-3",
     ],
 )
 def test_encoded_rows_decode_to_the_generators(build):
@@ -609,13 +599,15 @@ def _sort_keyed(p) -> dict:
 def _check_reduce_invariants(span, inputs, queries):
     """query == sum(used[tag] * input[tag]) + residual exactly, the residual
     is keyed by monomials, and none of its keys is a pivot.  Also, the
-    blocked reduction equals one unblocked EchelonSpan over the keys
+    reduction of ``span`` (a GradedSpan, block by block, or one
+    EchelonSpan keyed by monomials) equals one EchelonSpan over the keys
     (graded-lex key of m, m), pivots in descending graded-lex order, with
     the same insertion order: the monomials' own order is the graded-lex
     order, across degrees too."""
     by_tag = dict(inputs)
     n = inputs[0][1].n
-    pivots = {k for b in span.blocks.values() for k in b.pivots()}
+    blocks = span.blocks.values() if isinstance(span, GradedSpan) else [span]
+    pivots = {k for b in blocks for k in b.pivots()}
     reference = EchelonSpan()
     for tag, vec in inputs:
         reference.insert(_sort_keyed(vec), tag)
@@ -654,14 +646,11 @@ def test_graded_span_reduce_invariants(n, d):
 
 
 def test_reduced_assoc_span_reduce_invariants():
-    # blocks of mixed total degree: s-monomials of degrees 1 and 2 share a
-    # torus multidegree
-    pres = _fresh_copy(_reduced_associators(3))
-    span = pres.span(2)
-    inputs = [((ONE, idx), g) for idx, g in enumerate(pres.generators)]
-    degrees = {
-        -k[0] for b in span.blocks.values() for row in b._rows.values() for k in row
-    }
+    # rows of mixed total degree: s-monomials of degrees 1 and 2 share the
+    # based route's one EchelonSpan
+    gens, span = _reduced_associators(3)
+    inputs = list(enumerate(gens))
+    degrees = {-k[0] for row in span._rows.values() for k in row}
     assert len(degrees) > 1
     monomials = sorted({m for _, vec in inputs for m in vec.terms_dict()})
     rng = random.Random(503)

@@ -3,7 +3,8 @@ private name is imported from one package module into another, every public
 function and method of the package is used by the package, the three
 membership tests of the oracle stay independent code paths, the exact linear
 algebra has one elimination loop, one method builds every membership span,
-and a presentation's generators are split into blocks in one place."""
+a presentation's generators are split into blocks in one place, and every
+presentation is a chart ideal built in one place."""
 
 import ast
 import re
@@ -219,3 +220,15 @@ def test_one_generator_encoder():
         "ideal.GradedSpan.reduce",
         "ideal.IdealPresentation.__post_init__",
     ]
+
+
+def test_presentations_hold_chart_ideals_only():
+    # an IdealPresentation is a chart ideal, built in one place; the based
+    # route keeps its own generators as plain pairs and its own span
+    assert _callers("IdealPresentation") == ["ideal.deduplicated"]
+    sources = (ROOT / "src" / "hilbworst").glob("*.py")
+    assert not [path.name for path in sources if "based_algebra" in path.read_text()]
+    assert _imported_from(_module("based"), "ideal") & {
+        "IdealPresentation",
+        "deduplicated",
+    } == set()
