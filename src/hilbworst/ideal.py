@@ -13,7 +13,11 @@ package is homogeneous of t-degree at most 3, membership is decided by exact
 linear algebra: degree-2 queries are reduced against the span of the
 generators, degree-3 queries against the span of the products
 (variable * generator) for the generators that are independent in degree 2
-(the products of the others already lie in that span).  A presentation
+(the products of the others already lie in that span).  The degree-3
+span a query reduces against is built on demand: the first query that
+reaches a block builds every block of its S_n orbit, the blocks whose
+multidegree is a permutation of its own, each exactly as the eager
+``span(3)``, which stays as the reference, builds it.  A presentation
 holds a chart ideal (flavor ``hilbert`` or ``miniversal``) and is checked
 and split once, when it is built: it must consist of homogeneous
 t-quadrics, and each generator is held as its rows, one per torus block,
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 from .linalg import EchelonSpan
@@ -94,8 +98,8 @@ class IdealPresentation:
     flavor: str
     generators: tuple
     labels: tuple = ()
-    # t-degree -> GradedSpan, built on first use and dropped with the
-    # presentation; outside equality, hashing and repr
+    # (t-degree, on demand) -> GradedSpan, built on first use and dropped
+    # with the presentation; outside equality, hashing and repr
     _spans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # indices of the generators that ``span(2)`` found independent of the
     # earlier ones, in order; filled when that span is built
@@ -126,27 +130,34 @@ class IdealPresentation:
     def __len__(self):
         return len(self.generators)
 
-    def span(self, d: int) -> GradedSpan:
+    def span(self, d: int, on_demand: bool = False) -> GradedSpan:
         """Span of the generators in t-degree d = 2, and of the products v*g
         in d = 3, for every t-variable v and every generator g that is
-        independent of the earlier ones in degree 2, inserted generator by
-        generator in ``t_variables()`` order; a row is tagged (monomial of
-        its multiplier, generator index), the monomial ``ONE`` in degree 2.
-        Other degrees raise UnsupportedDegreeError.
+        independent of the earlier ones in degree 2; a row is tagged
+        (monomial of its multiplier, generator index), the monomial ``ONE``
+        in degree 2.  Other degrees raise UnsupportedDegreeError.
+
+        ``span(3)`` inserts every product (``_insert_products``).  With
+        ``on_demand``, degree 3 gives the span that ``membership`` reduces
+        against: it starts empty, and the first query that reaches a block
+        builds every block of that block's S_n orbit with the same routine,
+        so each block it holds equals the one of ``span(3)``, row for row.
+        Degree 2 is always built whole, since it decides which generators
+        are independent.
 
         A generator dependent in degree 2 is a combination of earlier ones,
         so each of its products already lies in the span of rows inserted
         before it: inserting it would change nothing.
 
-        Both read the generators' rows as split when the presentation was
-        built.  A product's monomial is the sorted positions of both
-        factors, and its block is the sum of the factors' blocks.  A refused
-        build (a generator in several blocks) stores nothing."""
-        span = self._spans.get(d)
+        The spans read the generators' rows as split when the presentation
+        was built.  A refused build (a generator in several blocks) stores
+        nothing."""
+        demand = on_demand and d == 3
+        span = self._spans.get((d, demand))
         if span is None:
             if d not in (2, 3):
                 raise UnsupportedDegreeError(f"no span in t-degree {d}")
-            span = GradedSpan(self.n)
+            span = GradedSpan(self.n, self._insert_products if demand else None)
             if d == 2:
                 # a list, so that a refused insert leaves _independent empty
                 found = [
@@ -155,18 +166,29 @@ class IdealPresentation:
                 self._independent.extend(found)
             else:
                 self.span(2)
-                weights = _weights(self.n)
-                positions = range(*PolyRing.get(self.n).bounds["t"])
-                for idx in self._independent:
-                    ((block, row),) = self._rows[idx]  # span(2) took it whole
-                    for pos in positions:
-                        prod = {
-                            (-3, *sorted((pos, a, b))): c
-                            for (_, a, b), c in row.items()
-                        }
-                        span.insert(((block + weights[pos], prod),), ((-1, pos), idx))
-            self._spans[d] = span
+                if not demand:
+                    self._insert_products(span)
+            self._spans[d, demand] = span
         return span
+
+    def _insert_products(self, span: GradedSpan, keys=None) -> None:
+        """Insert into ``span`` the products v*g whose block is in ``keys``
+        (every product when ``keys`` is None): generator by generator, in
+        the order of ``_independent``, and v in ``t_variables()`` order,
+        tagged ((-1, position of v), generator index).  A product's
+        monomial is the sorted positions of both factors, and its block is
+        the sum of the factors' blocks."""
+        weights = _weights(self.n)
+        positions = range(*PolyRing.get(self.n).bounds["t"])
+        for idx in self._independent:
+            ((block, row),) = self._rows[idx]  # span(2) took it whole
+            for pos in positions:
+                key = block + weights[pos]
+                if keys is None or key in keys:
+                    prod = {
+                        (-3, *sorted((pos, a, b))): c for (_, a, b), c in row.items()
+                    }
+                    span.insert(((key, prod),), ((-1, pos), idx))
 
     def to_json_dict(self) -> dict:
         return {
@@ -259,6 +281,18 @@ def _packed(multidegree: tuple) -> int:
     return sum(w << 32 * i for i, w in enumerate(multidegree))
 
 
+def _orbit(key: int, n: int) -> set:
+    """The keys of the blocks in the S_n orbit of a block: its multidegree,
+    unpacked digit by digit (each component the residue of its digit
+    between -2^31 and 2^31), permuted in every way and packed again."""
+    multidegree = []
+    for _ in range(n):
+        w = (key + (1 << 31)) % (1 << 32) - (1 << 31)
+        multidegree.append(w)
+        key = (key - w) >> 32
+    return {_packed(p) for p in set(permutations(multidegree))}
+
+
 @lru_cache(maxsize=None)
 def _weights(n: int) -> tuple:
     """The block key of each variable, by position."""
@@ -297,11 +331,20 @@ class GradedSpan:
     with no sort key.  A block key is the multidegree packed into one int
     (``_packed``), the sum of its variables' keys (``_weights``), so the
     block of a product is the sum of its factors' blocks.
+
+    A span built on demand (``IdealPresentation.span(3, on_demand=True)``)
+    holds a ``grow(span, keys)`` that inserts the rows of the blocks with
+    those keys.  When ``reduce`` first reaches a block that no earlier
+    query's orbit covered, it calls ``grow`` on the block's S_n orbit, the
+    blocks whose multidegree is a permutation of its own; a block that no
+    row reaches stays absent, and a query's part in it is residual.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, grow=None):
         self.n = n
         self.blocks: dict = {}  # block key -> EchelonSpan
+        self._grow = grow
+        self._reached: set = set()  # keys of the orbits grow was called on
 
     @property
     def rank(self) -> int:
@@ -330,6 +373,11 @@ class GradedSpan:
         used: dict = {}
         for key, part in _encode(self.n, vec).items():
             span = self.blocks.get(key)
+            if span is None and self._grow and key not in self._reached:
+                orbit = _orbit(key, self.n)
+                self._grow(self, orbit)
+                self._reached |= orbit
+                span = self.blocks.get(key)
             if span is not None:
                 part, u = span.reduce(part)
                 used.update(u)
@@ -374,8 +422,9 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
 
     p must be homogeneous in the t-variables.  Degrees 0 and 1 are decided
     trivially (only 0 belongs); degree 2 is reduced against the generator
-    span, degree 3 against the span of variable*generator products.  Other
-    degrees raise UnsupportedDegreeError.
+    span, degree 3 against the span of variable*generator products built on
+    demand, whose blocks and so whose answers are those of ``span(3)``.
+    Other degrees raise UnsupportedDegreeError.
     """
     if p.n != pres.n:
         raise ValueError("ambient n mismatch between query and presentation")
@@ -398,7 +447,7 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
         return Membership(member=False, degree=d, residual=p)
     if d > 3:
         raise UnsupportedDegreeError(f"membership not supported in t-degree {d}")
-    residual, used = pres.span(d).reduce(vec)
+    residual, used = pres.span(d, on_demand=True).reduce(vec)
     if residual:
         residual = {m: exact(c) for m, c in residual.items()}
         return Membership(member=False, degree=d, residual=Poly(p.n, residual))

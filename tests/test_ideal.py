@@ -9,6 +9,7 @@ from itertools import groupby
 
 import pytest
 
+from hilbworst import lifting
 from hilbworst.based import _reduced_associators
 from hilbworst.ideal import (
     GradedSpan,
@@ -305,6 +306,87 @@ def test_degree3_span_from_independent_generators(n, monkeypatch):
 
 def _fresh_copy(pres):
     return IdealPresentation(pres.n, pres.flavor, pres.generators, pres.labels)
+
+
+def _random_cubics(rng, pres, count):
+    """Rational combinations of one to three products v*g, every other one
+    plus a random t-monomial of degree 3, which is usually not a member."""
+    R = PolyRing.get(pres.n)
+    tvars = R.t_variables()
+    cubics = []
+    for i in range(count):
+        p = R.zero()
+        for _ in range(rng.randint(1, 3)):
+            g = pres.generators[rng.randrange(len(pres))]
+            v = rng.choice(tvars)
+            p = p + R.var_poly(v) * g * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if i % 2:
+            u, v, w = (R.var_poly(rng.choice(tvars)) for _ in range(3))
+            p = p + u * v * w
+        cubics.append(p)
+    return cubics
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("flavor", ["hilbert", "miniversal", "alternate"])
+def test_on_demand_span_equals_span3(n, flavor):
+    # every block the on-demand degree-3 span builds equals the block of
+    # span(3), row for row, pivot for pivot and combination for
+    # combination, and membership against it answers as against span(3)
+    if flavor == "alternate":
+        pres = alternate_generators(n)
+    else:
+        pres = ideal_generators(n, flavor)
+    fresh = _fresh_copy(pres)
+    eager, demand = fresh.span(3), fresh.span(3, on_demand=True)
+    assert demand is not eager and not demand.blocks
+    for block in eager.blocks.values():
+        demand.reduce({next(iter(block._rows)): 1})
+    assert demand.blocks.keys() == eager.blocks.keys()
+    for key, block in eager.blocks.items():
+        assert list(demand.blocks[key]._rows.items()) == list(block._rows.items())
+        assert demand.blocks[key]._combos == block._combos
+
+    queried, reference = _fresh_copy(pres), _fresh_copy(pres)
+    reference._spans[3, True] = reference.span(3)
+    for p in _random_cubics(random.Random(600 + n), pres, 16):
+        got, want = membership(p, queried), membership(p, reference)
+        assert (got.member, got.residual, got.multipliers) == (
+            want.member,
+            want.residual,
+            want.multipliers,
+        )
+        assert got.member == got.verify(p, queried)
+
+
+def test_membership_builds_the_orbits_its_queries_reach(monkeypatch):
+    # one query builds the blocks of its block's S_n orbit, all of them
+    pres = _fresh_copy(ideal_generators(4))
+    cubic = PolyRing.get(4).t(1, 2, 3) * pres.generators[0]
+    assert membership(cubic, pres).member
+    (m, *_) = cubic.terms_dict()
+    orbit = set(itertools.permutations(mono_multidegree(m, 4)))
+    assert {_packed(md) for md in orbit} == pres.span(3, on_demand=True).blocks.keys()
+
+    # the flatness pass reaches two S_n orbits of degree-3 blocks, sorted
+    # multidegrees (0,0,1,2) and (0,1,1,1): 12 + 4 of the 176 blocks
+    pres = _fresh_copy(ideal_generators(4))
+    monkeypatch.setattr(lifting, "ideal_generators", lambda n: pres)
+    assert lifting.flatness_residual(4).ok
+    span = pres.span(3, on_demand=True)
+    assert len(span.blocks) == 16
+    orbits = {
+        tuple(sorted(mono_multidegree(next(iter(block._rows)), 4)))
+        for block in span.blocks.values()
+    }
+    assert orbits == {(0, 0, 1, 2), (0, 1, 1, 1)}
+
+    # no product v*g lies in the block of t(1,1,2)^3, nor in its orbit
+    cube = PolyRing.get(4).t(1, 1, 2) ** 3
+    pres = _fresh_copy(ideal_generators(4))
+    answer = membership(cube, pres)
+    assert not answer.member and answer.residual == cube
+    assert pres.span(3, on_demand=True).blocks == {}
 
 
 def test_span_cache_outside_equality_hash_and_repr():

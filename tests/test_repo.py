@@ -205,8 +205,9 @@ def _callers(name):
 
 
 def test_one_span_builder():
-    # IdealPresentation.span builds every GradedSpan of the package, so a
-    # second builder cannot skip its degree and flavor rules
+    # IdealPresentation.span builds every GradedSpan of the package, the
+    # eager spans and the degree-3 span built on demand, and both degree-3
+    # spans take their rows from one product routine, so they cannot drift
     assert _callers("GradedSpan") == ["ideal.IdealPresentation.span"]
 
 
