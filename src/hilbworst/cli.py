@@ -30,8 +30,7 @@ def _emit(doc: dict, out) -> None:
     out.write(_dumps(doc))
 
 
-def _family_doc(n: int, flavor: str, fmt: str) -> dict:
-    gens = lifting.universal_family(n, flavor)
+def _generators_doc(n: int, flavor: str, gens, fmt: str) -> dict:
     return {
         "schema": SCHEMA,
         "n": n,
@@ -40,30 +39,23 @@ def _family_doc(n: int, flavor: str, fmt: str) -> dict:
     }
 
 
-def _presentation_doc(pres, fmt: str) -> dict:
-    doc = pres.to_json_dict()
-    if fmt == "cas":
-        doc["generators"] = [g.text(cas=True) for g in pres.generators]
-    doc["schema"] = SCHEMA
-    return doc
-
-
 def cmd_gens(args, out) -> int:
     pres = ideal.ideal_generators(args.n, args.flavor)
     if args.format == "text":
         for lab, g in zip(pres.labels, pres.generators):
             out.write(f"{lab}: {g.text()}\n")
     else:
-        _emit(_presentation_doc(pres, args.format), out)
+        _emit(_generators_doc(args.n, args.flavor, pres.generators, args.format), out)
     return 0
 
 
 def cmd_family(args, out) -> int:
+    gens = lifting.universal_family(args.n, args.flavor)
     if args.format == "text":
-        for g in lifting.universal_family(args.n, args.flavor):
+        for g in gens:
             out.write(g.text() + "\n")
     else:
-        _emit(_family_doc(args.n, args.flavor, args.format), out)
+        _emit(_generators_doc(args.n, args.flavor, gens, args.format), out)
     return 0
 
 
@@ -211,9 +203,10 @@ def cmd_export(args, out) -> int:
     n, fmt = args.n, args.format
     docs = {}
     for flavor in ("hilbert", "miniversal"):
-        pres = ideal.ideal_generators(n, flavor)
-        docs[f"gens_{flavor}_n{n}.json"] = _presentation_doc(pres, fmt)
-        docs[f"family_{flavor}_n{n}.json"] = _family_doc(n, flavor, fmt)
+        gens = ideal.ideal_generators(n, flavor).generators
+        docs[f"gens_{flavor}_n{n}.json"] = _generators_doc(n, flavor, gens, fmt)
+        family = lifting.universal_family(n, flavor)
+        docs[f"family_{flavor}_n{n}.json"] = _generators_doc(n, flavor, family, fmt)
     dims = taylor.tangent_dims(n)
     docs[f"tangent_n{n}.json"] = {
         "schema": SCHEMA,

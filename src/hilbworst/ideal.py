@@ -18,14 +18,13 @@ span a query reduces against is built on demand: the first query that
 reaches a block builds every block of its S_n orbit, the blocks whose
 multidegree is a permutation of its own, each exactly as the eager
 ``span(3)``, which stays as the reference, builds it.  A presentation
-holds a chart ideal (flavor ``hilbert`` or ``miniversal``) and is checked
-and split once, when it is built: it must consist of homogeneous
-t-quadrics, and each generator is held as its rows, one per torus block,
-keyed by the generator's own monomials.  The degree-2 span
-inserts those rows, the degree-3 span forms its products from them and
-``vanishes_at`` evaluates them; nothing re-checks or re-splits a generator
-when it is used.  Both spans split into small independent blocks under the
-torus multidegree, which keeps the eliminations fast, and both track
+holds a chart ideal (flavor ``hilbert`` or ``miniversal``), whose
+generators are t-quadrics homogeneous for the torus multidegree: each lies
+in exactly one torus block, which is why membership splits block by block.
+The presentation decides that block once, when it is built, and refuses a
+generator that has none or several; from then on a generator is one
+(block key, row) pair, which the degree-2 span inserts, the degree-3 span
+forms its products from and ``vanishes_at`` evaluates.  Both spans track
 certificates so that every positive answer comes with explicit rational
 (resp. linear-form) multipliers.
 """
@@ -92,7 +91,8 @@ def diagonal_sum(n: int, i: int, j: int) -> Poly:
 @dataclass(frozen=True)
 class IdealPresentation:
     """Ordered generator list with provenance labels, and the membership
-    spans built from it (``span``)."""
+    spans built from it (``span``).  Each generator is a nonzero t-quadric
+    in one torus block, or the presentation is refused when built."""
 
     n: int
     flavor: str
@@ -106,26 +106,31 @@ class IdealPresentation:
     _independent: list = field(
         default_factory=list, init=False, compare=False, repr=False
     )
-    # per generator, its (block key, row) pairs, one per torus block its
-    # terms lie in; filled when the presentation is built
+    # per generator, its (block key, row) pair; filled when the
+    # presentation is built
     _rows: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """Every generator is split here, once, into its rows by block
-        (``_encode``), and checked in the same pass: it is a homogeneous
-        quadric in the t-variables alone, which the degree and the first and
-        last position of each monomial show."""
+        """The only place a generator's block is decided.  Each generator is
+        encoded once (``_encode``) and checked in the same pass: a quadric in
+        the t-variables alone, which the degree and the first and last
+        position of each monomial show, whose terms all lie in one torus
+        block.  Anything else, a zero generator too, raises
+        UnsupportedDegreeError."""
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         lo, hi = PolyRing.get(self.n).bounds["t"]
         for g in self.generators:
             terms = g.terms_dict()
-            if any(m[0] != -2 or m[1] < lo or m[2] >= hi for m in terms):
+            parts = _encode(self.n, terms)
+            if len(parts) != 1 or any(
+                m[0] != -2 or m[1] < lo or m[2] >= hi for m in terms
+            ):
                 raise UnsupportedDegreeError(
-                    f"a {self.flavor} generator is a homogeneous quadric in "
-                    f"the deformation parameters; got {g.text()}"
+                    f"a {self.flavor} generator is a nonzero quadric in the "
+                    f"deformation parameters, in one torus block; got {g.text()}"
                 )
-            self._rows.append(tuple(_encode(self.n, terms).items()))
+            self._rows.extend(parts.items())  # its one (block key, row) pair
 
     def __len__(self):
         return len(self.generators)
@@ -149,9 +154,8 @@ class IdealPresentation:
         so each of its products already lies in the span of rows inserted
         before it: inserting it would change nothing.
 
-        The spans read the generators' rows as split when the presentation
-        was built.  A refused build (a generator in several blocks) stores
-        nothing."""
+        Both read each generator as the (block key, row) pair of its one
+        torus block, as the presentation was built with it."""
         demand = on_demand and d == 3
         span = self._spans.get((d, demand))
         if span is None:
@@ -159,11 +163,9 @@ class IdealPresentation:
                 raise UnsupportedDegreeError(f"no span in t-degree {d}")
             span = GradedSpan(self.n, self._insert_products if demand else None)
             if d == 2:
-                # a list, so that a refused insert leaves _independent empty
-                found = [
-                    i for i, r in enumerate(self._rows) if span.insert(r, (ONE, i))
-                ]
-                self._independent.extend(found)
+                for i, (key, row) in enumerate(self._rows):
+                    if span.insert(key, row, (ONE, i)):
+                        self._independent.append(i)
             else:
                 self.span(2)
                 if not demand:
@@ -181,21 +183,14 @@ class IdealPresentation:
         weights = _weights(self.n)
         positions = range(*PolyRing.get(self.n).bounds["t"])
         for idx in self._independent:
-            ((block, row),) = self._rows[idx]  # span(2) took it whole
+            block, row = self._rows[idx]
             for pos in positions:
                 key = block + weights[pos]
                 if keys is None or key in keys:
                     prod = {
                         (-3, *sorted((pos, a, b))): c for (_, a, b), c in row.items()
                     }
-                    span.insert(((key, prod),), ((-1, pos), idx))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "flavor": self.flavor,
-            "generators": [g.text() for g in self.generators],
-        }
+                    span.insert(key, prod, ((-1, pos), idx))
 
 
 def deduplicated(n: int, flavor: str, labeled) -> IdealPresentation:
@@ -281,15 +276,9 @@ def _packed(multidegree: tuple) -> int:
     return sum(w << 32 * i for i, w in enumerate(multidegree))
 
 
-def _orbit(key: int, n: int) -> set:
-    """The keys of the blocks in the S_n orbit of a block: its multidegree,
-    unpacked digit by digit (each component the residue of its digit
-    between -2^31 and 2^31), permuted in every way and packed again."""
-    multidegree = []
-    for _ in range(n):
-        w = (key + (1 << 31)) % (1 << 32) - (1 << 31)
-        multidegree.append(w)
-        key = (key - w) >> 32
+def _orbit(multidegree: tuple) -> set:
+    """The keys of the blocks in the S_n orbit of a multidegree: it
+    permuted in every way, and packed."""
     return {_packed(p) for p in set(permutations(multidegree))}
 
 
@@ -321,14 +310,13 @@ class GradedSpan:
     multidegree of a pure-t monomial fixes its t-degree, and an s-monomial
     has t-degree 0.
 
-    Every inserted vector must lie in one block (rows are homogeneous); a
-    query may mix blocks and is reduced block by block, with one combined
-    certificate.  ``insert`` and ``reduce`` take vectors keyed by the
-    monomials of ``Poly`` (``insert`` also the (block key, row) pairs of a
-    split vector), and ``reduce`` returns its residual in the same keys.  A
-    block's rows are keyed by those monomials too, whose own order is the
-    descending graded-lex order, so the pivots are the ones that order takes,
-    with no sort key.  A block key is the multidegree packed into one int
+    ``insert`` takes a row with the key of its one block, as
+    ``IdealPresentation`` decided it when built; a query may mix blocks and
+    is split by ``reduce``, reduced block by block, with one combined
+    certificate.  Rows, queries and the residual ``reduce`` returns are
+    keyed by the monomials of ``Poly``, whose own order is the descending
+    graded-lex order, so the pivots are the ones that order takes, with no
+    sort key.  A block key is the multidegree packed into one int
     (``_packed``), the sum of its variables' keys (``_weights``), so the
     block of a product is the sum of its factors' blocks.
 
@@ -350,22 +338,13 @@ class GradedSpan:
     def rank(self) -> int:
         return sum(s.rank for s in self.blocks.values())
 
-    def insert(self, vec, tag) -> bool:
-        """Add a vector to its block; False if it was already contained.
-
-        ``vec`` maps monomials to coefficients, or is a tuple of (block key,
-        row) pairs, the form in which ``IdealPresentation`` holds its
-        generators and forms its products."""
-        parts = vec if type(vec) is tuple else tuple(_encode(self.n, vec).items())
-        if not parts:
-            return False
-        if len(parts) != 1:
-            raise ValueError("inserted vector spans several blocks")
-        ((key, part),) = parts
+    def insert(self, key: int, row: dict, tag) -> bool:
+        """Add a row to the block with that key; False if it was already
+        contained."""
         span = self.blocks.get(key)
         if span is None:
             span = self.blocks[key] = EchelonSpan()
-        return span.insert(part, tag)
+        return span.insert(row, tag)
 
     def reduce(self, vec: dict):
         """Return (residual, used) with vec = sum(used[tag]*input) + residual."""
@@ -374,7 +353,7 @@ class GradedSpan:
         for key, part in _encode(self.n, vec).items():
             span = self.blocks.get(key)
             if span is None and self._grow and key not in self._reached:
-                orbit = _orbit(key, self.n)
+                orbit = _orbit(mono_multidegree(next(iter(part)), self.n))
                 self._grow(self, orbit)
                 self._reached |= orbit
                 span = self.blocks.get(key)
@@ -487,11 +466,11 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     are 0.  Stops at the first generator that does not vanish.
 
     Exact: with D the lcm of the point's denominators, x = D*t is an
-    integer point, indexed by variable position.  A generator's rows
-    hold its coefficients c as stored, each under a monomial (-2, a, b), so
-    sum c * x[a] * x[b] = D^2 * g(t): an exact rational (an int when the
-    coefficients are), 0 exactly when g(t) is.  The rows are the ones
-    split when the presentation was built.
+    integer point, indexed by variable position.  A generator is read as
+    the row of its one torus block, as its presentation was built with it,
+    which holds its coefficients c as stored, each under a monomial
+    (-2, a, b), so sum c * x[a] * x[b] = D^2 * g(t): an exact rational (an
+    int when the coefficients are), 0 exactly when g(t) is.
 
     The test evaluates the generators only and calls neither the operator
     commutators of ``based.is_associative`` nor the fiber elimination of
@@ -507,11 +486,10 @@ def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:
     x = [0] * ring.bounds["t"][1]
     for pos, val in point.items():
         x[pos] = val.numerator * (scale // val.denominator)
-    for rows in pres._rows:
+    for _, row in pres._rows:
         total = 0
-        for _, row in rows:
-            for (_, a, b), c in row.items():
-                total += c * x[a] * x[b]
+        for (_, a, b), c in row.items():
+            total += c * x[a] * x[b]
         if total:
             return False
     return True

@@ -9,7 +9,7 @@ from itertools import groupby
 
 import pytest
 
-from hilbworst import lifting
+from hilbworst import cli, lifting
 from hilbworst.based import _reduced_associators
 from hilbworst.ideal import (
     GradedSpan,
@@ -244,13 +244,11 @@ def test_blocked_span_routes_by_key():
     b = R.t(1, 1, 1) * R.t(1, 2, 2)  # the same block
     c = R.t(1, 1, 1) * R.t(1, 2, 3)  # t-degree 2, multidegree (2, 1, -1)
     span = GradedSpan(3)
-    span.insert(c.terms_dict(), "r0")
-    span.insert((a + b).terms_dict(), "r1")
+    for p, tag in ((c, "r0"), (a + b, "r1")):
+        span.insert(_packed(p.multidegree()), p.terms_dict(), tag)
     residual, used = span.reduce((2 * c + a + b).terms_dict())
     assert not residual
     assert used == {"r0": 2, "r1": 1}
-    with pytest.raises(ValueError):
-        span.insert((a + c).terms_dict(), "r2")
 
 
 @pytest.mark.parametrize("n, rank, blocks", [(3, 235, 37), (4, 2364, 176)])
@@ -269,14 +267,15 @@ def test_degree3_span_from_independent_generators(n, monkeypatch):
     full = GradedSpan(n)
     for idx, g in enumerate(pres.generators):
         for v in tvars:
-            full.insert((R.var_poly(v) * g).terms_dict(), (R.var_mono(v), idx))
+            p = R.var_poly(v) * g
+            full.insert(_packed(p.multidegree()), p.terms_dict(), (R.var_mono(v), idx))
 
     inserts = []
     real_insert = GradedSpan.insert
 
-    def counted(self, vec, tag):
+    def counted(self, key, row, tag):
         inserts.append(tag)
-        return real_insert(self, vec, tag)
+        return real_insert(self, key, row, tag)
 
     fresh = _fresh_copy(pres)
     fresh.span(2)
@@ -428,20 +427,16 @@ def test_span_serves_degrees_2_and_3_only(d):
     assert not pres._spans
 
 
-def test_refused_span_stores_nothing():
-    # the second generator, a t-quadric, lies in two torus blocks, so span(2)
-    # is refused as a monomial-keyed insert of it is, and keeps no index of
-    # the first
+def test_presentation_refuses_a_generator_outside_one_block():
+    # the second generator, a t-quadric, lies in two torus blocks, and a zero
+    # generator in none: either is refused when the presentation is built,
+    # naming the generator
     R = PolyRing.get(3)
-    bad = R.t(1, 1, 2) ** 2 + R.t(1, 2, 3) ** 2
-    pres = IdealPresentation(3, "hilbert", (R.t(1, 1, 1) * R.t(1, 2, 3), bad))
-    with pytest.raises(ValueError) as ref:
-        GradedSpan(3).insert(bad.terms_dict(), (ONE, 1))
-    for _ in range(2):
-        with pytest.raises(ValueError) as exc:
-            pres.span(2)
-        assert (type(exc.value), str(exc.value)) == (type(ref.value), str(ref.value))
-        assert not pres._spans and pres._independent == []
+    good = R.t(1, 1, 1) * R.t(1, 2, 3)
+    for bad in (R.t(1, 1, 2) ** 2 + R.t(1, 2, 3) ** 2, R.zero()):
+        with pytest.raises(UnsupportedDegreeError) as exc:
+            IdealPresentation(3, "hilbert", (good, bad))
+        assert str(exc.value).endswith(bad.text())
 
 
 @pytest.mark.parametrize(
@@ -462,18 +457,14 @@ def test_refused_span_stores_nothing():
     ],
 )
 def test_encoded_rows_decode_to_the_generators(build):
-    # each generator is held as its rows, one per torus block: together they
-    # give back its terms, each in the block of its multidegree
+    # each generator is held as one (block, row) pair: the row gives back its
+    # terms, each in the block of its multidegree
     pres = build()
     assert len(pres._rows) == len(pres.generators)
-    for g, rows in zip(pres.generators, pres._rows):
-        decoded = {}
-        for block, row in rows:
-            for m, c in row.items():
-                assert _packed(mono_multidegree(m, pres.n)) == block
-                decoded[m] = c
-        assert decoded == g.terms_dict()
-        assert len({block for block, _ in rows}) == len(rows)
+    for g, (block, row) in zip(pres.generators, pres._rows):
+        for m in row:
+            assert _packed(mono_multidegree(m, pres.n)) == block
+        assert row == g.terms_dict()
 
 
 def test_membership_reuses_the_presentation_span(monkeypatch):
@@ -536,15 +527,16 @@ def test_low_n_rejected():
         alternate_generators(2)
 
 
-def test_json_export_shape_and_determinism():
-    pres = ideal_generators(3)
-    text = json.dumps(pres.to_json_dict(), sort_keys=True)
-    doc = json.loads(text)
-    assert set(doc) == {"n", "flavor", "generators"}
+def test_json_export_shape_and_determinism(capsys):
+    texts = []
+    for _ in range(2):
+        assert cli.main(["gens", "--n", "3"]) == 0
+        texts.append(capsys.readouterr().out)
+    doc = json.loads(texts[0])
+    assert set(doc) == {"schema", "n", "flavor", "generators"}
     assert doc["n"] == 3 and doc["flavor"] == "hilbert"
-    assert len(doc["generators"]) == len(pres)
-    again = json.dumps(ideal_generators(3).to_json_dict(), sort_keys=True)
-    assert text == again
+    assert len(doc["generators"]) == len(ideal_generators(3))
+    assert texts[0] == texts[1]
 
 
 def test_membership_verify_rejects_non_member():

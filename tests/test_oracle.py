@@ -268,29 +268,36 @@ def test_vanishes_at_agrees_with_substitution(n):
 
 def test_vanishes_at_rejects_non_homogeneous_generators():
     ring = PolyRing.get(3)
-    t, u = ring.t(1, 1, 1), ring.t(1, 2, 3)
+    t, v = ring.t(1, 1, 1), ring.t(1, 2, 2)
+    u, w = ring.t(1, 1, 2), ring.t(1, 2, 1)
     for g in (t * t - t, u * Fraction(3, 2) - Fraction(1, 2)):
         # such a presentation is refused when built, so no point reaches it
         with pytest.raises(UnsupportedDegreeError) as exc:
             IdealPresentation(3, "hilbert", (u * u, g))
         assert str(exc.value).endswith(g.text())
-    # homogeneous with a rational coefficient: t(1,1,1)^2 - (9/4) t(1,2,3)^2
-    pres = IdealPresentation(3, "hilbert", (t * t - u * u * Fraction(9, 4), t * u))
+    # one block, multidegree (2, 0, 0), with a rational coefficient:
+    # t(1,1,1) t(1,2,2) - (9/4) t(1,1,2) t(1,2,1); then t(1,1,1) t(1,1,2)
+    pres = IdealPresentation(3, "hilbert", (t * v - u * w * Fraction(9, 4), t * u))
+
+    def point(a, b):
+        # t(1,1,1) = t(1,2,2) = a and t(1,1,2) = t(1,2,1) = b, so the first
+        # generator is a^2 - (9/4) b^2; the key (2, 1, 1) names t(1,2,1)
+        return {(1, 1, 1): a, (1, 2, 2): a, (1, 1, 2): b, (2, 1, 1): b}
+
     for a, b, expected in [
         (0, 0, True),
         (Fraction(3, 2), 0, False),
         (0, Fraction(1, 3), False),
         (Fraction(3, 2), 1, False),
     ]:
-        # the key (2, 1, 3) names t(1,2,3)
-        point = {(1, 1, 1): a, (2, 1, 3): b}
-        assert vanishes_at(pres, point) is expected
-        canonical = {ring.t_var(1, 1, 1): a, ring.t_var(1, 2, 3): b}
+        assert vanishes_at(pres, point(a, b)) is expected
+        canonical = dict.fromkeys((ring.t_var(1, 1, 1), ring.t_var(1, 2, 2)), a)
+        canonical.update(dict.fromkeys((ring.t_var(1, 1, 2), ring.t_var(1, 2, 1)), b))
         assert _generators_vanish(pres, canonical) is expected
     first = IdealPresentation(3, "hilbert", pres.generators[:1])
     for a, b in [(3, 2), (Fraction(-3, 2), 1), (Fraction(3, 5), Fraction(2, 5))]:
-        assert vanishes_at(first, {(1, 1, 1): a, (2, 1, 3): b})
-        assert not vanishes_at(first, {(1, 1, 1): a, (2, 1, 3): b + 1})
+        assert vanishes_at(first, point(a, b))
+        assert not vanishes_at(first, point(a, b + 1))
 
 
 def _family_by_substitution(n, tvals):

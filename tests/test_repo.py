@@ -212,12 +212,11 @@ def test_one_span_builder():
 
 
 def test_one_generator_encoder():
-    # a presentation splits its generators into blocks once, when it is
-    # built, and a GradedSpan splits only its queries and monomial-keyed
-    # inserts, so no second compiled form of the generators can drift from
-    # the first
+    # a presentation decides each generator's one block once, when it is
+    # built, and a span takes rows only as the presentation split them,
+    # splitting nothing but its queries, so no second compiled form of the
+    # generators can drift from the first
     assert _callers("_encode") == [
-        "ideal.GradedSpan.insert",
         "ideal.GradedSpan.reduce",
         "ideal.IdealPresentation.__post_init__",
     ]
