@@ -39,7 +39,7 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from .ideal import diagonal_sum, ideal_generators, membership
+from .ideal import diagonal_sum, ideal_generators, membership, orbit_memberships
 from .linalg import EchelonSpan
 from .poly import ONE, Poly, PolyRing
 from .taylor import basis_pairs, pair
@@ -301,7 +301,9 @@ class CorrespondenceReport:
 
 def verify_structure_correspondence(n: int) -> CorrespondenceReport:
     """Certify both inclusions of the correspondence between the based
-    moduli ideal and the chart ideal, plus the section property."""
+    moduli ideal and the chart ideal, plus the section property.  The
+    cubic projections are asked of ``membership`` one per S_n orbit of
+    their triples (``orbit_memberships``)."""
     report = CorrespondenceReport()
     ring = PolyRing.get(n)
     chart = ideal_generators(n)
@@ -312,9 +314,21 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
         for v in ring.t_variables()
     )
 
-    for g, lab in based_ideal_generators(n):
-        img = structure_to_params(g, n)
-        if not membership(img, chart).verify(img, chart):
+    images = [(structure_to_params(g, n), lab) for g, lab in based_ideal_generators(n)]
+    # the images of assoc(i,j,k|0), i, j, k positive, are the cubics; they
+    # are certified one S_n orbit of the triples at a time
+    pos = range(1, n + 1)
+    triples = [(i, j, k) for i in pos for j in pos for k in range(j + 1, n + 1)]
+    cubics = {f"assoc({i},{j},{k}|0)": (i, j, k) for i, j, k in triples}
+    certified = orbit_memberships(
+        {cubics[lab]: img for img, lab in images if lab in cubics}, chart
+    )
+    for img, lab in images:
+        if lab in cubics:
+            ok = certified[cubics[lab]][1]
+        else:
+            ok = membership(img, chart).verify(img, chart)
+        if not ok:
             report.failures.append(("projection", lab))
         elif img.degree("t") == 3:
             report.pi_degree3 += 1

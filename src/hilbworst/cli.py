@@ -4,7 +4,9 @@ subspace reports and table evaluation.
 Every JSON document carries a top-level {"schema": "hilbworst/1"} marker and
 is emitted with sorted keys, so output is byte-stable for fixed flags and
 seed.  ``verify`` streams one JSON line per check and exits 0 only when all
-requested checks pass; the first failure is named on stderr.
+requested checks pass; the first failure is named on stderr.  A command
+that runs out of memory exits 1 with one stderr line, which for ``verify``
+names the check that was running.
 """
 
 from __future__ import annotations
@@ -98,39 +100,45 @@ def cmd_table(args, out) -> int:
     return 0
 
 
-def _check(name: str, n: int, ok: bool, detail: str = "") -> dict:
-    doc = {"schema": SCHEMA, "check": name, "n": n, "status": "ok" if ok else "fail"}
+def _check(n: int, ok: bool, detail: str = "") -> dict:
+    doc = {"schema": SCHEMA, "n": n, "status": "ok" if ok else "fail"}
     if detail:
         doc["detail"] = detail
     return doc
 
 
 def _route_classical(n: int):
+    yield "first_order_residual"
     res = lifting.first_order_residual(n)
-    yield _check("first_order_residual", n, all(p.is_zero for p in res.values()))
+    yield _check(n, all(p.is_zero for p in res.values()))
+    yield "second_order_span"
     system = lifting.second_order_obstruction(n)
-    equal = ideal.span_equal_degree2(system.equations, ideal.ideal_generators(n))
-    yield _check("second_order_span", n, equal)
-    flat = lifting.flatness_residual(n)
     yield _check(
-        "cubic_syzygy_certificates", n, not flat.cubic_detail, flat.cubic_detail
+        n, ideal.span_equal_degree2(system.equations, ideal.ideal_generators(n))
     )
-    yield _check("flatness", n, flat.ok, flat.flatness_detail)
-    yield _check("koszul_trivial_lift", n, not lifting.koszul_lift_failures(n))
+    yield "cubic_syzygy_certificates"
+    flat = lifting.flatness_residual(n)
+    yield _check(n, not flat.cubic_detail, flat.cubic_detail)
+    yield "flatness"
+    yield _check(n, flat.ok, flat.flatness_detail)
+    yield "koszul_trivial_lift"
+    yield _check(n, not lifting.koszul_lift_failures(n))
 
 
-def _generator_check(name: str, n: int, sym, residual) -> dict:
-    """Per-generator report: {check, generator, residual, status}."""
-    doc = _check(name, n, residual.is_zero)
+def _generator_check(n: int, sym, residual) -> dict:
+    """Per-generator report: {generator, residual, status}."""
+    doc = _check(n, residual.is_zero)
     doc["generator"] = taylor.FreeModElt._sym_text(sym)
     doc["residual"] = residual.text()
     return doc
 
 
 def _route_dgla(n: int):
+    yield "derivation_closedness"
     closed = dgla.closedness_residual(n)
     for sym, res in sorted(closed.items(), key=lambda kv: (kv[0][0], str(kv[0]))):
-        yield _generator_check("derivation_closedness", n, sym, res)
+        yield _generator_check(n, sym, res)
+    yield "cup_product"
     cup = dgla.cup_product(n)
     R = ideal.PolyRing.get(n)
     for sym, value in sorted(cup.wedge_values.items()):
@@ -140,38 +148,41 @@ def _route_dgla(n: int):
             expected = expected + ideal.set_diagonal_zero(
                 ideal.obstruction_quadric(n, i, j, k, l)
             ) * R.x(l)
-        yield _generator_check("cup_product", n, sym, value - expected)
+        yield _generator_check(n, sym, value - expected)
+    yield "cup_product_exterior_square"
     for sym, q in sorted(cup.curly_values.items()):
-        yield _generator_check("cup_product_exterior_square", n, sym, q.rep)
+        yield _generator_check(n, sym, q.rep)
+    yield "kuranishi_span"
     locus = dgla.kuranishi_quadratic_locus(n).equations
     mini = ideal.ideal_generators(n, "miniversal")
-    yield _check("kuranishi_span", n, ideal.span_equal_degree2(locus, mini))
-    yield _check("classical_vs_dgla", n, dgla.compare_classical_dgla(n).equal)
+    yield _check(n, ideal.span_equal_degree2(locus, mini))
+    yield "classical_vs_dgla"
+    yield _check(n, dgla.compare_classical_dgla(n).equal)
 
 
 def _route_based(n: int):
+    yield "structure_correspondence"
     report = based.verify_structure_correspondence(n)
-    yield _check(
-        "structure_correspondence",
-        n,
-        report.ok,
-        detail="; ".join(f"{side}:{lab}" for side, lab in report.failures),
-    )
+    yield _check(n, report.ok, "; ".join(f"{s}:{lab}" for s, lab in report.failures))
 
 
 def _route_oracle(n: int, seed: int, samples: int):
+    yield "oracle_sample"
     trials = oracle.run_samples(n, seed=seed, samples=samples)
     bad = 0
     for idx, trial in enumerate(trials):
-        doc = _check("oracle_sample", n, trial["agree"])
+        doc = _check(n, trial["agree"])
         doc["sample"] = idx
         doc.update(trial)
         bad += not trial["agree"]
         yield doc
-    yield _check("oracle_agreement", n, not bad, detail=f"{len(trials)} samples")
+    yield "oracle_agreement"
+    yield _check(n, not bad, detail=f"{len(trials)} samples")
 
 
-# route name -> its checks for the parsed flags, in the order of --route all
+# route name -> its checks for the parsed flags, in the order of --route all:
+# a route yields the name of each check before it starts the check's work,
+# then the check's lines
 _ROUTES = {
     "classical": lambda args: _route_classical(args.n),
     "dgla": lambda args: _route_dgla(args.n),
@@ -182,13 +193,25 @@ _ROUTES = {
 
 def cmd_verify(args, out) -> int:
     routes = list(_ROUTES) if args.route == "all" else [args.route]
-    failures = []
-    for route in routes:
-        for doc in _ROUTES[route](args):
-            doc["route"] = route
-            _emit(doc, out)
-            if doc["status"] != "ok":
-                failures.append(doc)
+    failures, ran_out = [], False
+    try:
+        for route in routes:
+            for doc in _ROUTES[route](args):
+                if isinstance(doc, str):
+                    check = doc
+                    continue
+                doc.update(check=check, route=route)
+                _emit(doc, out)
+                if doc["status"] != "ok":
+                    failures.append(doc)
+    except MemoryError:
+        # reported once the handler has ended, which frees the frames that
+        # held the memory, so that the report can allocate
+        ran_out = True
+    if ran_out:
+        where = f"{route}/{check} at n={args.n}"
+        print(f"hilbworst: out of memory in {where}", file=sys.stderr)
+        return 1
     if failures:
         first = failures[0]
         print(
@@ -405,6 +428,8 @@ def _run(argv) -> int:
             status = args.handler(args, out)
             out.flush()  # a failed write surfaces here, not at interpreter exit
             return status
+    except MemoryError:  # verify names its running check itself
+        pass  # reported below, once the handler has freed the frames
     except OSError as exc:
         # the handlers do no I/O but on --out: an error that names no file
         # came from writing or closing the --out file itself, or stdout
@@ -412,6 +437,8 @@ def _run(argv) -> int:
         if name is None:
             return _stdout_failed(exc)
         parser.error(f"argument --out: cannot write {name}: {exc.strerror}")
+    print(f"hilbworst: out of memory in {args.command}", file=sys.stderr)
+    return 1
 
 
 def _stdout_failed(exc: OSError) -> int:

@@ -13,11 +13,8 @@ package is homogeneous of t-degree at most 3, membership is decided by exact
 linear algebra: degree-2 queries are reduced against the span of the
 generators, degree-3 queries against the span of the products
 (variable * generator) for the generators that are independent in degree 2
-(the products of the others already lie in that span).  The degree-3
-span a query reduces against is built on demand: the first query that
-reaches a block builds every block of its S_n orbit, the blocks whose
-multidegree is a permutation of its own, each exactly as the eager
-``span(3)``, which stays as the reference, builds it.  A presentation
+(the products of the others already lie in that span), built block by
+block as queries reach them (``GradedSpan``).  A presentation
 holds a chart ideal (flavor ``hilbert`` or ``miniversal``), whose
 generators are t-quadrics homogeneous for the torus multidegree: each lies
 in exactly one torus block, which is why membership splits block by block.
@@ -27,6 +24,13 @@ generator that has none or several; from then on a generator is one
 forms its products from and ``vanishes_at`` evaluates.  Both spans track
 certificates so that every positive answer comes with explicit rational
 (resp. linear-form) multipliers.
+
+The chart ideals are invariant under S_n acting on the indices of
+t(i,j,k) (``permuted``), so a certificate carries over to the permuted
+query (``transported``).  ``orbit_memberships`` uses that to ask
+``membership`` one query per S_n orbit of a family of cubics; a carried
+certificate counts only once ``Membership.verify`` passes for its own
+query.
 """
 
 from __future__ import annotations
@@ -98,9 +102,12 @@ class IdealPresentation:
     flavor: str
     generators: tuple
     labels: tuple = ()
-    # (t-degree, on demand) -> GradedSpan, built on first use and dropped
-    # with the presentation; outside equality, hashing and repr
+    # t-degree -> GradedSpan, built on first use and dropped with the
+    # presentation; outside equality, hashing and repr
     _spans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # each generator and its negation -> (index, sign), filled on the first
+    # ``transported`` call
+    _signed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # indices of the generators that ``span(2)`` found independent of the
     # earlier ones, in order; filled when that span is built
     _independent: list = field(
@@ -135,58 +142,49 @@ class IdealPresentation:
     def __len__(self):
         return len(self.generators)
 
-    def span(self, d: int, on_demand: bool = False) -> GradedSpan:
+    def span(self, d: int) -> GradedSpan:
         """Span of the generators in t-degree d = 2, and of the products v*g
         in d = 3, for every t-variable v and every generator g that is
         independent of the earlier ones in degree 2; a row is tagged
         (monomial of its multiplier, generator index), the monomial ``ONE``
         in degree 2.  Other degrees raise UnsupportedDegreeError.
 
-        ``span(3)`` inserts every product (``_insert_products``).  With
-        ``on_demand``, degree 3 gives the span that ``membership`` reduces
-        against: it starts empty, and the first query that reaches a block
-        builds every block of that block's S_n orbit with the same routine,
-        so each block it holds equals the one of ``span(3)``, row for row.
-        Degree 2 is always built whole, since it decides which generators
-        are independent.
-
-        A generator dependent in degree 2 is a combination of earlier ones,
-        so each of its products already lies in the span of rows inserted
-        before it: inserting it would change nothing.
+        Degree 2 is built whole, since it decides which generators are
+        independent; degree 3 starts empty and grows its blocks with
+        ``_insert_products`` as queries reach them.  A generator dependent
+        in degree 2 is a combination of earlier ones, so each of its
+        products already lies in the span of rows inserted before it:
+        inserting it would change nothing.
 
         Both read each generator as the (block key, row) pair of its one
         torus block, as the presentation was built with it."""
-        demand = on_demand and d == 3
-        span = self._spans.get((d, demand))
+        span = self._spans.get(d)
         if span is None:
             if d not in (2, 3):
                 raise UnsupportedDegreeError(f"no span in t-degree {d}")
-            span = GradedSpan(self.n, self._insert_products if demand else None)
+            span = GradedSpan(self.n, self._insert_products if d == 3 else None)
             if d == 2:
                 for i, (key, row) in enumerate(self._rows):
                     if span.insert(key, row, (ONE, i)):
                         self._independent.append(i)
             else:
-                self.span(2)
-                if not demand:
-                    self._insert_products(span)
-            self._spans[d, demand] = span
+                self.span(2)  # decides the generators the products take
+            self._spans[d] = span
         return span
 
-    def _insert_products(self, span: GradedSpan, keys=None) -> None:
-        """Insert into ``span`` the products v*g whose block is in ``keys``
-        (every product when ``keys`` is None): generator by generator, in
-        the order of ``_independent``, and v in ``t_variables()`` order,
-        tagged ((-1, position of v), generator index).  A product's
-        monomial is the sorted positions of both factors, and its block is
-        the sum of the factors' blocks."""
+    def _insert_products(self, span: GradedSpan, keys: set) -> None:
+        """Insert into ``span`` the products v*g whose block is in ``keys``:
+        generator by generator, in the order of ``_independent``, and v in
+        ``t_variables()`` order, tagged ((-1, position of v), generator
+        index).  A product's monomial is the sorted positions of both
+        factors, and its block is the sum of the factors' blocks."""
         weights = _weights(self.n)
         positions = range(*PolyRing.get(self.n).bounds["t"])
         for idx in self._independent:
             block, row = self._rows[idx]
             for pos in positions:
                 key = block + weights[pos]
-                if keys is None or key in keys:
+                if key in keys:
                     prod = {
                         (-3, *sorted((pos, a, b))): c for (_, a, b), c in row.items()
                     }
@@ -320,19 +318,26 @@ class GradedSpan:
     (``_packed``), the sum of its variables' keys (``_weights``), so the
     block of a product is the sum of its factors' blocks.
 
-    A span built on demand (``IdealPresentation.span(3, on_demand=True)``)
-    holds a ``grow(span, keys)`` that inserts the rows of the blocks with
-    those keys.  When ``reduce`` first reaches a block that no earlier
-    query's orbit covered, it calls ``grow`` on the block's S_n orbit, the
-    blocks whose multidegree is a permutation of its own; a block that no
-    row reaches stays absent, and a query's part in it is residual.
+    The degree-3 span of a presentation (``IdealPresentation.span(3)``)
+    starts empty and holds a ``grow(span, keys)`` that inserts the rows of
+    the blocks with those keys, each block as a build of every product
+    would hold it, row for row.  ``reduce`` grows a block when a query
+    first reaches it, by this rule: a block whose S_n orbit (the blocks
+    whose multidegree is a permutation of its own) has no grown block
+    grows alone; the first query that reaches a second block of that orbit
+    grows the rest of the orbit.  So a caller that asks one query per orbit
+    (``orbit_memberships``) builds one block per orbit, and a stream of
+    queries over every block grows each orbit in two steps.  A grown block
+    that no row reaches stays absent, and a query's part in it is
+    residual.
     """
 
     def __init__(self, n: int, grow=None):
         self.n = n
         self.blocks: dict = {}  # block key -> EchelonSpan
         self._grow = grow
-        self._reached: set = set()  # keys of the orbits grow was called on
+        self._reached: set = set()  # keys of the blocks grow was called on
+        self._orbits: set = set()  # sorted multidegrees of the orbits reached
 
     @property
     def rank(self) -> int:
@@ -353,9 +358,15 @@ class GradedSpan:
         for key, part in _encode(self.n, vec).items():
             span = self.blocks.get(key)
             if span is None and self._grow and key not in self._reached:
-                orbit = _orbit(mono_multidegree(next(iter(part)), self.n))
-                self._grow(self, orbit)
-                self._reached |= orbit
+                multidegree = mono_multidegree(next(iter(part)), self.n)
+                orbit = tuple(sorted(multidegree))
+                if orbit in self._orbits:
+                    keys = _orbit(multidegree) - self._reached
+                else:
+                    self._orbits.add(orbit)
+                    keys = {key}
+                self._grow(self, keys)
+                self._reached |= keys
                 span = self.blocks.get(key)
             if span is not None:
                 part, u = span.reduce(part)
@@ -400,10 +411,8 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
     """Decide whether p lies in the ideal, with an explicit certificate.
 
     p must be homogeneous in the t-variables.  Degrees 0 and 1 are decided
-    trivially (only 0 belongs); degree 2 is reduced against the generator
-    span, degree 3 against the span of variable*generator products built on
-    demand, whose blocks and so whose answers are those of ``span(3)``.
-    Other degrees raise UnsupportedDegreeError.
+    trivially (only 0 belongs); degrees 2 and 3 are reduced against
+    ``pres.span(d)``.  Other degrees raise UnsupportedDegreeError.
     """
     if p.n != pres.n:
         raise ValueError("ambient n mismatch between query and presentation")
@@ -426,7 +435,7 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
         return Membership(member=False, degree=d, residual=p)
     if d > 3:
         raise UnsupportedDegreeError(f"membership not supported in t-degree {d}")
-    residual, used = pres.span(d, on_demand=True).reduce(vec)
+    residual, used = pres.span(d).reduce(vec)
     if residual:
         residual = {m: exact(c) for m, c in residual.items()}
         return Membership(member=False, degree=d, residual=Poly(p.n, residual))
@@ -435,6 +444,94 @@ def membership(p: Poly, pres: IdealPresentation) -> Membership:
         terms.setdefault(idx, {})[m] = exact(c)
     mults = {idx: Poly(p.n, terms[idx]) for idx in sorted(terms)}
     return Membership(member=True, degree=d, multipliers=mults)
+
+
+# -- the S_n symmetry ------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _permutation(n: int, sigma: tuple) -> dict:
+    """The position of each t(i,j,k) -> the position of t(σi,σj,σk)."""
+    ring = PolyRing.get(n)
+    position, variables = ring.position, ring.variables
+    return {
+        p: position[ring.t_var(*(sigma[i - 1] for i in variables[p][1:]))]
+        for p in range(*ring.bounds["t"])
+    }
+
+
+def permuted(p: Poly, sigma: tuple) -> Poly:
+    """σ(p) for a polynomial in the t-variables: t(i,j,k) becomes
+    t(σi,σj,σk), where ``sigma`` is the tuple (σ1, ..., σn) of a
+    permutation of 1..n."""
+    image = _permutation(p.n, sigma)
+    terms = p.terms_dict().items()
+    return Poly(p.n, {(m[0], *sorted(image[q] for q in m[1:])): c for m, c in terms})
+
+
+def transported(cert: Membership, sigma: tuple, pres: IdealPresentation):
+    """A candidate certificate of σ(p) from the certificate ``cert`` of a
+    member p: a multiplier m on generator g becomes ε·σ(m) on the generator
+    g' with σ(g) = ε·g'.  None when some σ(g) is not ± a generator.  The
+    candidate counts only once ``Membership.verify`` passes for the query
+    it is meant for."""
+    signed = pres._signed
+    if not signed:
+        for idx, g in enumerate(pres.generators):
+            signed[g], signed[-g] = (idx, 1), (idx, -1)
+    mults = {}
+    for idx, m in cert.multipliers.items():
+        image = signed.get(permuted(pres.generators[idx], sigma))
+        if image is None:
+            return None
+        target, sign = image
+        mults[target] = permuted(m, sigma) * sign
+    return Membership(
+        member=True, degree=cert.degree, multipliers=dict(sorted(mults.items()))
+    )
+
+
+def _sending(n: int, images: dict) -> tuple:
+    """The permutation of 1..n, as the tuple (σ1, ..., σn), that sends each
+    key of ``images`` to its value and the other points, in increasing
+    order, to the other values, in increasing order."""
+    rest = iter(sorted(set(range(1, n + 1)) - set(images.values())))
+    return tuple(images[i] if i in images else next(rest) for i in range(1, n + 1))
+
+
+def orbit_memberships(queries: dict, pres: IdealPresentation) -> dict:
+    """Certify a family of queries q(i, j, k), keyed by triples of indices
+    in 1..n with j != k: {triple: (Membership, verified)}, where verified
+    says that ``Membership.verify`` passed against that triple's own query.
+
+    A family with q(σi, σj, σk) = σ(q(i, j, k)) for σ in S_n and
+    q(i, k, j) = -q(i, j, k), as the cubic syzygies and the projected
+    associators are, has two orbits of triples: i in {j, k}, and i outside.
+    The first query of an orbit whose certificate verifies is asked of
+    ``membership``; every later one in that orbit gets that certificate
+    ``transported`` by a σ that sends the first triple to it, up to the
+    swap of j and k and its sign.  A transported certificate that does not
+    verify is dropped and its query asked of ``membership``, so no answer
+    rests on the family having that symmetry."""
+    first: dict = {}  # orbit -> (triple with i != k, its sign, Membership)
+    out = {}
+    for triple, q in queries.items():
+        i, j, k = triple
+        sign, j, k = (-1, k, j) if i == k else (1, j, k)
+        orbit, cert = i == j, None
+        if orbit in first:
+            (a, b, c), first_sign, first_cert = first[orbit]
+            cert = transported(first_cert, _sending(pres.n, {a: i, b: j, c: k}), pres)
+            if cert is not None and sign != first_sign:
+                cert.multipliers = {idx: -m for idx, m in cert.multipliers.items()}
+        ok = cert is not None and cert.verify(q, pres)
+        if not ok:
+            cert = membership(q, pres)
+            ok = cert.verify(q, pres)
+            if ok:
+                first.setdefault(orbit, ((i, j, k), sign, cert))
+        out[triple] = (cert, ok)
+    return out
 
 
 def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:

@@ -13,9 +13,11 @@ the lam-free symmetric form sum_k q(l,m,k|k)/(n-1).
 With those tails the perturbed composite vanishes modulo the constraint
 ideal: its t-degree-2 part lies in the degree-2 span, and n-1 times its
 t-degree-3 part is the cubic syzygy (``syzygy_cubic``), which has an
-explicit linear-form certificate.  ``flatness_residual`` reports both, one
-``membership`` query per cubic, each certificate re-verified by exact
-multiplication (``Membership.verify``) before it counts.
+explicit linear-form certificate.  ``flatness_residual`` reports both: it
+asks ``membership`` one cubic per S_n orbit of the triples (i, j, k) and
+transports that certificate to the others, and each certificate is
+re-verified by exact multiplication (``Membership.verify``) against its
+own cubic before it counts.
 Disjoint-pair wedges lift trivially to all orders, by ``leibniz_value`` of
 the perturbed generator map; ``koszul_lift_failures`` checks that lift by its
 form, which makes the composite vanish by commutativity alone.
@@ -39,6 +41,7 @@ from .ideal import (
     diagonal_sum,
     ideal_generators,
     membership,
+    orbit_memberships,
     set_diagonal_zero,
 )
 from .poly import ONE, Poly, PolyRing
@@ -353,17 +356,22 @@ def flatness_residual(n: int) -> FlatnessReport:
     """Certify (f0+f1+f2)(r0+r1) on every shared-index wedge e[i,j]^e[i,k]:
     orders 0 and 1 vanish identically, the t-degree-2 part splits into
     x-coefficients lying in the degree-2 span, and n-1 times the t-degree-3
-    part is the cubic syzygy at (i, j, k), which has a degree-3 certificate.
-    A certificate counts only once re-verified by exact multiplication; the
-    report names the first part of each wedge that lacks one."""
+    part is the cubic syzygy at (i, j, k), which has a degree-3 certificate,
+    asked of ``membership`` once per S_n orbit of the triples
+    (``orbit_memberships``).  A certificate counts only once re-verified by
+    exact multiplication; the report names the first part of each wedge
+    that lacks one."""
     f = build_f(n)
     r = build_r(n)
     pres = ideal_generators(n)
     ring = PolyRing.get(n)
+    triples = {
+        sym: nonkoszul_triple(sym) for sym in wedge_symbols(n) if not is_koszul(sym)
+    }
+    cubics = {triple: syzygy_cubic(n, *triple) for triple in triples.values()}
+    certified = orbit_memberships(cubics, pres)
     wedges = {}
-    for sym in wedge_symbols(n):
-        if is_koszul(sym):
-            continue
+    for sym, triple in triples.items():
         pieces = {d: ring.zero() for d in range(4)}
         for df in range(3):
             for dr in range(2):
@@ -377,10 +385,8 @@ def flatness_residual(n: int) -> FlatnessReport:
                 raise AssertionError("unexpected x-free t-degree-2 part")
             part = f"x_{ring.variables[xmono[1]][1]}-coefficient of the t-degree-2 part"
             parts.append((part, membership(q, pres).verify(q, pres)))
-        cubic = syzygy_cubic(n, *nonkoszul_triple(sym))
-        deg3 = membership(cubic, pres)
-        cubic_ok = deg3.verify(cubic, pres)
-        identity = pieces[3] * (n - 1) == cubic
+        deg3, cubic_ok = certified[triple]
+        identity = pieces[3] * (n - 1) == cubics[triple]
         parts.append(("t-degree-3 part as the cubic syzygy over n-1", identity))
         parts.append(("t-degree-3 part", cubic_ok))
         failing = next((part for part, ok in parts if not ok), None)

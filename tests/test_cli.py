@@ -391,18 +391,19 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
     # cubic queries answered as non-members: the syzygy and flatness
-    # certificates go missing, and verify reports that instead of raising
-    import hilbworst.lifting as lifting
+    # certificates go missing, and verify reports that instead of raising;
+    # the cubics are asked through ideal.orbit_memberships
+    import hilbworst.ideal as ideal
     from hilbworst.ideal import Membership
 
-    real = lifting.membership
+    real = ideal.membership
 
     def no_cubics(p, pres):
         if p.degree("t") == 3:
             return Membership(member=False, degree=3, residual=p)
         return real(p, pres)
 
-    monkeypatch.setattr(lifting, "membership", no_cubics)
+    monkeypatch.setattr(ideal, "membership", no_cubics)
     rc = main(["verify", "--n", "3", "--route", "classical"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -426,12 +427,15 @@ def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
 )
 def test_verify_one_missing_cubic_is_named(ijk, wedge, capsys, monkeypatch):
     # only the cubic at ijk (or that cubic over n-1) is answered as a
-    # non-member: both checks count one of nine and name its triple and wedge
+    # non-member, and no certificate is transported, so every cubic is asked
+    # of membership: both checks count one of nine and name its triple and
+    # wedge
+    import hilbworst.ideal as ideal
     import hilbworst.lifting as lifting
     from hilbworst.ideal import Membership
 
     n = 3
-    real = lifting.membership
+    real = ideal.membership
     cubic = lifting.syzygy_cubic(n, *ijk)
 
     def one_missing(p, pres):
@@ -439,7 +443,8 @@ def test_verify_one_missing_cubic_is_named(ijk, wedge, capsys, monkeypatch):
             return Membership(member=False, degree=3, residual=p)
         return real(p, pres)
 
-    monkeypatch.setattr(lifting, "membership", one_missing)
+    monkeypatch.setattr(ideal, "membership", one_missing)
+    monkeypatch.setattr(ideal, "transported", lambda cert, sigma, pres: None)
     rc = main(["verify", "--n", str(n), "--route", "classical"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -461,17 +466,17 @@ def test_verify_one_missing_cubic_is_named(ijk, wedge, capsys, monkeypatch):
 
 def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
     # a forged certificate (member, but no multipliers) does not count
-    import hilbworst.lifting as lifting
+    import hilbworst.ideal as ideal
     from hilbworst.ideal import Membership
 
-    real = lifting.membership
+    real = ideal.membership
 
     def forged(p, pres):
         if p.degree("t") == 3:
             return Membership(member=True, degree=3)
         return real(p, pres)
 
-    monkeypatch.setattr(lifting, "membership", forged)
+    monkeypatch.setattr(ideal, "membership", forged)
     rc = main(["verify", "--n", "3", "--route", "classical"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -496,11 +501,16 @@ def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
 )
 def test_verify_reverifies_span_certificates(route, span_checks, capsys, monkeypatch):
     # span_equal_degree2 handed forged certificates (member, but no
-    # multipliers): every span check fails, every other check still passes
+    # multipliers): every span check fails, every other check still passes;
+    # the cubics, asked of the same function, get real answers
     import hilbworst.ideal as ideal
     from hilbworst.ideal import Membership
 
+    real = ideal.membership
+
     def forged(p, pres):
+        if p.degree("t") == 3:
+            return real(p, pres)
         return Membership(member=True, degree=2)
 
     monkeypatch.setattr(ideal, "membership", forged)
@@ -555,20 +565,60 @@ def test_verify_reverifies_embedding_certificates(used, capsys, monkeypatch):
     assert detail.startswith("embedding:") and "projection:" not in detail
 
 
-def test_verify_classical_queries_each_cubic_once(capsys, monkeypatch):
-    import hilbworst.lifting as lifting
+@pytest.mark.parametrize("route", ["classical", "based"])
+@pytest.mark.parametrize("forgery", ["sign", "permutation"])
+def test_forged_transport_falls_back_to_membership(
+    route, forgery, capsys, monkeypatch
+):
+    # a transported certificate with the wrong sign, or carried by a σ that
+    # does not send the orbit's first triple to the target (the identity,
+    # for every target), fails Membership.verify: each of the n*C(n,2) = 24
+    # cubics is then asked of membership, and verify prints the same lines
+    import hilbworst.ideal as ideal
 
-    real = lifting.membership
+    argv = ["verify", "--n", "4", "--route", route]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    real_transported, real_membership = ideal.transported, ideal.membership
+
+    def negated(cert, sigma, pres):
+        cert = real_transported(cert, sigma, pres)
+        cert.multipliers = {idx: -m for idx, m in cert.multipliers.items()}
+        return cert
+
+    if forgery == "sign":
+        monkeypatch.setattr(ideal, "transported", negated)
+    else:
+        monkeypatch.setattr(ideal, "_sending", lambda n, images: (1, 2, 3, 4))
+    asked = []
+
+    def counting(p, pres):
+        if p.degree("t") == 3:
+            asked.append(p)
+        return real_membership(p, pres)
+
+    monkeypatch.setattr(ideal, "membership", counting)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert len(asked) == 24
+
+
+def test_verify_classical_queries_one_cubic_per_orbit(capsys, monkeypatch):
+    # nine cubics, one per shared-index wedge, in two S_n orbits of their
+    # triples: two are asked of membership, seven certified by transport
+    import hilbworst.ideal as ideal
+
+    real = ideal.membership
     degrees = []
 
     def counting(p, pres):
         degrees.append(p.degree("t"))
         return real(p, pres)
 
-    monkeypatch.setattr(lifting, "membership", counting)
+    monkeypatch.setattr(ideal, "membership", counting)
     assert main(["verify", "--n", "3", "--route", "classical"]) == 0
     capsys.readouterr()
-    assert degrees.count(3) == 9  # one per shared-index wedge
+    assert degrees.count(3) == 2
 
 
 def test_verify_dgla_computes_the_cup_product_once(capsys):
@@ -873,3 +923,60 @@ def test_export_writes_bundle(tmp_path, capsys):
     assert "family_miniversal_n3.json" in written
     tangent = json.loads((tmp_path / "tangent_n3.json").read_text())
     assert tangent["hom_dim"] == 18 and tangent["t1_dim"] == 15
+
+
+# Run the command line in a child whose address space is capped a little
+# above its size once the package is imported, so the child starts, and the
+# first allocations of a larger n fail.
+CAPPED = """
+import os, resource, sys
+from hilbworst.cli import main
+pages = int(open("/proc/self/statm").read().split()[0])
+cap = pages * os.sysconf("SC_PAGE_SIZE") + 10 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[1:]))
+"""
+
+CLASSICAL_CHECKS = [
+    "first_order_residual",
+    "second_order_span",
+    "cubic_syzygy_certificates",
+    "flatness",
+    "koszul_trivial_lift",
+]
+
+
+def _capped(argv, tmp_path):
+    env = dict(os.environ)
+    src = str(Path(hilbworst.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+)
+def test_verify_out_of_memory_names_the_running_check(tmp_path):
+    # the checks before the one that runs out pass and print; then exit 1
+    # with one stderr line naming the route and the check that was running
+    proc = _capped(["verify", "--n", "6", "--route", "classical"], tmp_path)
+    assert proc.returncode == 1
+    docs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert docs, "the cap left no room to reach a check"
+    assert [d["check"] for d in docs] == CLASSICAL_CHECKS[: len(docs)]
+    assert all(d["status"] == "ok" for d in docs)
+    running = CLASSICAL_CHECKS[len(docs)]
+    assert proc.stderr == f"hilbworst: out of memory in classical/{running} at n=6\n"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+)
+def test_out_of_memory_ends_without_a_traceback(tmp_path):
+    proc = _capped(["gens", "--n", "9"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "hilbworst: out of memory in gens\n"

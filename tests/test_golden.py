@@ -5,7 +5,8 @@ prints.
 JSON and text output are promised to be byte-identical across runs and
 across refactors; these digests pin that promise.  The six ``verify``
 digests at n=3 and 4 are also checked against the benchmark's ``bench/golden.json``, so
-the benchmark and the suite cannot drift apart.  To regenerate after an
+the benchmark and the suite cannot drift apart.  The n=5 ones cover S_n
+orbits of five indices, larger than n=4 reaches.  To regenerate after an
 intended output change, print ``cli_digest``/``*_digest`` for every key.
 """
 
@@ -54,6 +55,7 @@ CLI_GOLDEN = {
     "verify --n 4 --route dgla": ("3fbb970aaae895f2fb390b6b60ba8259620bfea69c3d1a1df96ed6c0897c3c9a", 0),
     "verify --n 4 --route based": ("c173043ccb49b1696b49f51b085fc18fe10304bdc9b14588ba1f46fc1555599e", 0),
     "verify --n 5 --route classical": ("229cdaf00b32b23bceb415b6a4b2f4518f178e1e5c9dd98de301ff41d140e9bf", 0),
+    "verify --n 5 --route dgla": ("6618d527b66175b9af1e84f3468e7a2c02ec0dc76bdff239f4e4f41f5fbe2345", 0),
     "verify --n 5 --route based": ("e206c5635ff3ca84067a04fd22c231409cdef07521712182bc0c55e8aefef76d", 0),
     "verify --n 3 --route oracle --seed 0 --samples 20": ("2cdd87c4a22e15a7ace9766d3c6338c434522d3ff967fbae0866edb1e9f32b7b", 0),
     "export --n 3": ("37fa6f27421e08d1058ac16d15160042636ee1f7a3cff3722551c32254b16581", 0),

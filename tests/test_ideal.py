@@ -9,8 +9,8 @@ from itertools import groupby
 
 import pytest
 
-from hilbworst import cli, lifting
-from hilbworst.based import _reduced_associators
+from hilbworst import cli, ideal, lifting
+from hilbworst.based import _reduced_associators, associator_coeff, structure_to_params
 from hilbworst.ideal import (
     GradedSpan,
     IdealPresentation,
@@ -24,7 +24,10 @@ from hilbworst.ideal import (
     membership,
     normal_form,
     obstruction_quadric,
+    orbit_memberships,
+    permuted,
     set_diagonal_zero,
+    transported,
     span_equal_degree2,
     vanishes_at,
 )
@@ -253,7 +256,7 @@ def test_blocked_span_routes_by_key():
 
 @pytest.mark.parametrize("n, rank, blocks", [(3, 235, 37), (4, 2364, 176)])
 def test_degree3_span_rank_and_blocks(n, rank, blocks):
-    span = ideal_generators(n).span(3)
+    span = _grown_span3(_fresh_copy(ideal_generators(n)))
     assert (span.rank, len(span.blocks)) == (rank, blocks)
 
 
@@ -280,7 +283,7 @@ def test_degree3_span_from_independent_generators(n, monkeypatch):
     fresh = _fresh_copy(pres)
     fresh.span(2)
     monkeypatch.setattr(GradedSpan, "insert", counted)
-    span = fresh.span(3)
+    span = _grow_every_block(fresh.span(3), full)
     monkeypatch.undo()
     independent = GOLDEN[n][1]
     assert len(inserts) == independent * len(tvars)
@@ -307,6 +310,33 @@ def _fresh_copy(pres):
     return IdealPresentation(pres.n, pres.flavor, pres.generators, pres.labels)
 
 
+def _eager_span3(pres):
+    """The reference degree-3 span, built whole: every product v*g as a
+    ``Poly`` product, for g independent in degree 2 in the order of
+    ``span(2)`` and v in ``t_variables()`` order, tagged (monomial of v,
+    generator index)."""
+    R = PolyRing.get(pres.n)
+    pres.span(2)
+    span = GradedSpan(pres.n)
+    for idx in pres._independent:
+        for v in R.t_variables():
+            p = R.var_poly(v) * pres.generators[idx]
+            span.insert(_packed(p.multidegree()), p.terms_dict(), (R.var_mono(v), idx))
+    return span
+
+
+def _grow_every_block(span, reference):
+    """``span`` after one query in each block of ``reference``."""
+    for block in reference.blocks.values():
+        span.reduce({next(iter(block._rows)): 1})
+    return span
+
+
+def _grown_span3(pres):
+    """``pres.span(3)`` with every block that holds a row grown."""
+    return _grow_every_block(pres.span(3), _eager_span3(pres))
+
+
 def _random_cubics(rng, pres, count):
     """Rational combinations of one to three products v*g, every other one
     plus a random t-monomial of degree 3, which is usually not a member."""
@@ -329,15 +359,16 @@ def _random_cubics(rng, pres, count):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("flavor", ["hilbert", "miniversal", "alternate"])
 def test_on_demand_span_equals_span3(n, flavor):
-    # every block the on-demand degree-3 span builds equals the block of
-    # span(3), row for row, pivot for pivot and combination for
-    # combination, and membership against it answers as against span(3)
+    # every block the degree-3 span grows on demand equals the block of the
+    # reference built whole in the tests, row for row, pivot for pivot and
+    # combination for combination, and membership against it answers as
+    # against the reference
     if flavor == "alternate":
         pres = alternate_generators(n)
     else:
         pres = ideal_generators(n, flavor)
     fresh = _fresh_copy(pres)
-    eager, demand = fresh.span(3), fresh.span(3, on_demand=True)
+    eager, demand = _eager_span3(fresh), fresh.span(3)
     assert demand is not eager and not demand.blocks
     for block in eager.blocks.values():
         demand.reduce({next(iter(block._rows)): 1})
@@ -347,7 +378,7 @@ def test_on_demand_span_equals_span3(n, flavor):
         assert demand.blocks[key]._combos == block._combos
 
     queried, reference = _fresh_copy(pres), _fresh_copy(pres)
-    reference._spans[3, True] = reference.span(3)
+    reference._spans[3] = _eager_span3(reference)
     for p in _random_cubics(random.Random(600 + n), pres, 16):
         got, want = membership(p, queried), membership(p, reference)
         assert (got.member, got.residual, got.multipliers) == (
@@ -359,21 +390,30 @@ def test_on_demand_span_equals_span3(n, flavor):
 
 
 def test_membership_builds_the_orbits_its_queries_reach(monkeypatch):
-    # one query builds the blocks of its block's S_n orbit, all of them
+    # one query builds its block alone
     pres = _fresh_copy(ideal_generators(4))
     cubic = PolyRing.get(4).t(1, 2, 3) * pres.generators[0]
     assert membership(cubic, pres).member
     (m, *_) = cubic.terms_dict()
-    orbit = set(itertools.permutations(mono_multidegree(m, 4)))
-    assert {_packed(md) for md in orbit} == pres.span(3, on_demand=True).blocks.keys()
+    multidegree = mono_multidegree(m, 4)
+    assert pres.span(3).blocks.keys() == {_packed(multidegree)}
 
-    # the flatness pass reaches two S_n orbits of degree-3 blocks, sorted
-    # multidegrees (0,0,1,2) and (0,1,1,1): 12 + 4 of the 176 blocks
+    # a query in a second block of that S_n orbit builds the rest of it
+    other = permuted(cubic, (2, 3, 4, 1))
+    (m2, *_) = other.terms_dict()
+    assert mono_multidegree(m2, 4) != multidegree
+    assert membership(other, pres).verify(other, pres)
+    orbit = set(itertools.permutations(multidegree))
+    assert {_packed(md) for md in orbit} == pres.span(3).blocks.keys()
+
+    # the flatness pass asks one cubic in each of the two S_n orbits of its
+    # blocks, sorted multidegrees (0,0,1,2) and (0,1,1,1): it builds 2 of
+    # the 176 blocks, one in each orbit
     pres = _fresh_copy(ideal_generators(4))
     monkeypatch.setattr(lifting, "ideal_generators", lambda n: pres)
     assert lifting.flatness_residual(4).ok
-    span = pres.span(3, on_demand=True)
-    assert len(span.blocks) == 16
+    span = pres.span(3)
+    assert len(span.blocks) == 2
     orbits = {
         tuple(sorted(mono_multidegree(next(iter(block._rows)), 4)))
         for block in span.blocks.values()
@@ -385,7 +425,112 @@ def test_membership_builds_the_orbits_its_queries_reach(monkeypatch):
     pres = _fresh_copy(ideal_generators(4))
     answer = membership(cube, pres)
     assert not answer.member and answer.residual == cube
-    assert pres.span(3, on_demand=True).blocks == {}
+    assert pres.span(3).blocks == {}
+
+
+def test_permuted_is_the_index_substitution():
+    # permuted agrees with substituting t(σi,σj,σk) for every t(i,j,k), and
+    # permuting by σ, then by τ, is permuting by τ∘σ
+    n = 4
+    R = PolyRing.get(n)
+    p = R.t(1, 2, 3) * R.t(2, 2, 4) - Fraction(3, 2) * R.t(4, 1, 1) ** 2 + R.t(3, 3, 3)
+    sigma, tau = (3, 1, 4, 2), (2, 1, 3, 4)
+    images = {v: R.t(*(sigma[i - 1] for i in v[1:])) for v in R.t_variables()}
+    assert permuted(p, sigma) == p.substitute(images)
+    tau_sigma = tuple(tau[s - 1] for s in sigma)
+    assert permuted(permuted(p, sigma), tau) == permuted(p, tau_sigma)
+    assert permuted(p, (1, 2, 3, 4)) == p
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_permutations_map_generators_and_cubics(n):
+    # a transposition and an n-cycle, which generate S_n, map every
+    # generator of both flavors to ± a generator, and the cubic syzygy at
+    # (i, j, k) to the one at (σi, σj, σk)
+    sigmas = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)]
+    for flavor in ("hilbert", "miniversal"):
+        pres = ideal_generators(n, flavor)
+        signed = set(pres.generators) | {-g for g in pres.generators}
+        for sigma in sigmas:
+            assert all(permuted(g, sigma) in signed for g in pres.generators)
+    for sigma in sigmas:
+        for i, j, k in [(1, 1, 2), (1, 2, 3), (3, 1, 2), (2, 1, 2)]:
+            image = (sigma[i - 1], sigma[j - 1], sigma[k - 1])
+            cubic = lifting.syzygy_cubic(n, i, j, k)
+            assert permuted(cubic, sigma) == lifting.syzygy_cubic(n, *image)
+
+
+def test_forged_transport_fails_verify():
+    # σ = (2, 3, 1, 4) sends the triple (1, 2, 3) to (2, 3, 1): the
+    # transported certificate verifies for the cubic there, and neither the
+    # one with the wrong sign nor the one carried by (1, 2, 4, 3), which
+    # sends (1, 2, 3) to (1, 2, 4), does
+    n = 4
+    pres = ideal_generators(n)
+    cert = membership(lifting.syzygy_cubic(n, 1, 2, 3), pres)
+    target = lifting.syzygy_cubic(n, 2, 3, 1)
+    good = transported(cert, (2, 3, 1, 4), pres)
+    assert good.verify(target, pres)
+    negated = {idx: -m for idx, m in good.multipliers.items()}
+    assert not Membership(True, 3, negated).verify(target, pres)
+    assert not transported(cert, (1, 2, 4, 3), pres).verify(target, pres)
+
+
+def test_transport_needs_generators_mapped_to_generators():
+    # σ = (2, 1, 3) sends the one generator t(1,1,1) t(1,2,3) to
+    # t(2,2,2) t(1,2,3), which is no generator: no certificate
+    R = PolyRing.get(3)
+    g = R.t(1, 1, 1) * R.t(1, 2, 3)
+    pres = deduplicated(3, "hilbert", [(g, "g")])
+    cert = membership(g * R.t(1, 1, 1), pres)
+    assert cert.member
+    assert transported(cert, (2, 1, 3), pres) is None
+    assert transported(cert, (1, 2, 3), pres).verify(g * R.t(1, 1, 1), pres)
+
+
+def _cubic_family(n, family):
+    """The degree-3 queries that a route certifies by S_n orbit, by triple
+    (i, j, k), j < k: the cubic syzygies of the classical route, or the
+    projections of assoc(i,j,k|0) of the based route."""
+    pos = range(1, n + 1)
+    triples = [(i, j, k) for i in pos for j in pos for k in range(j + 1, n + 1)]
+    if family == "syzygy":
+        return {t: lifting.syzygy_cubic(n, *t) for t in triples}
+    return {t: structure_to_params(associator_coeff(n, *t, 0), n) for t in triples}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", ["syzygy", "projection"])
+def test_orbit_memberships_asks_one_query_per_orbit(n, family, monkeypatch):
+    # two queries are asked of membership, one per orbit, and build one
+    # block each; every other certificate is transported and verifies
+    # against its own query, whose direct answer is a member too.  The two
+    # asked certificates are the direct ones; a transported one need not
+    # be, since σ does not keep the generators and products that the
+    # spans found independent
+    queries = _cubic_family(n, family)
+    pres = _fresh_copy(ideal_generators(n))
+    asked = []
+    real = ideal.membership
+
+    def counting(p, pres):
+        asked.append(p)
+        return real(p, pres)
+
+    monkeypatch.setattr(ideal, "membership", counting)
+    certified = orbit_memberships(queries, pres)
+    monkeypatch.undo()
+    assert len(asked) == 2 and len(pres.span(3).blocks) == 2
+    direct_pres = _fresh_copy(ideal_generators(n))
+    for triple, q in queries.items():
+        cert, ok = certified[triple]
+        assert ok and cert.verify(q, pres)
+        for mult in cert.multipliers.values():
+            assert _degrees(mult, "t") == {1}
+        direct = membership(q, direct_pres)
+        assert direct.verify(q, direct_pres)
+        if q in asked:
+            assert cert.multipliers == direct.multipliers
 
 
 def test_span_cache_outside_equality_hash_and_repr():
@@ -628,7 +773,7 @@ def _span_digest():
         ):
             pres = _fresh_copy(pres)
             for d in (2, 3):
-                span = pres.span(d)
+                span = pres.span(2) if d == 2 else _grown_span3(pres)
                 blocks = sorted(_block_text(span, b) for b in span.blocks.values())
                 h.update(("%s n=%d d=%d\n" % (name, n, d)).encode())
                 h.update("\n\n".join(blocks).encode())
@@ -704,7 +849,7 @@ def _check_reduce_invariants(span, inputs, queries):
 @pytest.mark.parametrize("n, d", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_graded_span_reduce_invariants(n, d):
     pres = _fresh_copy(ideal_generators(n))
-    span = pres.span(d)
+    span = pres.span(2) if d == 2 else _grown_span3(pres)
     R = PolyRing.get(n)
     monos = [ONE] if d == 2 else [R.var_mono(v) for v in R.t_variables()]
     indices = range(len(pres)) if d == 2 else pres._independent

@@ -176,6 +176,8 @@ def test_membership_spans_store_primitive_integer_combinations(n, d):
             product = Poly(n, {m: 1}) * pres.generators[idx]
             block = _packed(product.multidegree())
             inputs.setdefault(block, {})[(m, idx)] = product.terms_dict()
+    for vecs in inputs.values():  # grow every degree-3 block
+        span.reduce(next(iter(vecs.values())))
     assert set(span.blocks) == set(inputs)
     for block, echelon in span.blocks.items():
         _check_stored_form(echelon, inputs[block])

@@ -206,8 +206,8 @@ def _callers(name):
 
 def test_one_span_builder():
     # IdealPresentation.span builds every GradedSpan of the package, the
-    # eager spans and the degree-3 span built on demand, and both degree-3
-    # spans take their rows from one product routine, so they cannot drift
+    # degree-2 span whole and the degree-3 span on demand, which takes its
+    # rows from one product routine, so no second builder can drift
     assert _callers("GradedSpan") == ["ideal.IdealPresentation.span"]
 
 
