@@ -8,6 +8,7 @@ from .poly import Poly, PolyRing, UniverseMismatchError
 from .ideal import (
     IdealPresentation,
     Membership,
+    Record,
     UnsupportedDegreeError,
     alternate_generators,
     diagonal_sum,

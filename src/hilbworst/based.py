@@ -14,13 +14,11 @@ embed them back; the projection eliminates the unit rows outright and sends
 the k=0 column to the (normalized) diagonal quadric sums.  The composite is
 the identity on every parameter, and both maps respect the two ideals,
 certified generator by generator in ``verify_structure_correspondence``:
-a projected generator by its ``membership`` certificate in the chart ideal,
-which counts once ``Membership.verify`` has multiplied it back out exactly;
+a projected generator by its ``membership`` certificate in the chart ideal;
 an embedded one, already in the normal form modulo the unit and symmetry
 relations (``reduce_unit_sym``), by a rational combination of the reduced
-associator coefficients, which counts once that combination, multiplied
-out, equals it.  The based generators are plain (generator, label) pairs,
-and the reduced associators keep one tracked ``EchelonSpan`` of their own.
+associator coefficients, which keep one tracked ``EchelonSpan`` of their
+own.  The based generators are plain (generator, label) pairs.
 
 Multiplication tables (``MulTable``) hold rational or symbolic entries.
 ``associativity_residual`` lists every associator coordinate of any table;
@@ -32,14 +30,20 @@ family's sign convention (structure constants are the negated parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import mul
 
-from .ideal import diagonal_sum, ideal_generators, membership, orbit_memberships
+from .ideal import (
+    certified,
+    diagonal_sum,
+    ideal_generators,
+    identity,
+    membership,
+    orbit_memberships,
+)
 from .linalg import EchelonSpan
 from .poly import ONE, Poly, PolyRing
 from .taylor import basis_pairs, pair
@@ -286,33 +290,20 @@ def _reduced_associators(n: int) -> tuple:
     return gens, span
 
 
-@dataclass
-class CorrespondenceReport:
-    """Generator-by-generator certification of the two inclusions."""
-
-    pi_degree3: int = 0  # projected generators certified by a cubic certificate
-    section_ok: bool = False  # projection . embedding == identity
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.section_ok and not self.failures
-
-
-def verify_structure_correspondence(n: int) -> CorrespondenceReport:
-    """Certify both inclusions of the correspondence between the based
-    moduli ideal and the chart ideal, plus the section property.  The
-    cubic projections are asked of ``membership`` one per S_n orbit of
-    their triples (``orbit_memberships``)."""
-    report = CorrespondenceReport()
+def verify_structure_correspondence(n: int) -> list:
+    """Certify the section property and both inclusions between the based
+    moduli ideal and the chart ideal: one ``Record`` each, part ("section",
+    ""), ("projection", label) per based generator, the cubics asked one per
+    S_n orbit (``orbit_memberships``), and ("embedding", label) per chart
+    generator, its certificate a combination of the reduced associators."""
     ring = PolyRing.get(n)
     chart = ideal_generators(n)
-
-    report.section_ok = all(
+    section = all(
         structure_to_params(params_to_structure(ring.var_poly(v), n), n)
         == ring.var_poly(v)
         for v in ring.t_variables()
     )
+    records = [identity(("section", ""), section)]
 
     images = [(structure_to_params(g, n), lab) for g, lab in based_ideal_generators(n)]
     # the images of assoc(i,j,k|0), i, j, k positive, are the cubics; they
@@ -320,28 +311,23 @@ def verify_structure_correspondence(n: int) -> CorrespondenceReport:
     pos = range(1, n + 1)
     triples = [(i, j, k) for i in pos for j in pos for k in range(j + 1, n + 1)]
     cubics = {f"assoc({i},{j},{k}|0)": (i, j, k) for i, j, k in triples}
-    certified = orbit_memberships(
-        {cubics[lab]: img for img, lab in images if lab in cubics}, chart
-    )
+    queries = [
+        (("projection", lab), cubics[lab], img) for img, lab in images if lab in cubics
+    ]
+    certified_cubics = iter(orbit_memberships(queries, chart))
     for img, lab in images:
         if lab in cubics:
-            ok = certified[cubics[lab]][1]
+            records.append(next(certified_cubics))
         else:
-            ok = membership(img, chart).verify(img, chart)
-        if not ok:
-            report.failures.append(("projection", lab))
-        elif img.degree("t") == 3:
-            report.pi_degree3 += 1
+            cert = membership(img, chart)
+            records.append(certified(("projection", lab), img, chart, cert))
 
-    # an embedding certificate counts only once it multiplies back exactly
     assoc, span = _reduced_associators(n)
     for g, lab in zip(chart.generators, chart.labels):
         emb = params_to_structure(g, n)
-        residual, used = span.reduce(emb.terms_dict())
-        back = sum((assoc[idx] * c for idx, c in used.items()), ring.zero())
-        if residual or back != emb:
-            report.failures.append(("embedding", lab))
-    return report
+        used = span.reduce(emb.terms_dict())[1]
+        records.append(certified(("embedding", lab), emb, assoc, used))
+    return records
 
 
 # -- points and tables -----------------------------------------------------------------

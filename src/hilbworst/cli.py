@@ -107,20 +107,47 @@ def _check(n: int, ok: bool, detail: str = "") -> dict:
     return doc
 
 
+def _all_ok(n: int, records) -> dict:
+    return _check(n, all(r.ok for r in records))
+
+
+def _flatness_details(n: int, records) -> tuple:
+    """The cubic and flatness details of ``lifting.flatness_residual``'s
+    records, each empty when its check passes."""
+    cubics = [r for r in records if r.part[1] == "t-degree-3 part"]
+    missing = sorted(taylor.nonkoszul_triple(r.part[0]) for r in cubics if not r.ok)
+    failing: dict = {}  # wedge symbol -> its first failing part, in wedge order
+    for r in records:
+        if not r.ok:
+            failing.setdefault(*r.part)
+    cubic = flat = ""
+    if missing:
+        cubic = (
+            f"no degree-3 certificate for {len(missing)} of {len(cubics)} "
+            f"cubics at n={n}, first at ({','.join(map(str, missing[0]))})"
+        )
+    if failing:
+        sym, part = next(iter(failing.items()))
+        flat = (
+            f"flatness certification failed at n={n}: {len(failing)} of "
+            f"{len(cubics)} shared-index wedges, first "
+            f"{taylor.FreeModElt._sym_text(sym)} ({part})"
+        )
+    return cubic, flat
+
+
 def _route_classical(n: int):
     yield "first_order_residual"
     res = lifting.first_order_residual(n)
     yield _check(n, all(p.is_zero for p in res.values()))
     yield "second_order_span"
     system = lifting.second_order_obstruction(n)
-    yield _check(
-        n, ideal.span_equal_degree2(system.equations, ideal.ideal_generators(n))
-    )
+    yield _all_ok(n, ideal.compare_spans(system.equations, ideal.ideal_generators(n)))
     yield "cubic_syzygy_certificates"
-    flat = lifting.flatness_residual(n)
-    yield _check(n, not flat.cubic_detail, flat.cubic_detail)
+    cubic, flat = _flatness_details(n, lifting.flatness_residual(n))
+    yield _check(n, not cubic, cubic)
     yield "flatness"
-    yield _check(n, flat.ok, flat.flatness_detail)
+    yield _check(n, not flat, flat)
     yield "koszul_trivial_lift"
     yield _check(n, not lifting.koszul_lift_failures(n))
 
@@ -155,15 +182,18 @@ def _route_dgla(n: int):
     yield "kuranishi_span"
     locus = dgla.kuranishi_quadratic_locus(n).equations
     mini = ideal.ideal_generators(n, "miniversal")
-    yield _check(n, ideal.span_equal_degree2(locus, mini))
+    yield _all_ok(n, ideal.compare_spans(locus, mini))
     yield "classical_vs_dgla"
-    yield _check(n, dgla.compare_classical_dgla(n).equal)
+    yield _all_ok(n, dgla.compare_classical_dgla(n))
 
 
 def _route_based(n: int):
     yield "structure_correspondence"
-    report = based.verify_structure_correspondence(n)
-    yield _check(n, report.ok, "; ".join(f"{s}:{lab}" for s, lab in report.failures))
+    records = based.verify_structure_correspondence(n)
+    # the detail names the failing certificates, not the section identity
+    failed = [r.part for r in records if not r.ok and r.part[0] != "section"]
+    detail = "; ".join(f"{kind}:{lab}" for kind, lab in failed)
+    yield _check(n, all(r.ok for r in records), detail)
 
 
 def _route_oracle(n: int, seed: int, samples: int):
@@ -193,25 +223,17 @@ _ROUTES = {
 
 def cmd_verify(args, out) -> int:
     routes = list(_ROUTES) if args.route == "all" else [args.route]
-    failures, ran_out = [], False
-    try:
-        for route in routes:
-            for doc in _ROUTES[route](args):
-                if isinstance(doc, str):
-                    check = doc
-                    continue
-                doc.update(check=check, route=route)
-                _emit(doc, out)
-                if doc["status"] != "ok":
-                    failures.append(doc)
-    except MemoryError:
-        # reported once the handler has ended, which frees the frames that
-        # held the memory, so that the report can allocate
-        ran_out = True
-    if ran_out:
-        where = f"{route}/{check} at n={args.n}"
-        print(f"hilbworst: out of memory in {where}", file=sys.stderr)
-        return 1
+    failures = []
+    for route in routes:
+        for doc in _ROUTES[route](args):
+            if isinstance(doc, str):
+                check = doc
+                args.running = f"{route}/{check} at n={args.n}"  # read by _run
+                continue
+            doc.update(check=check, route=route)
+            _emit(doc, out)
+            if doc["status"] != "ok":
+                failures.append(doc)
     if failures:
         first = failures[0]
         print(
@@ -362,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, summary):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+        # running: what an out-of-memory report names; verify narrows it
+        p.set_defaults(handler=handler, running=name)
         return p
 
     common(command("gens", cmd_gens, "generator presentation"), flavor=True)
@@ -428,7 +451,7 @@ def _run(argv) -> int:
             status = args.handler(args, out)
             out.flush()  # a failed write surfaces here, not at interpreter exit
             return status
-    except MemoryError:  # verify names its running check itself
+    except MemoryError:
         pass  # reported below, once the handler has freed the frames
     except OSError as exc:
         # the handlers do no I/O but on --out: an error that names no file
@@ -437,7 +460,7 @@ def _run(argv) -> int:
         if name is None:
             return _stdout_failed(exc)
         parser.error(f"argument --out: cannot write {name}: {exc.strerror}")
-    print(f"hilbworst: out of memory in {args.command}", file=sys.stderr)
+    print(f"hilbworst: out of memory in {args.running}", file=sys.stderr)
     return 1
 
 

@@ -41,9 +41,9 @@ from functools import lru_cache, wraps
 
 from .ideal import (
     IdealPresentation,
+    compare_spans,
     miniversal_restriction,
     set_diagonal_zero,
-    span_equal_degree2,
 )
 from .lifting import (
     apply_images,
@@ -187,21 +187,8 @@ def kuranishi_quadratic_locus(n: int, miniversal: bool = True) -> KuranishiSyste
     return KuranishiSystem(equations=equations, psi=psi)
 
 
-@dataclass(frozen=True)
-class RouteComparison:
-    equal: bool
-    classical_rank: int
-    dgla_rank: int
-
-
-def compare_classical_dgla(n: int) -> RouteComparison:
-    """Mutual containment of the degree-2 spans: the classical second-order
-    constraints with the diagonal parameters zeroed, against the quadratic
-    locus of this module."""
+def compare_classical_dgla(n: int) -> list:
+    """``compare_spans`` of the classical second-order constraints with the
+    diagonal parameters zeroed and the quadratic locus of this module."""
     classical_mini = miniversal_restriction(second_order_obstruction(n).equations)
-    dgla_sys = kuranishi_quadratic_locus(n).equations
-    return RouteComparison(
-        equal=span_equal_degree2(classical_mini, dgla_sys),
-        classical_rank=classical_mini.span(2).rank,
-        dgla_rank=dgla_sys.span(2).rank,
-    )
+    return compare_spans(classical_mini, kuranishi_quadratic_locus(n).equations)

@@ -22,8 +22,8 @@ The presentation decides that block once, when it is built, and refuses a
 generator that has none or several; from then on a generator is one
 (block key, row) pair, which the degree-2 span inserts, the degree-3 span
 forms its products from and ``vanishes_at`` evaluates.  Both spans track
-certificates so that every positive answer comes with explicit rational
-(resp. linear-form) multipliers.
+certificates: every positive answer comes with rational (resp. linear-form)
+multipliers, which a check verifies and keeps in a ``Record``.
 
 The chart ideals are invariant under S_n acting on the indices of
 t(i,j,k) (``permuted``), so a certificate carries over to the permuted
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import lcm
 
 from .linalg import EchelonSpan
@@ -274,10 +274,20 @@ def _packed(multidegree: tuple) -> int:
     return sum(w << 32 * i for i, w in enumerate(multidegree))
 
 
+def _orderings(values: tuple):
+    """Each distinct ordering of ``values``, once."""
+    if not values:
+        yield ()
+    for v in set(values):
+        i = values.index(v)
+        for rest in _orderings(values[:i] + values[i + 1 :]):
+            yield (v, *rest)
+
+
 def _orbit(multidegree: tuple) -> set:
     """The keys of the blocks in the S_n orbit of a multidegree: it
     permuted in every way, and packed."""
-    return {_packed(p) for p in set(permutations(multidegree))}
+    return {_packed(p) for p in _orderings(multidegree)}
 
 
 @lru_cache(maxsize=None)
@@ -392,8 +402,7 @@ class Membership:
     residual: Poly | None = None
 
     def verify(self, p: Poly, pres: IdealPresentation) -> bool:
-        """A member whose multipliers give back p exactly; every check that
-        rests on a membership certificate reports ok only if this holds."""
+        """A member whose multipliers give back p exactly."""
         if not self.member:
             return False
         acc: dict = {}  # sum of the products, term by term
@@ -405,6 +414,36 @@ class Membership:
                 else:
                     del acc[m]
         return p.n == pres.n and acc == p.terms_dict()
+
+
+@dataclass(frozen=True)
+class Record:
+    """A check named by ``part`` and whether it holds: a query with what
+    re-checks it, or, with no query, an exact identity.  Made only by
+    ``certified`` and ``identity``."""
+
+    part: tuple
+    ok: bool
+    query: Poly | None = None
+    pres: object = None  # an IdealPresentation, or the polynomials cert combines
+    cert: object = None  # a Membership, or {index into pres: rational}
+
+
+def certified(part, query: Poly, pres, cert) -> Record:
+    """The record of a query, ok only if ``cert`` gives it back exactly:
+    ``Membership.verify``, or its rational combination of the polynomials
+    ``pres`` multiplied out."""
+    if isinstance(cert, Membership):
+        ok = cert.verify(query, pres)
+    else:
+        zero = PolyRing.get(query.n).zero()
+        ok = sum((pres[idx] * c for idx, c in cert.items()), zero) == query
+    return Record(part, ok, query, pres, cert)
+
+
+def identity(part, holds: bool) -> Record:
+    """The record of an exact identity that the caller checked."""
+    return Record(part, holds)
 
 
 def membership(p: Poly, pres: IdealPresentation) -> Membership:
@@ -499,10 +538,9 @@ def _sending(n: int, images: dict) -> tuple:
     return tuple(images[i] if i in images else next(rest) for i in range(1, n + 1))
 
 
-def orbit_memberships(queries: dict, pres: IdealPresentation) -> dict:
-    """Certify a family of queries q(i, j, k), keyed by triples of indices
-    in 1..n with j != k: {triple: (Membership, verified)}, where verified
-    says that ``Membership.verify`` passed against that triple's own query.
+def orbit_memberships(queries, pres: IdealPresentation) -> list:
+    """Certify a family of queries q(i, j, k), given as (part, (i, j, k), q)
+    with j != k: one ``certified`` record per query, in order.
 
     A family with q(σi, σj, σk) = σ(q(i, j, k)) for σ in S_n and
     q(i, k, j) = -q(i, j, k), as the cubic syzygies and the projected
@@ -514,24 +552,23 @@ def orbit_memberships(queries: dict, pres: IdealPresentation) -> dict:
     verify is dropped and its query asked of ``membership``, so no answer
     rests on the family having that symmetry."""
     first: dict = {}  # orbit -> (triple with i != k, its sign, Membership)
-    out = {}
-    for triple, q in queries.items():
-        i, j, k = triple
+    records = []
+    for part, (i, j, k), q in queries:
         sign, j, k = (-1, k, j) if i == k else (1, j, k)
-        orbit, cert = i == j, None
+        orbit, record = i == j, None
         if orbit in first:
             (a, b, c), first_sign, first_cert = first[orbit]
             cert = transported(first_cert, _sending(pres.n, {a: i, b: j, c: k}), pres)
-            if cert is not None and sign != first_sign:
-                cert.multipliers = {idx: -m for idx, m in cert.multipliers.items()}
-        ok = cert is not None and cert.verify(q, pres)
-        if not ok:
-            cert = membership(q, pres)
-            ok = cert.verify(q, pres)
-            if ok:
-                first.setdefault(orbit, ((i, j, k), sign, cert))
-        out[triple] = (cert, ok)
-    return out
+            if cert is not None:
+                if sign != first_sign:
+                    cert.multipliers = {idx: -m for idx, m in cert.multipliers.items()}
+                record = certified(part, q, pres, cert)
+        if record is None or not record.ok:
+            record = certified(part, q, pres, membership(q, pres))
+            if record.ok:
+                first.setdefault(orbit, ((i, j, k), sign, record.cert))
+        records.append(record)
+    return records
 
 
 def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
@@ -545,15 +582,15 @@ def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
     return residual if residual is not None else PolyRing.get(n).zero()
 
 
-def span_equal_degree2(a: IdealPresentation, b: IdealPresentation) -> bool:
-    """Mutual containment of the degree-2 spans of two presentations: every
-    generator of each side has a certificate in the other that passes
-    ``Membership.verify``."""
-    return all(
-        membership(g, dst).verify(g, dst)
-        for src, dst in ((a, b), (b, a))
-        for g in src.generators
-    )
+def compare_spans(a: IdealPresentation, b: IdealPresentation) -> list:
+    """Mutual containment of the degree-2 spans of two presentations: one
+    ``certified`` record per generator, part ("a", index) for the
+    generators of a in b, then ("b", index) for those of b in a."""
+    return [
+        certified((side, idx), g, dst, membership(g, dst))
+        for side, src, dst in (("a", a, b), ("b", b, a))
+        for idx, g in enumerate(src.generators)
+    ]
 
 
 def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:

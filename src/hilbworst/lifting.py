@@ -13,7 +13,7 @@ the lam-free symmetric form sum_k q(l,m,k|k)/(n-1).
 With those tails the perturbed composite vanishes modulo the constraint
 ideal: its t-degree-2 part lies in the degree-2 span, and n-1 times its
 t-degree-3 part is the cubic syzygy (``syzygy_cubic``), which has an
-explicit linear-form certificate.  ``flatness_residual`` reports both: it
+explicit linear-form certificate.  ``flatness_residual`` records both: it
 asks ``membership`` one cubic per S_n orbit of the triples (i, j, k) and
 transports that certificate to the others, and each certificate is
 re-verified by exact multiplication (``Membership.verify``) against its
@@ -36,10 +36,11 @@ from math import lcm
 
 from .ideal import (
     IdealPresentation,
-    Membership,
+    certified,
     deduplicated,
     diagonal_sum,
     ideal_generators,
+    identity,
     membership,
     orbit_memberships,
     set_diagonal_zero,
@@ -300,98 +301,40 @@ def syzygy_cubic(n: int, i: int, j: int, k: int) -> Poly:
 # -- flatness of the full family ----------------------------------------------------
 
 
-@dataclass
-class WedgeFlatness:
-    sym: tuple
-    low_orders_zero: bool
-    degree3: Membership  # of the cubic syzygy at nonkoszul_triple(sym)
-    cubic_certified: bool  # degree3 re-verified by exact multiplication
-    failing_part: str | None  # the first part lacking its certificate
-
-    @property
-    def ok(self) -> bool:
-        return self.failing_part is None
-
-
-@dataclass
-class FlatnessReport:
-    n: int
-    wedges: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(w.ok for w in self.wedges.values())
-
-    @property
-    def flatness_detail(self) -> str:
-        """Empty if ok; else how many wedges fail and the first one's part."""
-        failed = [w for w in self.wedges.values() if not w.ok]
-        if not failed:
-            return ""
-        return (
-            f"flatness certification failed at n={self.n}: {len(failed)} of "
-            f"{len(self.wedges)} shared-index wedges, first "
-            f"{FreeModElt._sym_text(failed[0].sym)} ({failed[0].failing_part})"
-        )
-
-    @property
-    def cubic_detail(self) -> str:
-        """Empty if every cubic is certified; else how many are not and the
-        smallest such (i, j, k)."""
-        missing = sorted(
-            nonkoszul_triple(w.sym)
-            for w in self.wedges.values()
-            if not w.cubic_certified
-        )
-        if not missing:
-            return ""
-        i, j, k = missing[0]
-        return (
-            f"no degree-3 certificate for {len(missing)} of {len(self.wedges)} "
-            f"cubics at n={self.n}, first at ({i},{j},{k})"
-        )
-
-
-def flatness_residual(n: int) -> FlatnessReport:
-    """Certify (f0+f1+f2)(r0+r1) on every shared-index wedge e[i,j]^e[i,k]:
-    orders 0 and 1 vanish identically, the t-degree-2 part splits into
-    x-coefficients lying in the degree-2 span, and n-1 times the t-degree-3
-    part is the cubic syzygy at (i, j, k), which has a degree-3 certificate,
-    asked of ``membership`` once per S_n orbit of the triples
-    (``orbit_memberships``).  A certificate counts only once re-verified by
-    exact multiplication; the report names the first part of each wedge
-    that lacks one."""
+def flatness_residual(n: int) -> list:
+    """Certify (f0+f1+f2)(r0+r1) on every shared-index wedge e[i,j]^e[i,k],
+    one ``Record`` per part (wedge symbol, label) in checking order: orders
+    0 and 1 vanish, each x-coefficient of the t-degree-2 part lies in the
+    degree-2 span, n-1 times the t-degree-3 part is the cubic syzygy at
+    (i, j, k), and that cubic has a certificate (``orbit_memberships``)."""
     f = build_f(n)
     r = build_r(n)
     pres = ideal_generators(n)
     ring = PolyRing.get(n)
-    triples = {
-        sym: nonkoszul_triple(sym) for sym in wedge_symbols(n) if not is_koszul(sym)
-    }
-    cubics = {triple: syzygy_cubic(n, *triple) for triple in triples.values()}
-    certified = orbit_memberships(cubics, pres)
-    wedges = {}
-    for sym, triple in triples.items():
+    queries = []
+    for sym in wedge_symbols(n):
+        if not is_koszul(sym):
+            triple = nonkoszul_triple(sym)
+            queries.append(((sym, "t-degree-3 part"), triple, syzygy_cubic(n, *triple)))
+    records = []
+    for cubic in orbit_memberships(queries, pres):
+        sym = cubic.part[0]
         pieces = {d: ring.zero() for d in range(4)}
         for df in range(3):
             for dr in range(2):
                 p = apply_images(f[df], r[dr][sym])
                 pieces[df + dr] = pieces[df + dr] + p
         low_zero = pieces[0].is_zero and pieces[1].is_zero
-        # (part, certified) in checking order; the first uncertified one fails
-        parts = [("orders 0 and 1", low_zero)]
+        records.append(identity((sym, "orders 0 and 1"), low_zero))
         for xmono, q in sorted(pieces[2].split_by_x().items()):
             if xmono == ONE:
                 raise AssertionError("unexpected x-free t-degree-2 part")
             part = f"x_{ring.variables[xmono[1]][1]}-coefficient of the t-degree-2 part"
-            parts.append((part, membership(q, pres).verify(q, pres)))
-        deg3, cubic_ok = certified[triple]
-        identity = pieces[3] * (n - 1) == cubics[triple]
-        parts.append(("t-degree-3 part as the cubic syzygy over n-1", identity))
-        parts.append(("t-degree-3 part", cubic_ok))
-        failing = next((part for part, ok in parts if not ok), None)
-        wedges[sym] = WedgeFlatness(sym, low_zero, deg3, cubic_ok, failing)
-    return FlatnessReport(n=n, wedges=wedges)
+            records.append(certified((sym, part), q, pres, membership(q, pres)))
+        part = "t-degree-3 part as the cubic syzygy over n-1"
+        records.append(identity((sym, part), pieces[3] * (n - 1) == cubic.query))
+        records.append(cubic)
+    return records
 
 
 def koszul_lift_failures(n: int) -> list:

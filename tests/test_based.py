@@ -227,12 +227,13 @@ def test_projection_of_associators_closed_forms():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_structure_correspondence_certified(n):
-    report = verify_structure_correspondence(n)
-    assert report.ok
-    assert report.section_ok
-    assert not report.failures
+    records = verify_structure_correspondence(n)
+    assert all(r.ok for r in records)
+    assert records[0].part == ("section", "")
     # every positive-index associator with target 0 needs a cubic certificate
-    assert report.pi_degree3 == n * n * (n - 1) // 2
+    cubic = [r for r in records if r.query is not None and r.query.degree("t") == 3]
+    assert len(cubic) == n * n * (n - 1) // 2
+    assert all(r.part[0] == "projection" for r in cubic)
 
 
 def test_table_from_zero_point_is_square_zero():

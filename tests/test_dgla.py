@@ -11,12 +11,13 @@ from hilbworst.dgla import (
     kuranishi_quadratic_locus,
 )
 from hilbworst.ideal import (
+    compare_spans,
     ideal_generators,
     membership,
+    miniversal_restriction,
     normal_form,
     obstruction_quadric,
     set_diagonal_zero,
-    span_equal_degree2,
 )
 from hilbworst.lifting import second_order_obstruction
 from hilbworst.poly import PolyRing
@@ -154,8 +155,7 @@ def test_cup_product_vanishes_at_origin():
 def test_quadratic_locus_spans_miniversal_ideal(n):
     locus = kuranishi_quadratic_locus(n).equations
     assert locus.flavor == "miniversal"
-    equal = span_equal_degree2(locus, ideal_generators(n, "miniversal"))
-    assert equal
+    assert all(r.ok for r in compare_spans(locus, ideal_generators(n, "miniversal")))
 
 
 def test_locus_contains_the_off_index_quadrics():
@@ -169,8 +169,7 @@ def test_locus_contains_the_off_index_quadrics():
 def test_full_parameter_variant_recovers_hilbert_ideal():
     locus = kuranishi_quadratic_locus(3, miniversal=False).equations
     assert locus.flavor == "hilbert"
-    equal = span_equal_degree2(locus, ideal_generators(3, "hilbert"))
-    assert equal
+    assert all(r.ok for r in compare_spans(locus, ideal_generators(3, "hilbert")))
 
 
 def test_full_parameter_cup_values_unrestricted():
@@ -204,6 +203,7 @@ def test_correction_terms_solve_the_coboundary_equation():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_classical_and_dgla_routes_agree(n):
-    cmp = compare_classical_dgla(n)
-    assert cmp.equal
-    assert cmp.classical_rank == cmp.dgla_rank
+    assert all(r.ok for r in compare_classical_dgla(n))
+    classical = miniversal_restriction(second_order_obstruction(n).equations)
+    dgla = kuranishi_quadratic_locus(n).equations
+    assert classical.span(2).rank == dgla.span(2).rank

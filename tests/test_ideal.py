@@ -16,8 +16,10 @@ from hilbworst.ideal import (
     IdealPresentation,
     Membership,
     UnsupportedDegreeError,
+    _orbit,
     _packed,
     alternate_generators,
+    compare_spans,
     deduplicated,
     diagonal_sum,
     ideal_generators,
@@ -28,11 +30,18 @@ from hilbworst.ideal import (
     permuted,
     set_diagonal_zero,
     transported,
-    span_equal_degree2,
     vanishes_at,
 )
 from hilbworst.linalg import EchelonSpan
-from hilbworst.poly import ONE, Poly, PolyRing, mono_degree, mono_multidegree, mono_text
+from hilbworst.poly import (
+    ONE,
+    Poly,
+    PolyRing,
+    mono_degree,
+    mono_mul,
+    mono_multidegree,
+    mono_text,
+)
 
 # Golden values computed when the suite was first built: number of kept
 # generators and the dimension of their degree-2 span (the presentation
@@ -166,7 +175,45 @@ def test_alternate_span_equality_with_certificates(n):
     main = ideal_generators(n)
     alt = alternate_generators(n)
     # true only if every certificate passes Membership.verify
-    assert span_equal_degree2(main, alt)
+    assert all(r.ok for r in compare_spans(main, alt))
+
+
+def test_compare_spans_names_generators_by_index():
+    # a presentation built without labels still has each generator checked
+    main = ideal_generators(3)
+    bare = IdealPresentation(3, "hilbert", main.generators)
+    records = compare_spans(bare, main)
+    count = len(main.generators)
+    assert [r.part for r in records] == [
+        (side, idx) for side in ("a", "b") for idx in range(count)
+    ]
+    assert all(r.ok for r in records)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_orbit_enumerates_the_distinct_orderings(n):
+    # against the reference, every ordering deduplicated, on the sorted
+    # multidegree of each degree-3 t-monomial; those are the multidegrees of
+    # the index strings (i1,j1,k1,...,i3,j3,k3) up to renaming the indices,
+    # so each index is at most one more than the largest before it
+    strings = [()]
+    for _ in range(9):
+        strings = [
+            s + (x,)
+            for s in strings
+            for x in range(1, min(max(s, default=0) + 1, n) + 1)
+        ]
+    ring = PolyRing.get(n)
+    multidegrees = set()
+    for s in strings:
+        monomial = ONE
+        for i, j, k in (s[:3], s[3:6], s[6:]):
+            monomial = mono_mul(monomial, ring.var_mono(ring.t_var(i, j, k)))
+        multidegrees.add(tuple(sorted(mono_multidegree(monomial, n))))
+    for md in multidegrees:
+        assert _orbit(md) == {_packed(p) for p in set(itertools.permutations(md))}
+    # the orbit of (2,1,0,...,0) at n=12: 132 keys, not a walk of 12! orderings
+    assert len(_orbit((2, 1) + (0,) * 10)) == 132
 
 
 def test_membership_of_listed_generator_has_unit_certificate():
@@ -411,7 +458,7 @@ def test_membership_builds_the_orbits_its_queries_reach(monkeypatch):
     # the 176 blocks, one in each orbit
     pres = _fresh_copy(ideal_generators(4))
     monkeypatch.setattr(lifting, "ideal_generators", lambda n: pres)
-    assert lifting.flatness_residual(4).ok
+    assert all(r.ok for r in lifting.flatness_residual(4))
     span = pres.span(3)
     assert len(span.blocks) == 2
     orbits = {
@@ -518,13 +565,15 @@ def test_orbit_memberships_asks_one_query_per_orbit(n, family, monkeypatch):
         return real(p, pres)
 
     monkeypatch.setattr(ideal, "membership", counting)
-    certified = orbit_memberships(queries, pres)
+    records = orbit_memberships([(t, t, q) for t, q in queries.items()], pres)
     monkeypatch.undo()
     assert len(asked) == 2 and len(pres.span(3).blocks) == 2
+    assert [r.part for r in records] == list(queries)
     direct_pres = _fresh_copy(ideal_generators(n))
-    for triple, q in queries.items():
-        cert, ok = certified[triple]
-        assert ok and cert.verify(q, pres)
+    for record in records:
+        cert, q = record.cert, record.query
+        assert q is queries[record.part]
+        assert record.ok and cert.verify(q, pres)
         for mult in cert.multipliers.values():
             assert _degrees(mult, "t") == {1}
         direct = membership(q, direct_pres)

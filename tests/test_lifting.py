@@ -1,6 +1,7 @@
 """First/second order lifting, the universal family, cubic certificates and
 flatness of the full perturbation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,13 @@ import pytest
 import hilbworst.lifting as lifting
 from hilbworst.cli import main
 from hilbworst.ideal import (
+    compare_spans,
     diagonal_sum,
     ideal_generators,
     membership,
     normal_form,
     obstruction_quadric,
     set_diagonal_zero,
-    span_equal_degree2,
 )
 from hilbworst.lifting import (
     build_f,
@@ -93,8 +94,7 @@ def test_second_order_candidate_tails():
 @pytest.mark.parametrize("n", [3, 4])
 def test_second_order_span_equals_ideal(n):
     system = second_order_obstruction(n)
-    equal = span_equal_degree2(system.equations, ideal_generators(n))
-    assert equal
+    assert all(r.ok for r in compare_spans(system.equations, ideal_generators(n)))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -199,16 +199,25 @@ def test_syzygy_cubic_is_the_second_order_composite():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flatness_certified(n):
-    report = flatness_residual(n)
-    assert report.ok
+    records = flatness_residual(n)
+    assert all(r.ok for r in records)
     shared = [s for s in wedge_symbols(n) if set(s[1]) & set(s[2])]
-    assert set(report.wedges) == set(shared)
-    for wf in report.wedges.values():
-        assert wf.low_orders_zero
-        assert wf.degree3.member
+    assert list(dict.fromkeys(r.part[0] for r in records)) == shared
+    for sym in shared:
+        parts = [r for r in records if r.part[0] == sym]
+        assert parts[0].part[1] == "orders 0 and 1"
+        assert parts[-1].part[1] == "t-degree-3 part" and parts[-1].cert.member
 
 
-def test_flatness_failure_names_the_x_coefficient(monkeypatch):
+def _verify_details(n, capsys):
+    """The detail of each check of ``verify --route classical``, "" for a
+    passing one, rendered by the command line from the flatness records."""
+    main(["verify", "--n", str(n), "--route", "classical"])
+    docs = map(json.loads, capsys.readouterr().out.splitlines())
+    return {d["check"]: d.get("detail", "") for d in docs}
+
+
+def test_flatness_failure_names_the_x_coefficient(monkeypatch, capsys):
     # t-degree-2 queries answered as non-members: the first wedge fails on
     # its lowest x-coefficient, which is checked before its cubic
     import hilbworst.lifting as lifting
@@ -220,15 +229,13 @@ def test_flatness_failure_names_the_x_coefficient(monkeypatch):
         return membership(p, pres)
 
     monkeypatch.setattr(lifting, "membership", no_quadrics)
-    report = flatness_residual(3)
-    assert not report.ok
-    assert report.flatness_detail == (
+    assert _verify_details(3, capsys)["flatness"] == (
         "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
         "first e[1,1]^e[1,2] (x_1-coefficient of the t-degree-2 part)"
     )
 
 
-def test_flatness_checks_the_cubic_identity(monkeypatch):
+def test_flatness_checks_the_cubic_identity(monkeypatch, capsys):
     # twice the cubic is still in the ideal, but n-1 times the t-degree-3
     # part no longer equals it: only the flatness check fails
     import hilbworst.lifting as lifting
@@ -236,13 +243,12 @@ def test_flatness_checks_the_cubic_identity(monkeypatch):
     monkeypatch.setattr(
         lifting, "syzygy_cubic", lambda n, i, j, k: syzygy_cubic(n, i, j, k) * 2
     )
-    report = flatness_residual(3)
-    assert not report.ok
-    assert report.flatness_detail == (
+    details = _verify_details(3, capsys)
+    assert details["flatness"] == (
         "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
         "first e[1,1]^e[1,2] (t-degree-3 part as the cubic syzygy over n-1)"
     )
-    assert report.cubic_detail == ""
+    assert details["cubic_syzygy_certificates"] == ""
 
 
 def _koszul_composite(n):

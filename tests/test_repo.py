@@ -3,8 +3,9 @@ private name is imported from one package module into another, every public
 function and method of the package is used by the package, the three
 membership tests of the oracle stay independent code paths, the exact linear
 algebra has one elimination loop, one method builds every membership span,
-a presentation's generators are split into blocks in one place, and every
-presentation is a chart ideal built in one place."""
+a presentation's generators are split into blocks in one place, every
+presentation is a chart ideal built in one place, and every check record is
+made, and its certificate verified, in one place."""
 
 import ast
 import re
@@ -232,3 +233,10 @@ def test_presentations_hold_chart_ideals_only():
         "IdealPresentation",
         "deduplicated",
     } == set()
+
+
+def test_records_are_made_in_one_place():
+    # a record is ok only as its constructor decided: the package verifies
+    # a membership certificate nowhere else, and makes no Record elsewhere
+    assert _callers("verify") == ["ideal.certified"]
+    assert _callers("Record") == ["ideal.certified", "ideal.identity"]
