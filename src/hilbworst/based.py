@@ -21,7 +21,8 @@ associator coefficients, which keep one tracked ``EchelonSpan`` of their
 own.  The based generators are plain (generator, label) pairs.
 
 Multiplication tables (``MulTable``) hold rational or symbolic entries.
-``associativity_residual`` lists every associator coordinate of any table;
+``associativity_residual`` lists every associator coordinate of any table,
+by the sum that gives ``associator_coeff`` (``_associator``);
 ``is_associative`` decides a rational table exactly, by testing whether its
 multiplication operators commute.  ``table_from_point`` reads the table of
 the fiber algebra off the universal family at a rational point, using the
@@ -59,17 +60,22 @@ def _unit_row_value(i: int, j: int, k: int):
     return int((i or j) == k) if i == 0 or j == 0 else None
 
 
+def _associator(value, n: int, i: int, j: int, k: int, l: int):
+    """Coefficient of v_l in (v_j v_i) v_k - v_j (v_i v_k) for the
+    structure constants s = ``value``: the sum over lam = 0..n of
+    s(i,j,lam) s(k,lam,l) - s(i,k,lam) s(j,lam,l), added term by term."""
+    total = 0
+    for lam in range(n + 1):
+        total = total + value(i, j, lam) * value(k, lam, l)
+        total = total - value(i, k, lam) * value(j, lam, l)
+    return total
+
+
 @lru_cache(maxsize=None)
 def associator_coeff(n: int, i: int, j: int, k: int, l: int) -> Poly:
-    """Coefficient of v_l in (v_j v_i) v_k - v_j (v_i v_k) for the generic
-    structure constants: sum over lam of s(i,j,lam) s(k,lam,l) -
-    s(i,k,lam) s(j,lam,l), indices from 0 to n."""
-    ring = PolyRing.get(n)
-    total = ring.zero()
-    for lam in range(n + 1):
-        total = total + ring.s(i, j, lam) * ring.s(k, lam, l)
-        total = total - ring.s(i, k, lam) * ring.s(j, lam, l)
-    return total
+    """The associator coordinate (``_associator``) of the generic structure
+    constants, a ``Poly``."""
+    return _associator(PolyRing.get(n).s, n, i, j, k, l)
 
 
 @lru_cache(maxsize=None)
@@ -137,22 +143,11 @@ class MulTable:
 def associativity_residual(table: MulTable) -> dict:
     """Per index triple, the coordinates of (v_j v_i) v_k - v_j (v_i v_k);
     the table is associative iff every residual vector vanishes."""
-    n = table.n
-    out = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                vec = []
-                for l in range(n + 1):
-                    acc = None
-                    for lam in range(n + 1):
-                        term = table.value(i, j, lam) * table.value(
-                            k, lam, l
-                        ) - table.value(i, k, lam) * table.value(j, lam, l)
-                        acc = term if acc is None else acc + term
-                    vec.append(acc)
-                out[(i, j, k)] = tuple(vec)
-    return out
+    indices = range(table.n + 1)
+    return {
+        (i, j, k): tuple(_associator(table.value, table.n, i, j, k, l) for l in indices)
+        for i, j, k in product(indices, repeat=3)
+    }
 
 
 def is_associative(table: MulTable) -> bool:

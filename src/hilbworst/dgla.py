@@ -12,7 +12,7 @@ A degree-1 derivation is fixed by its values on the free generators (the
 e-symbols and the wedge symbols); values on the exterior-square summand
 follow from the graded Leibniz rule.  It is kept as one plain table from
 symbols to values and applied by module-linear extension
-(``lifting.apply_images``).  The first-order deformation
+(``taylor.apply_images``).  The first-order deformation
 ``first_order_derivation`` reproduces the classical first-order data, is
 closed for the induced differential, and its square on the shared-index
 wedges is the generic associativity combination sum_l q(i,j,k|l) x_l.
@@ -46,7 +46,6 @@ from .ideal import (
     set_diagonal_zero,
 )
 from .lifting import (
-    apply_images,
     build_f,
     build_r,
     coefficient_system,
@@ -59,6 +58,7 @@ from .taylor import (
     WEDGE_NS,
     FreeModElt,
     QuotientElt,
+    apply_images,
     basis_pairs,
     f_map,
     is_koszul,

@@ -403,17 +403,23 @@ class Membership:
 
     def verify(self, p: Poly, pres: IdealPresentation) -> bool:
         """A member whose multipliers give back p exactly."""
-        if not self.member:
+        if not self.member or p.n != pres.n:
             return False
-        acc: dict = {}  # sum of the products, term by term
-        for idx, mult in self.multipliers.items():
-            for m, c in (mult * pres.generators[idx]).terms_dict().items():
-                total = acc.get(m, 0) + c
-                if total:
-                    acc[m] = total
-                else:
-                    del acc[m]
-        return p.n == pres.n and acc == p.terms_dict()
+        return _multiplied_out(p, pres.generators, self.multipliers)
+
+
+def _multiplied_out(query: Poly, polys, mults: dict) -> bool:
+    """Whether the sum of mults[i] * polys[i], added term by term, is
+    ``query`` exactly; a multiplier is a ``Poly`` or a rational."""
+    acc: dict = {}
+    for idx, mult in mults.items():
+        for m, c in (mult * polys[idx]).terms_dict().items():
+            total = acc.get(m, 0) + c
+            if total:
+                acc[m] = total
+            else:
+                del acc[m]
+    return acc == query.terms_dict()
 
 
 @dataclass(frozen=True)
@@ -430,14 +436,13 @@ class Record:
 
 
 def certified(part, query: Poly, pres, cert) -> Record:
-    """The record of a query, ok only if ``cert`` gives it back exactly:
-    ``Membership.verify``, or its rational combination of the polynomials
-    ``pres`` multiplied out."""
+    """The record of a query, ok only if ``cert`` multiplies back out to it
+    exactly (``_multiplied_out``): ``Membership.verify``, or its rational
+    combination of the polynomials ``pres``."""
     if isinstance(cert, Membership):
         ok = cert.verify(query, pres)
     else:
-        zero = PolyRing.get(query.n).zero()
-        ok = sum((pres[idx] * c for idx, c in cert.items()), zero) == query
+        ok = _multiplied_out(query, pres, cert)
     return Record(part, ok, query, pres, cert)
 
 

@@ -50,6 +50,7 @@ from .taylor import (
     E_NS,
     WEDGE_NS,
     FreeModElt,
+    apply_images,
     basis_pairs,
     e_elt,
     is_koszul,
@@ -89,12 +90,6 @@ def build_f(n: int) -> tuple:
         (E_NS,) + p: diagonal_sum(n, *p) * Fraction(1, n - 1) for p in basis_pairs(n)
     }
     return f0, f1, f2
-
-
-def apply_images(images: dict, elt: FreeModElt) -> Poly:
-    """Module-linear application of a table with Poly values on the
-    e-symbols."""
-    return elt.apply_linear(images.__getitem__, PolyRing.get(elt.n).zero(), E_NS)
 
 
 # -- syzygy perturbations ------------------------------------------------------

@@ -167,6 +167,12 @@ class FreeModElt:
         return f"FreeModElt[n={self.n}]({self.text()})"
 
 
+def apply_images(images: dict, elt: FreeModElt) -> Poly:
+    """Module-linear application of a table with Poly values on the
+    e-symbols."""
+    return elt.apply_linear(images.__getitem__, PolyRing.get(elt.n).zero(), E_NS)
+
+
 def zero_elt(n: int) -> FreeModElt:
     return FreeModElt(n, {})
 

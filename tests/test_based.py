@@ -3,6 +3,7 @@ certified correspondence with the chart ideal."""
 
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -130,6 +131,23 @@ def test_generic_table_residuals_are_reduced_associators():
                 assert v.is_zero
             else:
                 assert v == reduce_unit_sym(associator_coeff(n, i, j, k, l), n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_associator_coeff_is_its_written_out_sum(n):
+    # the associator coordinate formed here from s-products, apart from the
+    # sum that associator_coeff shares with the table residuals; equal term
+    # for term, in the order the two sums add them
+    ring = PolyRing.get(n)
+    s = ring.s
+    indices = range(n + 1)
+    for i, j, k, l in product(indices, repeat=4):
+        expected = ring.zero()
+        for lam in indices:
+            expected = expected + s(i, j, lam) * s(k, lam, l)
+            expected = expected - s(i, k, lam) * s(j, lam, l)
+        got = associator_coeff(n, i, j, k, l).terms_dict()
+        assert list(got.items()) == list(expected.terms_dict().items())
 
 
 def test_malformed_tables_rejected():

@@ -500,7 +500,7 @@ def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
     ids=["classical", "dgla"],
 )
 def test_verify_reverifies_span_certificates(route, span_checks, capsys, monkeypatch):
-    # span_equal_degree2 handed forged certificates (member, but no
+    # compare_spans handed forged certificates (member, but no
     # multipliers): every span check fails, every other check still passes;
     # the cubics, asked of the same function, get real answers
     import hilbworst.ideal as ideal

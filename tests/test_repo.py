@@ -4,8 +4,9 @@ function and method of the package is used by the package, the three
 membership tests of the oracle stay independent code paths, the exact linear
 algebra has one elimination loop, one method builds every membership span,
 a presentation's generators are split into blocks in one place, every
-presentation is a chart ideal built in one place, and every check record is
-made, and its certificate verified, in one place."""
+presentation is a chart ideal built in one place, every check record is
+made, and its certificate verified, in one place, one routine multiplies
+every certificate back out, and one sum gives every associator coordinate."""
 
 import ast
 import re
@@ -240,3 +241,14 @@ def test_records_are_made_in_one_place():
     # a membership certificate nowhere else, and makes no Record elsewhere
     assert _callers("verify") == ["ideal.certified"]
     assert _callers("Record") == ["ideal.certified", "ideal.identity"]
+
+
+def test_one_multiply_back_and_one_associator_sum():
+    # a membership certificate and an embedding combination are multiplied
+    # back out by one routine, and the generic associator coordinates and a
+    # table's residuals are one sum, so no second copy of either can drift
+    assert _callers("_multiplied_out") == ["ideal.Membership.verify", "ideal.certified"]
+    assert _callers("_associator") == [
+        "based.associativity_residual",
+        "based.associator_coeff",
+    ]
