@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-from . import based, dgla, ideal, lifting, oracle, subspaces, taylor
+from . import based, dgla, ideal, lifting, oracle, poly, subspaces, taylor
 
 SCHEMA = "hilbworst/1"
 
@@ -170,11 +170,11 @@ def _route_dgla(n: int):
     R = ideal.PolyRing.get(n)
     for sym, value in sorted(cup.wedge_values.items()):
         i, j, k = taylor.nonkoszul_triple(sym)
-        expected = R.zero()
+        items = []
         for l in range(1, n + 1):
-            expected = expected + ideal.set_diagonal_zero(
-                ideal.obstruction_quadric(n, i, j, k, l)
-            ) * R.x(l)
+            q = ideal.obstruction_quadric(n, i, j, k, l)
+            items.append((1, ideal.set_diagonal_zero(q), R.x(l)))
+        expected = poly.sum_products(n, items)
         yield _generator_check(n, sym, value - expected)
     yield "cup_product_exterior_square"
     for sym, q in sorted(cup.curly_values.items()):

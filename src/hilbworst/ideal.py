@@ -42,7 +42,7 @@ from itertools import product
 from math import lcm
 
 from .linalg import EchelonSpan
-from .poly import ONE, Poly, PolyRing, exact, mono_mul, mono_multidegree
+from .poly import ONE, Poly, PolyRing, exact, mono_mul, mono_multidegree, sum_products
 
 FLAVORS = ("hilbert", "miniversal")
 
@@ -85,11 +85,10 @@ def diagonal_sum(n: int, i: int, j: int) -> Poly:
     Symmetric in (i, j) as an exact polynomial identity; appears (divided by
     n-1) as the constant tail of the universal family generators.
     """
-    ring = PolyRing.get(n)
-    total = ring.zero()
-    for lam in range(1, n + 1):
-        total = total + obstruction_quadric(n, i, j, lam, lam)
-    return total
+    one = PolyRing.get(n).one()
+    return sum_products(
+        n, [(1, obstruction_quadric(n, i, j, lam, lam), one) for lam in range(1, n + 1)]
+    )
 
 
 @dataclass(frozen=True)

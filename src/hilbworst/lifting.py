@@ -42,10 +42,11 @@ from .ideal import (
     ideal_generators,
     identity,
     membership,
+    obstruction_quadric,
     orbit_memberships,
     set_diagonal_zero,
 )
-from .poly import ONE, Poly, PolyRing
+from .poly import ONE, Poly, PolyRing, sum_products
 from .taylor import (
     E_NS,
     WEDGE_NS,
@@ -71,10 +72,8 @@ from .taylor import (
 def f1_image(n: int, l: int, m: int) -> Poly:
     """First-order image of e[l,m]: sum over lam of t(l,m,lam) x_lam."""
     ring = PolyRing.get(n)
-    total = ring.zero()
-    for lam in range(1, n + 1):
-        total = total + ring.t(l, m, lam) * ring.x(lam)
-    return total
+    items = [(1, ring.t(l, m, lam), ring.x(lam)) for lam in range(1, n + 1)]
+    return sum_products(n, items)
 
 
 @lru_cache(maxsize=None)
@@ -286,11 +285,12 @@ def syzygy_cubic(n: int, i: int, j: int, k: int) -> Poly:
     if j == k:
         raise ValueError("requires j != k")
     ring = PolyRing.get(n)
-    total = ring.zero()
+    items = []
     for l in range(1, n + 1):
-        total = total + ring.t(i, j, l) * diagonal_sum(n, k, l)
-        total = total - ring.t(i, k, l) * diagonal_sum(n, j, l)
-    return total
+        for lam in range(1, n + 1):
+            items.append((1, ring.t(i, j, l), obstruction_quadric(n, k, l, lam, lam)))
+            items.append((-1, ring.t(i, k, l), obstruction_quadric(n, j, l, lam, lam)))
+    return sum_products(n, items)
 
 
 # -- flatness of the full family ----------------------------------------------------
@@ -314,11 +314,12 @@ def flatness_residual(n: int) -> list:
     records = []
     for cubic in orbit_memberships(queries, pres):
         sym = cubic.part[0]
-        pieces = {d: ring.zero() for d in range(4)}
+        # the t-degree-d piece sums f[df] on r[dr] over df + dr = d
+        items = [[] for _ in range(4)]
         for df in range(3):
             for dr in range(2):
-                p = apply_images(f[df], r[dr][sym])
-                pieces[df + dr] = pieces[df + dr] + p
+                items[df + dr] += [(1, c, f[df][e]) for e, c in r[dr][sym].terms()]
+        pieces = [sum_products(n, part) for part in items]
         low_zero = pieces[0].is_zero and pieces[1].is_zero
         records.append(identity((sym, "orders 0 and 1"), low_zero))
         for xmono, q in sorted(pieces[2].split_by_x().items()):

@@ -81,6 +81,47 @@ def _numerators(terms: dict) -> tuple:
     return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
+def sum_products(n: int, items) -> "Poly":
+    """The sum of c * a * b over the (c, a, b) triples of ``items``: c a
+    rational, a and b ``Poly``s over n.
+
+    Each product goes, as integer numerators, into the bucket of its common
+    denominator (c's times those of a's and b's coefficients, from
+    ``_numerators``); the buckets are merged over the lcm L of their
+    denominators at the end, with one ``exact(Fraction(v, L))`` per output
+    term.  So the sum runs in ints, copies no partial sum and makes no
+    ``Fraction`` per product term."""
+    buckets: dict = {}
+    for c, a, b in items:
+        if not c:
+            continue
+        if a.n != n or b.n != n:
+            raise UniverseMismatchError(f"ambient n mismatch: {a.n}, {b.n} vs {n}")
+        ta, da = _numerators(a._terms)
+        tb, db = _numerators(b._terms)
+        d = c.denominator * da * db
+        out = buckets.get(d)
+        if out is None:
+            out = buckets[d] = {}
+        c = c.numerator
+        get = out.get
+        for m1, c1 in ta.items():
+            c1 *= c
+            for m2, c2 in tb.items():
+                # a degree-0 m2 is ONE, as in every sum (b = 1)
+                m = mono_mul(m1, m2) if m2[0] else m1
+                out[m] = get(m, 0) + c1 * c2
+    den = lcm(*buckets)
+    total = buckets.pop(den, {})  # the other buckets merge into the lcm's
+    for d, out in buckets.items():
+        scale = den // d
+        for m, v in out.items():
+            total[m] = total.get(m, 0) + v * scale
+    if den == 1:
+        return Poly(n, {m: v for m, v in total.items() if v})
+    return Poly(n, {m: exact(Fraction(v, den)) for m, v in total.items() if v})
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """Merge the positions of two monomials."""
     return (a[0] + b[0], *sorted(a[1:] + b[1:]))
@@ -306,35 +347,39 @@ class Poly:
         """Exact (possibly partial) substitution of variables.
 
         Values may be Fractions, ints, or Polys over the same ambient n;
-        unassigned variables remain symbolic.
+        unassigned variables remain symbolic.  Each term is one triple of
+        ``sum_products``: its rational factor, then its other factors (its
+        ``Poly`` values, then the monomial of its unassigned variables) as a
+        pair, all but the last multiplied together and the last, or 1.
         """
-        variables = PolyRing.get(self.n).variables
-        out = Poly(self.n, {})
-        for mono, coeff in self._terms.items():
+        n = self.n
+        variables = PolyRing.get(n).variables
+        one = Poly(n, {ONE: 1})
+        items = []
+        for mono, num in self._terms.items():
             fixed = []
-            num = coeff
-            poly_factors = []
+            values = []
             for p in mono[1:]:
-                v = variables[p]
-                if v in assignment:
-                    val = assignment[v]
-                    if isinstance(val, Poly):
-                        if val.n != self.n:
-                            raise UniverseMismatchError(
-                                "substitution value over different ambient n"
-                            )
-                        poly_factors.append(val)
-                    else:
-                        num *= Fraction(val)
-                else:
+                val = assignment.get(variables[p])
+                if val is None:
                     fixed.append(p)
+                elif isinstance(val, Poly):
+                    if val.n != n:
+                        raise UniverseMismatchError(
+                            "substitution value over different ambient n"
+                        )
+                    values.append(val)
+                else:
+                    num *= val if type(val) is int else Fraction(val)
             if not num:
                 continue
-            term = Poly(self.n, {(-len(fixed), *fixed): exact(num)})
-            for f in poly_factors:
-                term = term * f
-            out = out + term
-        return out
+            if fixed or not values:
+                values.append(Poly(n, {(-len(fixed), *fixed): 1}))
+            a = values[0]
+            for val in values[1:-1]:
+                a = a * val
+            items.append((num, a, values[-1] if len(values) > 1 else one))
+        return sum_products(n, items)
 
     def evaluate(self, assignment: Mapping[VarId, object]):
         """Substitute; collapse to a Fraction when the result is constant."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import pivot_keys
-from .poly import ONE, Poly, PolyRing, mono_degree, mono_text
+from .poly import ONE, Poly, PolyRing, mono_degree, mono_text, sum_products
 
 E_NS, WEDGE_NS, CURLY_NS = "e", "w", "c"
 
@@ -118,16 +118,19 @@ class FreeModElt:
     def apply_linear(self, image, zero, ns: str):
         """Module-linear extension of ``image`` (symbol -> Poly or
         FreeModElt) to this element: the sum of c * image(sym) over its
-        terms, starting from ``zero``.  Every symbol must lie in namespace
-        ``ns``."""
-        total = zero
+        terms.  ``zero`` is the zero of the target: a ``Poly`` zero makes
+        the sum one ``sum_products``, a ``FreeModElt`` zero a module sum.
+        Every symbol must lie in namespace ``ns``."""
+        pairs = []
         for sym, c in self.terms():
             if sym[0] != ns:
                 raise ValueError(f"expected {ns!r}-symbols, got {sym}")
-            value = image(sym)
-            total = total + (
-                value.scale(c) if isinstance(value, FreeModElt) else c * value
-            )
+            pairs.append((c, image(sym)))
+        if isinstance(zero, Poly):
+            return sum_products(self.n, [(1, c, v) for c, v in pairs])
+        total = zero
+        for c, value in pairs:
+            total = total + value.scale(c)
         return total
 
     def __eq__(self, other):

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from hilbworst import based
 from hilbworst.based import based_ideal_generators
 from hilbworst.ideal import ideal_generators
 from hilbworst.lifting import universal_family
-from hilbworst.poly import ONE, Poly, PolyRing, UniverseMismatchError
+from hilbworst.poly import ONE, Poly, PolyRing, UniverseMismatchError, sum_products
 
 
 R3 = PolyRing.get(3)
@@ -384,6 +385,122 @@ def test_substitute_matches_evaluate():
             inner = dict(outer)
             inner[v] = _ref_value(q, outer)
             assert composed.evaluate(outer) == _ref_value(p, inner)
+
+
+def _random_poly_over(rng, ring, dens, nterms):
+    """Random polynomial in exact form whose coefficients have their
+    denominators in ``dens``."""
+    variables = _all_families(ring)
+    terms = {}
+    for _ in range(nterms):
+        exps = {}
+        for _ in range(rng.randint(0, 2)):
+            v = rng.choice(variables)
+            exps[v] = exps.get(v, 0) + 1
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice(dens))
+        terms[_mono(exps, ring.n)] = c.numerator if c.denominator == 1 else c
+    return Poly(ring.n, terms)
+
+
+def test_sum_products_matches_mul_and_add():
+    rng = random.Random(1618)
+    for n in (3, 4, 5):
+        R = PolyRing.get(n)
+        dens = (1, n - 1, (n - 1) ** 2)
+        for _ in range(30):
+            items = []
+            for _ in range(rng.randint(1, 6)):
+                scale = rng.choice(
+                    [rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.choice(dens))]
+                )
+                a = _random_poly_over(rng, R, dens, rng.randint(0, 4))
+                b = _random_poly_over(rng, R, dens, rng.randint(0, 4))
+                items.append((scale, a, b))
+            if rng.random() < 0.5:
+                # a product and its negation, factors swapped, cancel exactly
+                c, a, b = rng.choice(items)
+                items.append((-c, b, a))
+            expected = R.zero()
+            for c, a, b in items:
+                expected = expected + a * b * c
+            got = sum_products(n, items)
+            assert got == expected and _exact_form(got)
+    # exact cancellation across denominators leaves the zero polynomial
+    a, b = R3.x(1) + Fraction(1, 2) * R3.t(1, 2, 3), R3.x(2) - Fraction(1, 4)
+    items = [(Fraction(1, 2), a, b), (Fraction(-1, 4), a, b * 2), (3, b, R3.zero())]
+    assert sum_products(3, items).terms_dict() == {}
+    # integral sums come out as ints
+    third = R3.const(Fraction(1, 3)) * R3.x(1)
+    items = [(Fraction(3, 2), third, R3.x(2)), (Fraction(1, 2), R3.x(1), R3.x(2))]
+    whole = sum_products(3, items)
+    assert whole.terms_dict() == {_mono({R3.x_var(1): 1, R3.x_var(2): 1}, 3): 1}
+    assert sum_products(3, []) == R3.zero()
+    with pytest.raises(UniverseMismatchError):
+        sum_products(3, [(1, R3.x(1), PolyRing.get(4).x(1))])
+
+
+def _ref_substitute(p, assignment) -> dict:
+    """Term-by-term substitution in the Fraction reference: each variable of
+    a term becomes its rational or ``Poly`` value, or stays."""
+    total: dict = {}
+    for m, c in p.terms_dict().items():
+        term = {(): Fraction(c)}
+        for v, e in _pairs(m, p.n):
+            val = assignment.get(v)
+            if val is None:
+                factor = {((v, 1),): Fraction(1)}
+            elif isinstance(val, Poly):
+                factor = _ref(val)
+            else:
+                factor = {(): Fraction(val)} if val else {}
+            for _ in range(e):
+                term = _ref_mul(term, factor)
+        total = _ref_add(total, term)
+    return total
+
+
+def test_substitute_matches_term_by_term_reference():
+    rng = random.Random(5772)
+    R = PolyRing.get(4)
+    variables = _all_families(R)
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-3, 3)
+        if kind == 2:
+            return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        return _random_exact_poly(rng, R, nterms=rng.randint(1, 3))
+
+    for _ in range(60):
+        p = _random_exact_poly(rng, R, nterms=6)
+        # a partial assignment over all three families
+        chosen = rng.sample(variables, rng.randint(0, len(variables)))
+        assignment = {v: value() for v in chosen}
+        got = p.substitute(assignment)
+        assert _ref(got) == _ref_substitute(p, assignment) and _exact_form(got)
+    # the based route's three substitution tables
+    for n in (3, 4):
+        polys = [
+            based.associator_coeff(n, 1, 2, k, l)
+            for k in range(1, n + 1)
+            for l in range(n + 1)
+        ]
+        for table in (based._pi_table(n), based._unit_sym_table(n)):
+            for p in polys:
+                got = p.substitute(table)
+                assert _ref(got) == _ref_substitute(p, table) and _exact_form(got)
+        for g in ideal_generators(n).generators[:40]:
+            got = g.substitute(based._sigma_table(n))
+            assert _ref(got) == _ref_substitute(g, based._sigma_table(n))
+    with pytest.raises(UniverseMismatchError):
+        R3.x(1).substitute({R3.x_var(1): PolyRing.get(4).x(1)})
+    with pytest.raises(UniverseMismatchError):
+        # a zero factor earlier in the term does not skip the check
+        mixed = {R3.x_var(1): 0, R3.x_var(2): PolyRing.get(4).x(1)}
+        (R3.x(1) * R3.x(2)).substitute(mixed)
 
 
 # -- the monomial layout that Poly, the spans and Membership.verify share ------

@@ -6,7 +6,9 @@ algebra has one elimination loop, one method builds every membership span,
 a presentation's generators are split into blocks in one place, every
 presentation is a chart ideal built in one place, every check record is
 made, and its certificate verified, in one place, one routine multiplies
-every certificate back out, and one sum gives every associator coordinate."""
+every certificate back out, one sum gives every associator coordinate, and
+one integer kernel sums the verify-side products, out of reach of the
+membership checks and the oracle tests."""
 
 import ast
 import re
@@ -252,3 +254,82 @@ def test_one_multiply_back_and_one_associator_sum():
         "based.associativity_residual",
         "based.associator_coeff",
     ]
+
+
+_OPERATOR_METHODS = {
+    ast.Add: "__add__",
+    ast.Sub: "__sub__",
+    ast.Mult: "__mul__",
+    ast.Pow: "__pow__",
+    ast.USub: "__neg__",
+}
+
+
+def _reached(start, stop=()):
+    """The package functions and methods (module.function or
+    module.Class.method) that ``start`` reaches, itself included, without
+    entering those in ``stop``.  A function reaches every function or
+    method named by a name or attribute in its body, the method of each
+    arithmetic operator it applies, and the ``__init__`` and
+    ``__post_init__`` of each class it names."""
+    functions, by_name = {}, {}
+    for path in sorted((ROOT / "src" / "hilbworst").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions[f"{path.stem}.{node.name}"] = node
+                by_name.setdefault(node.name, []).append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    qual = f"{path.stem}.{node.name}.{fn.name}"
+                    functions[qual] = fn
+                    by_name.setdefault(fn.name, []).append(qual)
+                    if fn.name in ("__init__", "__post_init__"):
+                        by_name.setdefault(node.name, []).append(qual)
+    seen, todo = set(), [start]
+    while todo:
+        qual = todo.pop()
+        if qual in seen or qual in stop:
+            continue
+        seen.add(qual)
+        for sub in ast.walk(functions[qual]):
+            if isinstance(sub, ast.Name):
+                todo += by_name.get(sub.id, [])
+            elif isinstance(sub, ast.Attribute):
+                todo += by_name.get(sub.attr, [])
+            elif isinstance(sub, (ast.BinOp, ast.UnaryOp, ast.AugAssign)):
+                todo += by_name.get(_OPERATOR_METHODS.get(type(sub.op)), [])
+    return seen
+
+
+def test_one_sum_of_products_kernel():
+    # the verify-side sums of products run through one integer kernel; a
+    # membership check multiplies back with Poly.__mul__, and the oracle's
+    # three tests use neither, so a fault in the kernel that built a query
+    # cannot also hide in the query's own check
+    assert _callers("sum_products") == [
+        "cli._route_dgla",
+        "ideal.diagonal_sum",
+        "lifting.f1_image",
+        "lifting.flatness_residual",
+        "lifting.syzygy_cubic",
+        "poly.Poly.substitute",
+        "taylor.FreeModElt.apply_linear",
+    ]
+    checks = (
+        "ideal._multiplied_out",
+        "ideal.Membership.verify",
+        "ideal.membership",
+        "poly.Poly.__mul__",
+        "based.is_associative",
+        "ideal.vanishes_at",
+        "oracle.fiber_check",
+    )
+    for start in checks:
+        assert "poly.sum_products" not in _reached(start), start
+    # symbolic_member is vanishes_at on the chart generators, the input
+    # that the routes and the other two tests share
+    symbolic = _reached("oracle.symbolic_member", stop={"ideal.ideal_generators"})
+    assert "ideal.vanishes_at" in symbolic
+    assert "poly.sum_products" not in symbolic
