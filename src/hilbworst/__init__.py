@@ -14,7 +14,6 @@ from .ideal import (
     diagonal_sum,
     ideal_generators,
     membership,
-    normal_form,
     obstruction_quadric,
 )
 from .taylor import (

@@ -1,12 +1,12 @@
 """Command-line surface: generator/family exports, verification pipelines,
 subspace reports and table evaluation.
 
-Every JSON document carries a top-level {"schema": "hilbworst/1"} marker and
-is emitted with sorted keys, so output is byte-stable for fixed flags and
-seed.  ``verify`` streams one JSON line per check and exits 0 only when all
-requested checks pass; the first failure is named on stderr.  A command
-that runs out of memory exits 1 with one stderr line, which for ``verify``
-names the check that was running.
+Every JSON document carries a top-level {"schema": "hilbworst/1"} marker,
+which ``_dumps`` alone stamps, and is emitted with sorted keys, so output is
+byte-stable for fixed flags and seed.  ``verify`` streams one JSON line per
+check and exits 0 only when all requested checks pass; the first failure is
+named on stderr.  A command that runs out of memory exits 1 with one stderr
+line, which for ``verify`` names the check that was running.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-from . import based, dgla, ideal, lifting, oracle, poly, subspaces, taylor
+from . import based, dgla, ideal, lifting, oracle, subspaces, taylor
 
 SCHEMA = "hilbworst/1"
 
 
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json.dumps({**doc, "schema": SCHEMA}, sort_keys=True) + "\n"
 
 
 def _emit(doc: dict, out) -> None:
@@ -34,7 +34,6 @@ def _emit(doc: dict, out) -> None:
 
 def _generators_doc(n: int, flavor: str, gens, fmt: str) -> dict:
     return {
-        "schema": SCHEMA,
         "n": n,
         "flavor": flavor,
         "generators": [g.text(cas=(fmt == "cas")) for g in gens],
@@ -65,7 +64,6 @@ def cmd_subspaces(args, out) -> int:
     res = subspaces.max_linear_dim(args.n)
     smooth = subspaces.smoothing_dim(args.n)
     doc = {
-        "schema": SCHEMA,
         "n": args.n,
         "max_linear_dim": res.dim,
         "m": res.m,
@@ -93,7 +91,6 @@ def cmd_table(args, out) -> int:
         list(key) for key, vec in residuals.items() if any(v != 0 for v in vec)
     )
     doc = based.table_to_json_dict(table)
-    doc["schema"] = SCHEMA
     doc["associative"] = not nonzero
     doc["nonzero_residuals"] = nonzero
     _emit(doc, out)
@@ -101,7 +98,7 @@ def cmd_table(args, out) -> int:
 
 
 def _check(n: int, ok: bool, detail: str = "") -> dict:
-    doc = {"schema": SCHEMA, "n": n, "status": "ok" if ok else "fail"}
+    doc = {"n": n, "status": "ok" if ok else "fail"}
     if detail:
         doc["detail"] = detail
     return doc
@@ -166,18 +163,10 @@ def _route_dgla(n: int):
     for sym, res in sorted(closed.items(), key=lambda kv: (kv[0][0], str(kv[0]))):
         yield _generator_check(n, sym, res)
     yield "cup_product"
-    cup = dgla.cup_product(n)
-    R = ideal.PolyRing.get(n)
-    for sym, value in sorted(cup.wedge_values.items()):
-        i, j, k = taylor.nonkoszul_triple(sym)
-        items = []
-        for l in range(1, n + 1):
-            q = ideal.obstruction_quadric(n, i, j, k, l)
-            items.append((1, ideal.set_diagonal_zero(q), R.x(l)))
-        expected = poly.sum_products(n, items)
-        yield _generator_check(n, sym, value - expected)
+    for sym, res in sorted(dgla.cup_residual(n).items()):
+        yield _generator_check(n, sym, res)
     yield "cup_product_exterior_square"
-    for sym, q in sorted(cup.curly_values.items()):
+    for sym, q in sorted(dgla.cup_product(n).curly_values.items()):
         yield _generator_check(n, sym, q.rep)
     yield "kuranishi_span"
     locus = dgla.kuranishi_quadratic_locus(n).equations
@@ -254,15 +243,12 @@ def cmd_export(args, out) -> int:
         docs[f"family_{flavor}_n{n}.json"] = _generators_doc(n, flavor, family, fmt)
     dims = taylor.tangent_dims(n)
     docs[f"tangent_n{n}.json"] = {
-        "schema": SCHEMA,
-        "n": n,
-        "hom_dim": dims.hom_dim,
-        "t1_dim": dims.t1_dim,
+        "n": n, "hom_dim": dims.hom_dim, "t1_dim": dims.t1_dim
     }
     outdir = Path(args.out or ".")  # created by main
     for name, doc in docs.items():
         (outdir / name).write_text(_dumps(doc))
-    _emit({"schema": SCHEMA, "written": sorted(docs)}, out)
+    _emit({"written": sorted(docs)}, out)
     return 0
 
 
@@ -376,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
             const="json",
             help="shorthand for --format json",
         )
-        p.add_argument("--out", type=_out_path, help="write to file instead of stdout")
         if flavor:
             p.add_argument(
                 "--flavor", choices=("hilbert", "miniversal"), default="hilbert"
@@ -386,6 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         # running: what an out-of-memory report names; verify narrows it
         p.set_defaults(handler=handler, running=name)
+        out_help = "write to file instead of stdout"
+        if name == "export":  # it writes a bundle of files into a directory
+            out_help = "the directory to write the bundle into"
+        p.add_argument("--out", type=_out_path, help=out_help)
         return p
 
     common(command("gens", cmd_gens, "generator presentation"), flavor=True)
@@ -396,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=(*_ROUTES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_int_at_least(1), default=100)
-    p.add_argument("--out", type=_out_path)
 
     p = command("subspaces", cmd_subspaces, "linear subspace report")
     p.add_argument("--n", type=_AMBIENT_N, required=True)
@@ -407,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumerate up to this many optimal subspaces",
     )
     p.add_argument("--json", action="store_true", help="JSON output (the default)")
-    p.add_argument("--out", type=_out_path)
 
     p = command("table", cmd_table, "multiplication table at a parameter point")
     p.add_argument(
@@ -416,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_read_point,
         help='JSON file {"n": ..., "t": [[i,j,k,"p/q"], ...]}',
     )
-    p.add_argument("--out", type=_out_path)
 
     common(
         command("export", cmd_export, "write generator/family/tangent bundle"),

@@ -25,9 +25,10 @@ x-coefficients (``lifting.coefficient_system``) are shared with the
 classical route, so the two routes do not check each other there.  What
 this route still checks on its own is everything around them: closedness
 of the derivation against the differential of the resolution, the square
-computed by the Leibniz rule against ``obstruction_quadric`` directly, the
-vanishing on the exterior-square summand, and the span of the locus against
-the independently enumerated ``ideal_generators(n, "miniversal")``.
+computed by the Leibniz rule against ``obstruction_quadric`` directly
+(``cup_residual``), the vanishing on the exterior-square summand, and the
+span of the locus against the independently enumerated
+``ideal_generators(n, "miniversal")``.
 
 Throughout this module the diagonal parameters t(i,i,i) are set to zero by
 default (the miniversal normalization); pass miniversal=False to keep them,
@@ -43,6 +44,7 @@ from .ideal import (
     IdealPresentation,
     compare_spans,
     miniversal_restriction,
+    obstruction_quadric,
     set_diagonal_zero,
 )
 from .lifting import (
@@ -51,7 +53,7 @@ from .lifting import (
     coefficient_system,
     second_order_obstruction,
 )
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, sum_products
 from .taylor import (
     CURLY_NS,
     E_NS,
@@ -64,6 +66,7 @@ from .taylor import (
     is_koszul,
     koszul_differential,
     leibniz_value,
+    nonkoszul_triple,
     r_map,
     wedge_symbols,
 )
@@ -157,6 +160,21 @@ def cup_product(n: int, miniversal: bool = True) -> CupReport:
         for sym in wedge_symbols(n, CURLY_NS)
     }
     return CupReport(wedge_values=wedge_values, curly_values=curly_values)
+
+
+def cup_residual(n: int) -> dict:
+    """The square of the first-order derivation on each shared-index wedge
+    e[i,j]^e[i,k] minus sum_l q(i,j,k|l) x_l, the quadrics built by
+    ``obstruction_quadric`` with the diagonal parameters zeroed as in
+    ``cup_product``; contract: zero everywhere."""
+    x = PolyRing.get(n).x
+    out: dict = {}
+    for sym, value in cup_product(n).wedge_values.items():
+        i, j, k = nonkoszul_triple(sym)
+        quadrics = [obstruction_quadric(n, i, j, k, l) for l in range(1, n + 1)]
+        items = [(1, set_diagonal_zero(q), x(l)) for l, q in enumerate(quadrics, 1)]
+        out[sym] = value - sum_products(n, items)
+    return out
 
 
 @dataclass(frozen=True)

@@ -575,17 +575,6 @@ def orbit_memberships(queries, pres: IdealPresentation) -> list:
     return records
 
 
-def normal_form(p: Poly, n: int, flavor: str = "hilbert") -> Poly:
-    """Canonical representative of a homogeneous quadric modulo the ideal:
-    the residual of its ``membership`` query, the reduction against the
-    fixed echelon basis of the degree-2 span (zero for a member).  The
-    query itself is checked by ``membership``."""
-    if not p.is_zero and p.degree("t") != 2:
-        raise UnsupportedDegreeError("normal form defined for quadrics only")
-    residual = membership(p, ideal_generators(n, flavor)).residual
-    return residual if residual is not None else PolyRing.get(n).zero()
-
-
 def compare_spans(a: IdealPresentation, b: IdealPresentation) -> list:
     """Mutual containment of the degree-2 spans of two presentations: one
     ``certified`` record per generator, part ("a", index) for the

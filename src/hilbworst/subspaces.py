@@ -12,9 +12,9 @@ component from n = 16 on; the maximizing a is the floor or ceiling of
 Containment is decided from supports.  Restricting a polynomial to a
 coordinate subspace keeps exactly the terms whose variables all survive,
 and distinct monomials cannot cancel, so a restriction is zero iff no
-monomial has all of its variables surviving.  The quadrics are restricted
-by summing only the products of two surviving parameters, which are found
-from the survivors themselves.
+monomial has all of its variables surviving.  The chart quadrics are read
+as ``ideal.obstruction_quadric`` builds them; the survivors only select
+which of them can hold a product of two survivors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ideal import ideal_generators
+from .ideal import ideal_generators, obstruction_quadric
 from .poly import T_KIND, PolyRing
 
 
@@ -82,9 +82,9 @@ def containment_check(spec: LinearSubspaceSpec) -> ContainmentReport:
 
     The quadric sweep covers both generator families of both presentations.
     A product t(a,b,lam) * t(c,d,l) with lam in {c, d} and m the other index
-    of (c, d) occurs in q(i,j,k|l) with sign + for {i, j} = {a, b}, k = m,
-    and with sign - for {i, k} = {a, b}, j = m; the restriction of each
-    quadric is the exact sum of these terms over pairs of survivors.  The
+    of (c, d) can occur in q(i,j,k|l) only for {i, j} = {a, b}, k = m, or
+    {i, k} = {a, b}, j = m; every other quadric restricts to zero.  Each of
+    those is built by ``obstruction_quadric`` and read by support.  The
     report names the first quadric (i,j,k,l) in lexicographic order whose
     restriction is nonzero, by its 1-based position among the n^4.
 
@@ -94,38 +94,32 @@ def containment_check(spec: LinearSubspaceSpec) -> ContainmentReport:
     n = spec.n
     ring = PolyRing.get(n)
     survivors = spec.parameters()
+    alive = {ring.position[v] for v in survivors}
+
+    def survives(p) -> bool:
+        # a monomial's first variable already rules most of them out
+        return any(
+            m[1] in alive and all(v in alive for v in m[2:]) for m in p.terms_dict()
+        )
+
     partners: dict = {}  # index lam -> surviving t(c,d,l) with lam in {c, d}
     for w in survivors:
         for lam in {w[1], w[2]}:
             partners.setdefault(lam, []).append(w)
-    products: dict = {}  # (i, j, k, l) -> surviving (sign, u, w) of q(i,j,k|l)
-    for u in survivors:
-        _, a, b, lam = u
-        for w in partners.get(lam, ()):
-            _, c, d, l = w
+    quadrics = set()  # (i, j, k, l) whose q(i,j,k|l) can hold a product
+    for _, a, b, lam in survivors:
+        for _, c, d, l in partners.get(lam, ()):
             m = d if c == lam else c
-            for idx in {(a, b, m, l), (b, a, m, l)}:
-                products.setdefault(idx, []).append((1, u, w))
-            for idx in {(a, m, b, l), (b, m, a, l)}:
-                products.setdefault(idx, []).append((-1, u, w))
-    for idx in sorted(products):
-        restricted = ring.zero()
-        for sign, u, w in products[idx]:
-            restricted = restricted + sign * ring.var_poly(u) * ring.var_poly(w)
-        if not restricted.is_zero:
-            i, j, k, l = idx
+            quadrics |= {(a, b, m, l), (b, a, m, l), (a, m, b, l), (b, m, a, l)}
+    for i, j, k, l in sorted(quadrics):
+        if survives(obstruction_quadric(n, i, j, k, l)):
             position = (((i - 1) * n + j - 1) * n + k - 1) * n + l
             return ContainmentReport(spec, position, 0, False)
-    alive = {ring.position[v] for v in survivors}
     generators = 0
     if n <= 8:
         for g in ideal_generators(n).generators:
             generators += 1
-            # a monomial's first variable already rules most of them out
-            if any(
-                m[1] in alive and all(p in alive for p in m[2:])
-                for m in g.terms_dict()
-            ):
+            if survives(g):
                 return ContainmentReport(spec, n**4, generators, False)
     return ContainmentReport(spec, n**4, generators, True)
 

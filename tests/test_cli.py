@@ -389,6 +389,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert any(d["status"] == "fail" for d in docs)
 
 
+def test_verify_forged_cup_product_is_named(capsys, monkeypatch):
+    # one wedge value of the cup product doubled: exit 1, the cup product
+    # check and its generator named
+    import hilbworst.dgla as dgla
+    from hilbworst.taylor import FreeModElt
+
+    real = dgla.cup_product
+
+    def forged(n, miniversal=True):
+        cup = real(n, miniversal)
+        wedges = dict(cup.wedge_values)
+        sym = min(wedges)
+        wedges[sym] = 2 * wedges[sym]  # in its torus block, as the locus needs
+        return dgla.CupReport(wedge_values=wedges, curly_values=cup.curly_values)
+
+    sym = min(real(3).wedge_values)
+    monkeypatch.setattr(dgla, "cup_product", forged)
+    rc = main(["verify", "--n", "3", "--route", "dgla"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "verification failed: dgla/cup_product at n=3" in captured.err
+    docs = [json.loads(line) for line in captured.out.splitlines()]
+    failed = [d for d in docs if d["check"] == "cup_product" and d["status"] != "ok"]
+    assert [d["generator"] for d in failed] == [FreeModElt._sym_text(sym)]
+
+
 def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
     # cubic queries answered as non-members: the syzygy and flatness
     # certificates go missing, and verify reports that instead of raising;
@@ -923,6 +949,19 @@ def test_export_writes_bundle(tmp_path, capsys):
     assert "family_miniversal_n3.json" in written
     tangent = json.loads((tmp_path / "tangent_n3.json").read_text())
     assert tangent["hom_dim"] == 18 and tangent["t1_dim"] == 15
+
+
+def test_export_out_help_names_the_bundle_directory():
+    # export writes its bundle into the --out directory; the other commands
+    # write one document to the --out file
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {
+        name: re.search(r"--out OUT\s+(.*)", p.format_help()).group(1)
+        for name, p in sub.choices.items()
+    }
+    assert helps.pop("export") == "the directory to write the bundle into"
+    assert set(helps.values()) == {"write to file instead of stdout"}
 
 
 # Run the command line in a child whose address space is capped a little

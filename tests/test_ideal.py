@@ -24,7 +24,6 @@ from hilbworst.ideal import (
     diagonal_sum,
     ideal_generators,
     membership,
-    normal_form,
     obstruction_quadric,
     orbit_memberships,
     permuted,
@@ -674,24 +673,22 @@ def test_membership_reuses_the_presentation_span(monkeypatch):
     assert membership(2 * g, pres).member and membership(2 * cubic, pres).member
 
 
-def test_normal_forms():
-    n = 3
-    # a repeated-trailing-index quadric and the averaged diagonal sum agree
-    lam = 1
-    left = obstruction_quadric(n, 1, 2, lam, lam)
+def test_repeated_index_quadric_matches_averaged_diagonal_sum():
+    # q(1,2,lam|lam) and diagonal_sum(1, 2)/(n-1) differ by a member of the
+    # ideal, with a certificate that multiplies back out
+    n, pres = 3, ideal_generators(3)
     right = diagonal_sum(n, 1, 2) * Fraction(1, n - 1)
-    assert normal_form(left, n) == normal_form(right, n)
-    for g in ideal_generators(n).generators[:6]:
-        assert normal_form(g, n).is_zero
-    assert normal_form(PolyRing.get(n).zero(), n).is_zero
+    for lam in (1, 3):
+        diff = obstruction_quadric(n, 1, 2, lam, lam) - right
+        assert membership(diff, pres).verify(diff, pres)
 
 
-def test_normal_form_rejects_another_ambient_n():
-    # an n=3 quadric at n=4, and an n=4 quadric at n=3
+def test_membership_rejects_another_ambient_n():
+    # an n=3 quadric against n=4 generators, and an n=4 quadric against n=3
     with pytest.raises(ValueError, match="ambient n mismatch"):
-        normal_form(obstruction_quadric(3, 1, 2, 3, 1), 4)
+        membership(obstruction_quadric(3, 1, 2, 3, 1), ideal_generators(4))
     with pytest.raises(ValueError, match="ambient n mismatch"):
-        normal_form(obstruction_quadric(4, 1, 2, 3, 4), 3)
+        membership(obstruction_quadric(4, 1, 2, 3, 4), ideal_generators(3))
 
 
 def test_diagonal_sum_symmetric_in_first_indices():

@@ -13,7 +13,6 @@ from hilbworst.ideal import (
     diagonal_sum,
     ideal_generators,
     membership,
-    normal_form,
     obstruction_quadric,
     set_diagonal_zero,
 )
@@ -132,16 +131,17 @@ def test_family_at_origin_recovers_monomial_generators():
 
 
 def test_family_constant_terms_agree_with_normal_forms():
-    n = 3
+    # each tail differs from q(i,j,lam|lam) by a member of the ideal, with a
+    # certificate that multiplies back out
+    n, pres = 3, ideal_generators(3)
     fam = dict(zip(basis_pairs(n), universal_family(n)))
     for (i, j), g in fam.items():
         tail = g.split_by_x().get(ONE, PolyRing.get(n).zero())
         for lam in range(1, n + 1):
             if lam == j:
                 continue
-            assert normal_form(tail, n) == normal_form(
-                obstruction_quadric(n, i, j, lam, lam), n
-            )
+            diff = tail - obstruction_quadric(n, i, j, lam, lam)
+            assert membership(diff, pres).verify(diff, pres)
 
 
 def test_miniversal_family_zeroes_diagonal_parameters():

@@ -6,9 +6,11 @@ algebra has one elimination loop, one method builds every membership span,
 a presentation's generators are split into blocks in one place, every
 presentation is a chart ideal built in one place, every check record is
 made, and its certificate verified, in one place, one routine multiplies
-every certificate back out, one sum gives every associator coordinate, and
-one integer kernel sums the verify-side products, out of reach of the
-membership checks and the oracle tests."""
+every certificate back out, one sum gives every associator coordinate, one
+integer kernel sums the verify-side products, out of reach of the
+membership checks and the oracle tests, the command line does no algebra and
+stamps the schema in one place, and subspace containment reads the chart's
+own quadrics."""
 
 import ast
 import re
@@ -309,7 +311,7 @@ def test_one_sum_of_products_kernel():
     # three tests use neither, so a fault in the kernel that built a query
     # cannot also hide in the query's own check
     assert _callers("sum_products") == [
-        "cli._route_dgla",
+        "dgla.cup_residual",
         "ideal.diagonal_sum",
         "lifting.f1_image",
         "lifting.flatness_residual",
@@ -333,3 +335,47 @@ def test_one_sum_of_products_kernel():
     symbolic = _reached("oracle.symbolic_member", stop={"ideal.ideal_generators"})
     assert "ideal.vanishes_at" in symbolic
     assert "poly.sum_products" not in symbolic
+
+
+def test_cli_does_no_algebra():
+    # the command line renders what the routes compute: it imports nothing
+    # from poly and builds no quadric, restriction or sum of its own
+    tree = _module("cli")
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert "poly" not in {node.module for node in imports}
+    assert "poly" not in {alias.name for node in imports for alias in node.names}
+    algebra = {"obstruction_quadric", "set_diagonal_zero", "sum_products", "PolyRing"}
+    assert _referenced_names(tree) & algebra == set()
+
+
+def test_only_dumps_writes_the_schema_key():
+    # every JSON document gets its schema marker where it is serialized
+    writers = []
+    for path in sorted((ROOT / "src" / "hilbworst").glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if any(
+                isinstance(node, ast.Constant) and node.value == "schema"
+                for node in ast.walk(fn)
+            ):
+                writers.append(f"{path.stem}.{getattr(fn, 'name', fn.lineno)}")
+    assert writers == ["cli._dumps"]
+
+
+def test_containment_reads_the_chart_quadrics():
+    # containment restricts the quadrics that obstruction_quadric builds,
+    # not a second copy of their signed products
+    assert "subspaces.containment_check" in _callers("obstruction_quadric")
+    (check,) = [
+        fn
+        for fn in _module("subspaces").body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "containment_check"
+    ]
+    assert _referenced_names(check) & {"var_poly", "sum_products", "zero"} == set()
+    # its one product is index arithmetic: a quadric's position among the n^4
+    products = [
+        node
+        for node in ast.walk(check)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+    ]
+    assert products
+    assert all(isinstance(p.right, ast.Name) and p.right.id == "n" for p in products)
