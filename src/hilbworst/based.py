@@ -14,11 +14,14 @@ embed them back; the projection eliminates the unit rows outright and sends
 the k=0 column to the (normalized) diagonal quadric sums.  The composite is
 the identity on every parameter, and both maps respect the two ideals,
 certified generator by generator in ``verify_structure_correspondence``:
-a projected generator by its ``membership`` certificate in the chart ideal;
-an embedded one, already in the normal form modulo the unit and symmetry
-relations (``reduce_unit_sym``), by a rational combination of the reduced
-associator coefficients, which keep one tracked ``EchelonSpan`` of their
-own.  The based generators are plain (generator, label) pairs.
+a projected generator by a ``membership`` certificate in the chart ideal,
+of its image for a symmetry or unit generator and of (n-1)^2 times its
+image for an associator, projected through (n-1) times the projection so
+that its query has int coefficients; an embedded one, already in the
+normal form modulo the unit and symmetry relations (``reduce_unit_sym``),
+by a rational combination of the reduced associator coefficients, which
+keep one tracked ``EchelonSpan`` of their own.  The based generators are
+plain (generator, label) pairs.
 
 Multiplication tables (``MulTable``) hold rational or symbolic entries.
 ``associativity_residual`` lists every associator coordinate of any table,
@@ -46,7 +49,7 @@ from .ideal import (
     orbit_memberships,
 )
 from .linalg import EchelonSpan
-from .poly import ONE, Poly, PolyRing
+from .poly import ONE, Poly, PolyRing, exact
 from .taylor import basis_pairs, pair
 
 
@@ -218,6 +221,13 @@ def _pi_table(n: int) -> dict:
     return {v: _pi_value(n, v[1], v[2], v[3]) for v in ring.s_variables()}
 
 
+@lru_cache(maxsize=None)
+def _scaled_pi_table(n: int) -> dict:
+    """(n-1) times ``_pi_table``: the 1/(n-1) of the k=0 column cleared, so
+    every value has int coefficients."""
+    return {v: p * (n - 1) for v, p in _pi_table(n).items()}
+
+
 def structure_to_params(p: Poly, n: int) -> Poly:
     """Projection of a structure-constant polynomial onto the deformation
     parameters: unit rows go to their constants, the k=0 column to the
@@ -290,7 +300,13 @@ def verify_structure_correspondence(n: int) -> list:
     moduli ideal and the chart ideal: one ``Record`` each, part ("section",
     ""), ("projection", label) per based generator, the cubics asked one per
     S_n orbit (``orbit_memberships``), and ("embedding", label) per chart
-    generator, its certificate a combination of the reduced associators."""
+    generator, its certificate a combination of the reduced associators.
+
+    An associator is a quadric in the structure constants, so it is
+    projected through (n-1) times the projection (``_scaled_pi_table``) and
+    its record certifies (n-1)^2 times its image: a query with int
+    coefficients, which lies in the chart ideal exactly when the image
+    does.  The symmetry and unit generators are projected as they are."""
     ring = PolyRing.get(n)
     chart = ideal_generators(n)
     section = all(
@@ -300,7 +316,16 @@ def verify_structure_correspondence(n: int) -> list:
     )
     records = [identity(("section", ""), section)]
 
-    images = [(structure_to_params(g, n), lab) for g, lab in based_ideal_generators(n)]
+    scaled = _scaled_pi_table(n)
+    images = [
+        (
+            g.substitute(scaled)
+            if lab.startswith("assoc")
+            else structure_to_params(g, n),
+            lab,
+        )
+        for g, lab in based_ideal_generators(n)
+    ]
     # the images of assoc(i,j,k|0), i, j, k positive, are the cubics; they
     # are certified one S_n orbit of the triples at a time
     pos = range(1, n + 1)
@@ -321,7 +346,8 @@ def verify_structure_correspondence(n: int) -> list:
     for g, lab in zip(chart.generators, chart.labels):
         emb = params_to_structure(g, n)
         used = span.reduce(emb.terms_dict())[1]
-        records.append(certified(("embedding", lab), emb, assoc, used))
+        combination = {idx: exact(c) for idx, c in used.items()}
+        records.append(certified(("embedding", lab), emb, assoc, combination))
     return records
 
 

@@ -210,15 +210,28 @@ _ROUTES = {
 }
 
 
-def cmd_verify(args, out) -> int:
-    routes = list(_ROUTES) if args.route == "all" else [args.route]
-    failures = []
-    for route in routes:
+def _route_lines(route: str, args):
+    """(check, line) for each line of one route.  A check that raises
+    ``ideal.UnsupportedDegreeError``, a query or generator outside the
+    degrees decided exactly, ends the route with a fail line of that check,
+    the message as its detail."""
+    check = None
+    try:
         for doc in _ROUTES[route](args):
             if isinstance(doc, str):
                 check = doc
                 args.running = f"{route}/{check} at n={args.n}"  # read by _run
-                continue
+            else:
+                yield check, doc
+    except ideal.UnsupportedDegreeError as exc:
+        yield check, _check(args.n, False, str(exc))
+
+
+def cmd_verify(args, out) -> int:
+    routes = list(_ROUTES) if args.route == "all" else [args.route]
+    failures = []
+    for route in routes:
+        for check, doc in _route_lines(route, args):
             doc.update(check=check, route=route)
             _emit(doc, out)
             if doc["status"] != "ok":
@@ -316,8 +329,9 @@ def _read_point(path: str) -> tuple:
     return n, tvals
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a usage error."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer >= low, and <= high if given, else a usage
+    error."""
 
     def parse(text: str) -> int:
         try:
@@ -326,12 +340,17 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
 
 
 _AMBIENT_N = _int_at_least(3)
+# the largest n that verify runs: at n = 10 its slowest route takes about
+# half a minute and a few hundred MB (README), and the cost grows steeply
+MAX_VERIFY_N = 10
 
 
 def _out_path(text: str) -> str:
@@ -381,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(command("family", cmd_family, "universal family"), flavor=True)
 
     p = command("verify", cmd_verify, "run verification pipelines")
-    p.add_argument("--n", type=_AMBIENT_N, required=True)
+    p.add_argument("--n", type=_int_at_least(3, MAX_VERIFY_N), required=True)
     p.add_argument("--route", choices=(*_ROUTES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_int_at_least(1), default=100)

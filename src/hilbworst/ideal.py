@@ -203,10 +203,19 @@ def deduplicated(n: int, flavor: str, labeled) -> IdealPresentation:
     return IdealPresentation(n, flavor, tuple(gens), tuple(labels))
 
 
+@lru_cache(maxsize=None)
+def _diagonal_positions(n: int) -> frozenset:
+    """The positions of the diagonal parameters t(i,i,i)."""
+    ring = PolyRing.get(n)
+    return frozenset(ring.position[ring.t_var(i, i, i)] for i in range(1, n + 1))
+
+
 def set_diagonal_zero(p: Poly) -> Poly:
-    """Substitute t(i,i,i) -> 0 for all i (miniversal restriction)."""
-    ring = PolyRing.get(p.n)
-    return p.substitute({ring.t_var(i, i, i): 0 for i in range(1, p.n + 1)})
+    """p with t(i,i,i) -> 0 for all i (miniversal restriction): the terms
+    whose monomial holds no t(i,i,i)."""
+    diagonal = _diagonal_positions(p.n)
+    terms = p.terms_dict().items()
+    return Poly(p.n, {m: c for m, c in terms if diagonal.isdisjoint(m[1:])})
 
 
 def miniversal_restriction(pres: IdealPresentation) -> IdealPresentation:

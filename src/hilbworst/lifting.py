@@ -299,10 +299,17 @@ def syzygy_cubic(n: int, i: int, j: int, k: int) -> Poly:
 def flatness_residual(n: int) -> list:
     """Certify (f0+f1+f2)(r0+r1) on every shared-index wedge e[i,j]^e[i,k],
     one ``Record`` per part (wedge symbol, label) in checking order: orders
-    0 and 1 vanish, each x-coefficient of the t-degree-2 part lies in the
-    degree-2 span, n-1 times the t-degree-3 part is the cubic syzygy at
-    (i, j, k), and that cubic has a certificate (``orbit_memberships``)."""
-    f = build_f(n)
+    0 and 1 vanish, n-1 times each x-coefficient of the t-degree-2 part lies
+    in the degree-2 span, n-1 times the t-degree-3 part is the cubic syzygy
+    at (i, j, k), and that cubic has a certificate (``orbit_memberships``).
+
+    The pieces are summed n-1 times over, with f2 scaled by n-1, so the
+    1/(n-1) of the tails is cleared and every query has int coefficients;
+    a nonzero multiple of a query lies in the ideal exactly when the query
+    does."""
+    f0, f1, f2 = build_f(n)
+    # (scale, table) per order of f, each product taken n-1 times
+    f = ((n - 1, f0), (n - 1, f1), (1, {e: p * (n - 1) for e, p in f2.items()}))
     r = build_r(n)
     pres = ideal_generators(n)
     ring = PolyRing.get(n)
@@ -314,11 +321,11 @@ def flatness_residual(n: int) -> list:
     records = []
     for cubic in orbit_memberships(queries, pres):
         sym = cubic.part[0]
-        # the t-degree-d piece sums f[df] on r[dr] over df + dr = d
+        # n-1 times the t-degree-d piece sums f[df] on r[dr] over df + dr = d
         items = [[] for _ in range(4)]
-        for df in range(3):
+        for df, (scale, fd) in enumerate(f):
             for dr in range(2):
-                items[df + dr] += [(1, c, f[df][e]) for e, c in r[dr][sym].terms()]
+                items[df + dr] += [(scale, c, fd[e]) for e, c in r[dr][sym].terms()]
         pieces = [sum_products(n, part) for part in items]
         low_zero = pieces[0].is_zero and pieces[1].is_zero
         records.append(identity((sym, "orders 0 and 1"), low_zero))
@@ -328,7 +335,7 @@ def flatness_residual(n: int) -> list:
             part = f"x_{ring.variables[xmono[1]][1]}-coefficient of the t-degree-2 part"
             records.append(certified((sym, part), q, pres, membership(q, pres)))
         part = "t-degree-3 part as the cubic syzygy over n-1"
-        records.append(identity((sym, part), pieces[3] * (n - 1) == cubic.query))
+        records.append(identity((sym, part), pieces[3] == cubic.query))
         records.append(cubic)
     return records
 

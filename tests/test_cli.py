@@ -415,6 +415,65 @@ def test_verify_forged_cup_product_is_named(capsys, monkeypatch):
     assert [d["generator"] for d in failed] == [FreeModElt._sym_text(sym)]
 
 
+@pytest.mark.parametrize("route", ["dgla", "all"])
+def test_verify_cup_product_off_its_block_is_a_failed_check(
+    route, capsys, monkeypatch
+):
+    # t(1,2,3)^2 x(1) added to one wedge value leaves the quadric of the
+    # locus outside one torus block: the presentation refuses it, and that
+    # refusal is the kuranishi_span fail line, not a traceback; the dgla
+    # route stops there, the other routes still run
+    import hilbworst.dgla as dgla
+    from hilbworst.poly import PolyRing
+
+    real = dgla.cup_product
+
+    def forged(n, miniversal=True):
+        cup = real(n, miniversal)
+        wedges = dict(cup.wedge_values)
+        sym = min(wedges)
+        R = PolyRing.get(n)
+        wedges[sym] = wedges[sym] + R.t(1, 2, 3) ** 2 * R.x(1)
+        return dgla.CupReport(wedge_values=wedges, curly_values=cup.curly_values)
+
+    monkeypatch.setattr(dgla, "cup_product", forged)
+    # the locus is cached per n; it raises here, so the forgery is not kept
+    dgla.kuranishi_quadratic_locus.cache_clear()
+    argv = ["verify", "--n", "3", "--route", route, "--samples", "2"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "verification failed: dgla/cup_product at n=3\n"
+    docs = [json.loads(line) for line in captured.out.splitlines()]
+    dgla_checks = [d["check"] for d in docs if d["route"] == "dgla"]
+    assert dgla_checks[-1] == "kuranishi_span"
+    assert "classical_vs_dgla" not in dgla_checks
+    (span,) = [d for d in docs if d["check"] == "kuranishi_span"]
+    assert span["status"] == "fail"
+    assert span["detail"].startswith("a miniversal generator is a nonzero quadric")
+    failed = {d["check"] for d in docs if d["status"] != "ok"}
+    assert failed == {"cup_product", "kuranishi_span"}
+    if route == "all":
+        assert {d["route"] for d in docs} == {"classical", "dgla", "based", "oracle"}
+
+
+def test_verify_refuses_n_past_the_ceiling(capsys):
+    # verify runs up to MAX_VERIFY_N; past it, a usage error and no output
+    from hilbworst.cli import MAX_VERIFY_N
+
+    assert build_parser().parse_args(["verify", "--n", str(MAX_VERIFY_N)]).n == 10
+    for n in (MAX_VERIFY_N + 1, 40):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", str(n), "--route", "dgla"])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert f"must be at most {MAX_VERIFY_N}, got {n}" in captured.err
+        assert captured.out == ""
+
+
 def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
     # cubic queries answered as non-members: the syzygy and flatness
     # certificates go missing, and verify reports that instead of raising;

@@ -150,6 +150,34 @@ def test_miniversal_is_substitution_image():
     assert list(mini.generators) == images
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_set_diagonal_zero_is_the_substitution(n):
+    # dropping the terms that hold a t(i,i,i) gives what substituting 0 for
+    # every t(i,i,i) gives, on seeded polynomials in x, t and s, and on 0
+    ring = PolyRing.get(n)
+    diagonal = [ring.t_var(i, i, i) for i in range(1, n + 1)]
+    reference = {v: 0 for v in diagonal}
+    rng = random.Random(20261020 + n)
+    polys = [ring.zero()]
+    for _ in range(300):
+        p = ring.zero()
+        for _ in range(rng.randint(1, 6)):
+            term = ring.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                pool = diagonal if rng.random() < 0.3 else ring.variables
+                term = term * ring.var_poly(rng.choice(pool))
+            p = p + term
+        polys.append(p)
+    changed = 0
+    for p in polys:
+        got = set_diagonal_zero(p)
+        assert got == p.substitute(reference)
+        changed += got != p
+    assert 0 < changed < len(polys)
+    positions = {q for p in polys for m in p.terms_dict() for q in m[1:]}
+    assert len({ring.variables[q][0] for q in positions}) == 3  # x, t and s
+
+
 @pytest.mark.parametrize("flavor", ["hilbert", "miniversal"])
 def test_one_presentation_per_ideal(flavor):
     pres = ideal_generators(3, flavor)

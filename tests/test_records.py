@@ -5,11 +5,22 @@ certificate with one coefficient changed fails."""
 
 import pytest
 
-from hilbworst.based import verify_structure_correspondence
+from hilbworst.based import (
+    based_ideal_generators,
+    structure_to_params,
+    verify_structure_correspondence,
+)
 from hilbworst.dgla import compare_classical_dgla, kuranishi_quadratic_locus
 from hilbworst.ideal import Membership, certified, compare_spans, ideal_generators
-from hilbworst.lifting import flatness_residual, second_order_obstruction
-from hilbworst.poly import Poly, exact
+from hilbworst.lifting import (
+    build_f,
+    build_r,
+    flatness_residual,
+    second_order_obstruction,
+    syzygy_cubic,
+)
+from hilbworst.poly import Poly, PolyRing, exact
+from hilbworst.taylor import apply_images
 
 
 def _records(n):
@@ -63,3 +74,43 @@ def test_every_record_rechecks_from_its_fields(n):
         forged = _changed(record.cert)
         assert not _rechecks(record.query, record.pres, forged), record.part
         assert not certified(record.part, record.query, record.pres, forged).ok
+
+
+def _values(cert) -> list:
+    """Every coefficient of a membership certificate's multipliers, or every
+    value of a rational combination."""
+    if isinstance(cert, Membership):
+        return [c for m in cert.multipliers.values() for c in m.terms_dict().values()]
+    return list(cert.values())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_based_and_flatness_records_are_integral(n):
+    # both routes certify nonzero integral multiples of their queries, so
+    # every query and every certificate holds ints only
+    based, flat = verify_structure_correspondence(n), flatness_residual(n)
+    for record in (*based, *flat):
+        if record.query is None:  # an exact identity
+            continue
+        assert all(type(c) is int for c in record.query.terms_dict().values())
+        assert all(type(c) is int for c in _values(record.cert)), record.part
+    # an associator's query is (n-1)^2 times its projection; with target 0
+    # that is -(n-1) times the cubic syzygy, which the route does not read
+    projected = {r.part[1]: r.query for r in based if r.part[0] == "projection"}
+    for g, lab in based_ideal_generators(n):
+        if lab.startswith("assoc"):
+            assert projected[lab] == structure_to_params(g, n) * (n - 1) ** 2, lab
+    pos = range(1, n + 1)
+    for i, j, k in ((i, j, k) for i in pos for j in pos for k in pos if j < k):
+        cubic = syzygy_cubic(n, i, j, k) * -(n - 1)
+        assert projected[f"assoc({i},{j},{k}|0)"] == cubic
+    # a flatness query is n-1 times an x-coefficient of f2.r0 + f1.r1
+    _, f1, f2 = build_f(n)
+    r0, r1 = build_r(n)
+    ring = PolyRing.get(n)
+    for record in flat:
+        sym, part = record.part
+        if part.startswith("x_"):
+            x = ring.var_mono(ring.x_var(int(part[2 : part.index("-")])))
+            degree2 = apply_images(f2, r0[sym]) + apply_images(f1, r1[sym])
+            assert record.query == degree2.split_by_x()[x] * (n - 1), record.part
