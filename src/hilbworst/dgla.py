@@ -30,15 +30,17 @@ computed by the Leibniz rule against ``obstruction_quadric`` directly
 span of the locus against the independently enumerated
 ``ideal_generators(n, "miniversal")``.
 
-Throughout this module the diagonal parameters t(i,i,i) are set to zero by
-default (the miniversal normalization); pass miniversal=False to keep them,
-which computes the corresponding chart of the full Hilbert functor instead.
+Throughout this module the diagonal parameters t(i,i,i) are set to zero
+(``set_diagonal_zero``), the miniversal normalization, so the locus is the
+Kuranishi base.  With them kept, the derivation would be f1 and r1 as they
+are and its square the product that ``second_order_obstruction`` forms, so
+the route would repeat the classical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .ideal import (
     IdealPresentation,
@@ -53,7 +55,7 @@ from .lifting import (
     coefficient_system,
     second_order_obstruction,
 )
-from .poly import Poly, PolyRing, sum_products
+from .poly import PolyRing, sum_products
 from .taylor import (
     CURLY_NS,
     E_NS,
@@ -85,51 +87,31 @@ def _differential(n: int, sym) -> FreeModElt:
     return r_map(gen) if sym[0] == WEDGE_NS else koszul_differential(gen)
 
 
-def _maybe_restrict(p: Poly, miniversal: bool) -> Poly:
-    return set_diagonal_zero(p) if miniversal else p
-
-
-def _cached(fn):
-    """``lru_cache`` of fn(n, miniversal) with one entry per value, whatever
-    the call form: fn(3), fn(3, True) and fn(3, miniversal=True) share it."""
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def call(n: int, miniversal: bool = True):
-        return cached(n, miniversal)
-
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
-    return call
-
-
-@_cached
-def first_order_derivation(n: int, miniversal: bool = True) -> dict:
+@lru_cache(maxsize=None)
+def first_order_derivation(n: int) -> dict:
     """The closed degree-1 derivation inducing the generic first-order
     deformation, as one table over the e-, wedge and exterior-square
     symbols: e[l,m] goes to its first-order image f1 (a Poly), every wedge
     to its first-order syzygy lift r1 (the shared-index formula, or the
     trivial Koszul lift on disjoint pairs), both taken from :mod:`.lifting`
-    with the diagonal parameters restricted, and e_p v e_q to its Leibniz
+    with the diagonal parameters zeroed, and e_p v e_q to its Leibniz
     value D(e_p) e_q - D(e_q) e_p."""
-    der = {sym: _maybe_restrict(p, miniversal) for sym, p in build_f(n)[1].items()}
+    der = {sym: set_diagonal_zero(p) for sym, p in build_f(n)[1].items()}
     for sym, elt in build_r(n)[1].items():
-        der[sym] = FreeModElt(
-            n, {s: _maybe_restrict(c, miniversal) for s, c in elt.terms()}
-        )
+        der[sym] = FreeModElt(n, {s: set_diagonal_zero(c) for s, c in elt.terms()})
     for sym in wedge_symbols(n, CURLY_NS):
         der[sym] = leibniz_value(n, sym, der.__getitem__)
     return der
 
 
-def closedness_residual(n: int, miniversal: bool = True) -> dict:
+def closedness_residual(n: int) -> dict:
     """[d, D] = d.D + D.d on the e-generators, both kinds of degree -2
     generators; contract: zero everywhere.
 
     On e-generators both summands vanish for structural reasons (nothing in
     degree 1, and the derivation kills degree 0), recorded as exact zeros.
     """
-    der = first_order_derivation(n, miniversal)
+    der = first_order_derivation(n)
     zero = PolyRing.get(n).zero()
     out: dict = {(E_NS,) + p: zero for p in basis_pairs(n)}
     for sym in _degree2_generators(n):
@@ -143,13 +125,12 @@ class CupReport:
     curly_values: dict  # curly symbol -> QuotientElt (image in the quotient)
 
 
-@_cached
-def cup_product(n: int, miniversal: bool = True) -> CupReport:
+@lru_cache(maxsize=None)
+def cup_product(n: int) -> CupReport:
     """The square of the first-order derivation: on shared-index wedges it
-    equals sum_l q(i,j,k|l) x_l (with the diagonal parameters zeroed in the
-    miniversal normalization); on the exterior-square summand its image in
-    the quotient algebra vanishes."""
-    der = first_order_derivation(n, miniversal)
+    equals sum_l q(i,j,k|l) x_l with the diagonal parameters zeroed; on the
+    exterior-square summand its image in the quotient algebra vanishes."""
+    der = first_order_derivation(n)
     wedge_values = {
         sym: apply_images(der, der[sym])
         for sym in wedge_symbols(n)
@@ -177,14 +158,8 @@ def cup_residual(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class KuranishiSystem:
-    equations: IdealPresentation
-    psi: dict  # pair -> Poly, a solving correction term (determined mod the ideal)
-
-
-@_cached
-def kuranishi_quadratic_locus(n: int, miniversal: bool = True) -> KuranishiSystem:
+@lru_cache(maxsize=None)
+def kuranishi_quadratic_locus(n: int) -> IdealPresentation:
     """Constraints for the square of the first-order derivation to be a
     coboundary: sum_l q(i,j,k|l) x_l = -x_k psi(e_ij) + x_j psi(e_ik) in the
     quotient for every shared-index wedge.
@@ -195,18 +170,12 @@ def kuranishi_quadratic_locus(n: int, miniversal: bool = True) -> KuranishiSyste
     the candidate values of psi.  The quadratic term is the only part of
     the Kuranishi map that the internal grading allows, so these equations
     cut out the whole base."""
-    cup = cup_product(n, miniversal)
-    flavor = "miniversal" if miniversal else "hilbert"
-    equations, _ = coefficient_system(n, cup.wedge_values, flavor, sign=-1)
-    psi = {
-        sym[1:]: -_maybe_restrict(tail, miniversal)
-        for sym, tail in build_f(n)[2].items()
-    }
-    return KuranishiSystem(equations=equations, psi=psi)
+    wedge_values = cup_product(n).wedge_values
+    return coefficient_system(n, wedge_values, "miniversal", sign=-1)[0]
 
 
 def compare_classical_dgla(n: int) -> list:
     """``compare_spans`` of the classical second-order constraints with the
     diagonal parameters zeroed and the quadratic locus of this module."""
     classical_mini = miniversal_restriction(second_order_obstruction(n).equations)
-    return compare_spans(classical_mini, kuranishi_quadratic_locus(n).equations)
+    return compare_spans(classical_mini, kuranishi_quadratic_locus(n))

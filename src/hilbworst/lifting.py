@@ -7,8 +7,9 @@ sum_lam t(l,m,lam) x_lam; the syzygies lift at first order exactly
 (``first_order_residual``).  At second order the generators acquire
 quadratic tails c[l,m] in the deformation parameters; comparing coefficients
 of the x-variables produces the defining constraint system of the chart
-(``second_order_obstruction``) together with the tails, which are stored in
-the lam-free symmetric form sum_k q(l,m,k|k)/(n-1).
+(``second_order_obstruction``) together with candidate values of the tails.
+The tails themselves are the order-2 table of ``build_f``, in the lam-free
+symmetric form sum_k q(l,m,k|k)/(n-1).
 
 With those tails the perturbed composite vanishes modulo the constraint
 ideal: its t-degree-2 part lies in the degree-2 span, and n-1 times its
@@ -141,10 +142,10 @@ def first_order_residual(n: int) -> dict:
 
 @dataclass(frozen=True)
 class ObstructionSystem:
-    """Constraints and tails produced by the second-order lifting step."""
+    """Constraints and candidate tails produced by the second-order lifting
+    step; the tails themselves are the order-2 table of ``build_f``."""
 
     equations: IdealPresentation
-    tails: dict
     candidates: dict  # pair -> tuple of (label, candidate Poly)
 
 
@@ -193,7 +194,7 @@ def second_order_obstruction(n: int) -> ObstructionSystem:
     equating the candidate expressions for one tail across wedges yields
     the difference constraints.  The collected system spans the same
     degree-2 space as the generator presentation."""
-    _, f1, f2 = build_f(n)
+    f1 = build_f(n)[1]
     r1 = build_r(n)[1]
     products = {
         sym: apply_images(f1, r1[sym])
@@ -201,8 +202,7 @@ def second_order_obstruction(n: int) -> ObstructionSystem:
         if not is_koszul(sym)
     }
     equations, candidates = coefficient_system(n, products, "hilbert", sign=1)
-    tails = {sym[1:]: tail for sym, tail in f2.items()}
-    return ObstructionSystem(equations=equations, tails=tails, candidates=candidates)
+    return ObstructionSystem(equations=equations, candidates=candidates)
 
 
 # -- the universal family ----------------------------------------------------------

@@ -374,8 +374,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
     real = cli_mod.dgla.closedness_residual
 
-    def broken(n, miniversal=True):
-        out = dict(real(n, miniversal))
+    def broken(n):
+        out = dict(real(n))
         key = next(iter(out))
         out[key] = PolyRing.get(n).t(1, 2, 3)
         return out
@@ -397,8 +397,8 @@ def test_verify_forged_cup_product_is_named(capsys, monkeypatch):
 
     real = dgla.cup_product
 
-    def forged(n, miniversal=True):
-        cup = real(n, miniversal)
+    def forged(n):
+        cup = real(n)
         wedges = dict(cup.wedge_values)
         sym = min(wedges)
         wedges[sym] = 2 * wedges[sym]  # in its torus block, as the locus needs
@@ -428,8 +428,8 @@ def test_verify_cup_product_off_its_block_is_a_failed_check(
 
     real = dgla.cup_product
 
-    def forged(n, miniversal=True):
-        cup = real(n, miniversal)
+    def forged(n):
+        cup = real(n)
         wedges = dict(cup.wedge_values)
         sym = min(wedges)
         R = PolyRing.get(n)
@@ -472,6 +472,28 @@ def test_verify_refuses_n_past_the_ceiling(capsys):
         assert "usage:" in captured.err
         assert f"must be at most {MAX_VERIFY_N}, got {n}" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["gens", "family", "export"])
+def test_export_commands_refuse_n_past_the_ceiling(command, capsys, tmp_path):
+    # gens, family and export run up to MAX_EXPORT_N; past it, a usage error,
+    # no output and no file written
+    from hilbworst.cli import MAX_EXPORT_N
+
+    parsed = build_parser().parse_args([command, "--n", str(MAX_EXPORT_N)])
+    assert parsed.n == MAX_EXPORT_N == 12
+    out = tmp_path / "out"
+    for n in (MAX_EXPORT_N + 1, 40):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", str(n), "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert f"must be at most {MAX_EXPORT_N}, got {n}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):

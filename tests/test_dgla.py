@@ -18,7 +18,7 @@ from hilbworst.ideal import (
     obstruction_quadric,
     set_diagonal_zero,
 )
-from hilbworst.lifting import second_order_obstruction
+from hilbworst.lifting import build_f, second_order_obstruction
 from hilbworst.poly import PolyRing
 from hilbworst.taylor import (
     CURLY_NS,
@@ -49,24 +49,21 @@ def square_zero_check(n: int) -> bool:
     return all(f_map(d).is_zero for gens in (wedges, curly) for d in gens)
 
 
-def coboundary_residuals(n: int, miniversal: bool = True) -> dict:
-    """Residual of the defining equation of the locus with the canonical psi:
-    per shared-index wedge, the x-coefficients of
+def coboundary_residuals(n: int) -> dict:
+    """Residual of the defining equation of the locus with the canonical psi,
+    minus each classical tail (``build_f``'s order-2 table) with the diagonal
+    parameters zeroed: per shared-index wedge, the x-coefficients of
     square + x_k psi(e_ij) - x_j psi(e_ik), each with its ``membership`` in
     the locus' degree-2 span, as x-index -> (coefficient, Membership)."""
-    cup = cup_product(n, miniversal)
-    locus = kuranishi_quadratic_locus(n, miniversal)
+    psi = {sym[1:]: -set_diagonal_zero(tail) for sym, tail in build_f(n)[2].items()}
+    locus = kuranishi_quadratic_locus(n)
     ring = PolyRing.get(n)
     out = {}
-    for sym, value in cup.wedge_values.items():
+    for sym, value in cup_product(n).wedge_values.items():
         i, j, k = nonkoszul_triple(sym)
-        lhs = (
-            value
-            + ring.x(k) * locus.psi[pair(i, j)]
-            - ring.x(j) * locus.psi[pair(i, k)]
-        )
+        lhs = value + ring.x(k) * psi[pair(i, j)] - ring.x(j) * psi[pair(i, k)]
         out[sym] = {
-            ring.variables[xm[1]][1]: (c, membership(c, locus.equations))
+            ring.variables[xm[1]][1]: (c, membership(c, locus))
             for xm, c in reduce_mod_squares(lhs).split_by_x().items()
         }
     return out
@@ -102,9 +99,8 @@ def test_leibniz_value_on_exterior_square():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-@pytest.mark.parametrize("miniversal", [True, False])
-def test_closedness(n, miniversal):
-    res = closedness_residual(n, miniversal)
+def test_closedness(n):
+    res = closedness_residual(n)
     assert all(p.is_zero for p in res.values())
     # e-generators, both wedge namespaces are all present in the sweep
     kinds = {sym[0] for sym in res}
@@ -126,21 +122,6 @@ def test_cup_product_values(n):
     assert all(q.is_zero for q in cup.curly_values.values())
 
 
-@pytest.mark.parametrize(
-    "fn", [first_order_derivation, cup_product, kuranishi_quadratic_locus]
-)
-@pytest.mark.parametrize("miniversal", [True, False])
-def test_one_cached_object_per_call_form(fn, miniversal):
-    forms = [
-        fn(3, miniversal),
-        fn(3, miniversal=miniversal),
-        fn(n=3, miniversal=miniversal),
-    ]
-    if miniversal:  # the default
-        forms.append(fn(3))
-    assert all(f is forms[0] for f in forms)
-
-
 def test_cup_product_vanishes_at_origin():
     from fractions import Fraction
 
@@ -152,49 +133,22 @@ def test_cup_product_vanishes_at_origin():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_quadratic_locus_spans_miniversal_ideal(n):
-    locus = kuranishi_quadratic_locus(n).equations
+    locus = kuranishi_quadratic_locus(n)
     assert locus.flavor == "miniversal"
     assert all(r.ok for r in compare_spans(locus, ideal_generators(n, "miniversal")))
 
 
 def test_locus_contains_the_off_index_quadrics():
-    locus = kuranishi_quadratic_locus(3).equations
+    locus = kuranishi_quadratic_locus(3)
     lab_to_gen = dict(zip(locus.labels, locus.generators))
     assert lab_to_gen["vanish(1;2,3|1)"] == set_diagonal_zero(
         obstruction_quadric(3, 1, 2, 3, 1)
     )
 
 
-def test_full_parameter_variant_recovers_hilbert_ideal():
-    locus = kuranishi_quadratic_locus(3, miniversal=False).equations
-    assert locus.flavor == "hilbert"
-    assert all(r.ok for r in compare_spans(locus, ideal_generators(3, "hilbert")))
-
-
-def test_full_parameter_cup_values_unrestricted():
-    cup = cup_product(3, miniversal=False)
-    R = PolyRing.get(3)
-    for sym, value in cup.wedge_values.items():
-        i, j, k = nonkoszul_triple(sym)
-        expected = R.zero()
-        for l in range(1, 4):
-            expected = expected + obstruction_quadric(3, i, j, k, l) * R.x(l)
-        assert value == expected
-
-
-def test_correction_terms_negate_classical_tails():
-    n = 3
-    psi = kuranishi_quadratic_locus(n).psi
-    tails = second_order_obstruction(n).tails
-    mini = ideal_generators(n, "miniversal")
-    for pr, tail in tails.items():
-        diff = set_diagonal_zero(-tail) - psi[pr]
-        assert membership(diff, mini).verify(diff, mini)
-
-
 def test_correction_terms_solve_the_coboundary_equation():
     res = coboundary_residuals(3)
-    equations = kuranishi_quadratic_locus(3).equations
+    equations = kuranishi_quadratic_locus(3)
     coefficients = [cm for per_wedge in res.values() for cm in per_wedge.values()]
     assert coefficients
     assert all(m.member for _, m in coefficients)
@@ -205,5 +159,5 @@ def test_correction_terms_solve_the_coboundary_equation():
 def test_classical_and_dgla_routes_agree(n):
     assert all(r.ok for r in compare_classical_dgla(n))
     classical = miniversal_restriction(second_order_obstruction(n).equations)
-    dgla = kuranishi_quadratic_locus(n).equations
+    dgla = kuranishi_quadratic_locus(n)
     assert classical.span(2).rank == dgla.span(2).rank

@@ -31,9 +31,11 @@ from hilbworst.lifting import (
 from hilbworst.poly import ONE, PolyRing, mono_degree
 from hilbworst.taylor import (
     E_NS,
+    apply_images,
     basis_pairs,
     e_elt,
     is_koszul,
+    nonkoszul_triple,
     pair,
     wedge_symbols,
     zero_elt,
@@ -91,6 +93,22 @@ def test_second_order_candidate_tails():
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_second_order_products_are_the_quadric_combinations(n):
+    # on every shared-index wedge e[i,j]^e[i,k], f1 applied to the lift r1
+    # is exactly sum_l q(i,j,k|l) x_l, the diagonal parameters kept
+    f1, r1 = build_f(n)[1], build_r(n)[1]
+    ring = PolyRing.get(n)
+    shared = [sym for sym in wedge_symbols(n) if not is_koszul(sym)]
+    assert shared
+    for sym in shared:
+        i, j, k = nonkoszul_triple(sym)
+        expected = ring.zero()
+        for l in range(1, n + 1):
+            expected = expected + obstruction_quadric(n, i, j, k, l) * ring.x(l)
+        assert apply_images(f1, r1[sym]) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
 def test_second_order_span_equals_ideal(n):
     system = second_order_obstruction(n)
     assert all(r.ok for r in compare_spans(system.equations, ideal_generators(n)))
@@ -100,8 +118,9 @@ def test_second_order_span_equals_ideal(n):
 def test_tails_match_canonical_form_modulo_ideal(n):
     system = second_order_obstruction(n)
     pres = ideal_generators(n)
+    tails = build_f(n)[2]
     for pr, cands in system.candidates.items():
-        canonical = system.tails[pr]
+        canonical = tails[(E_NS,) + pr]
         assert canonical == diagonal_sum(n, *pr) * Fraction(1, n - 1)
         for _, cand in cands:
             diff = cand - canonical

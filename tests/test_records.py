@@ -28,9 +28,7 @@ def _records(n):
     return [
         *compare_spans(second_order_obstruction(n).equations, ideal_generators(n)),
         *flatness_residual(n),
-        *compare_spans(
-            kuranishi_quadratic_locus(n).equations, ideal_generators(n, "miniversal")
-        ),
+        *compare_spans(kuranishi_quadratic_locus(n), ideal_generators(n, "miniversal")),
         *compare_classical_dgla(n),
         *verify_structure_correspondence(n),
     ]
