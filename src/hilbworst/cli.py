@@ -347,12 +347,17 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-# the largest n that gens, family and export run: export takes 10-13 s and
-# 234 MB at n = 12 (README), and the cost grows steeply
+# the largest n that gens, family and export run: export takes about 7.5 s
+# and 234 MB at n = 12 (README), and the cost grows steeply
 MAX_EXPORT_N = 12
 # the largest n that verify runs: at n = 10 its slowest route takes about
 # half a minute and a few hundred MB (README), and the cost grows steeply
 MAX_VERIFY_N = 10
+# the largest n that subspaces runs: its report is O(n) integer arithmetic,
+# but each listed subspace prints n indices and the count of optimal
+# subspaces has about 0.28*n digits; at n = 1000 the report takes
+# milliseconds (README)
+MAX_SUBSPACES_N = 1000
 
 
 def _out_path(text: str) -> str:
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), default=100)
 
     p = command("subspaces", cmd_subspaces, "linear subspace report")
-    p.add_argument("--n", type=_int_at_least(3), required=True)
+    p.add_argument("--n", type=_int_at_least(3, MAX_SUBSPACES_N), required=True)
     p.add_argument(
         "--list",
         type=_int_at_least(0),

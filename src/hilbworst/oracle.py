@@ -19,7 +19,16 @@ point, and each is exact:
     (``linalg.pivot_keys``); because every quadratic and cubic monomial is
     a leading term of such a row, the residue classes of 1 and the x_i span
     the truncated quotient, and any echelon row whose leading monomial has
-    degree <= 1 is exactly a collapse of that basis.
+    degree <= 1 is exactly a collapse of that basis.  The rows are the
+    family in the coordinates y = s*x, with s the lcm of the denominators
+    of its coefficients: there each generator is monic with int
+    coefficients.  With the first multiple to reach each cubic monomial
+    eliminated before the other multiples, every echelon row led by a
+    monomial of degree 2 or 3 is one of these monic rows, so the
+    elimination rescales a row only against a collapse, and at a point of
+    the chart, which has none, never.  Scaling the coordinates scales each
+    monomial's column by a nonzero constant, which leaves the leading
+    monomials of the row space, and with them the answer, as they are.
 
 None of the three calls another or a helper of another: the first
 evaluates the chart generators, the second multiplies matrices of table
@@ -48,6 +57,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .based import is_associative, table_from_point
 from .ideal import ideal_generators, vanishes_at
@@ -106,8 +116,10 @@ class FiberReport:
 def _fiber_columns(n: int) -> tuple:
     """The x-monomials of degree <= 3 numbered in descending graded-lex
     order (the monomials' own order), so that the least column of a row is
-    its leading monomial, and for each l = 1..n the shift table: the column
-    of m*x_l by the column of m, over the monomials m of degree <= 2."""
+    its leading monomial.  Returns their count; for each monomial m of
+    degree <= 2, its column and the power 2 - deg m of the scale that
+    ``fiber_check`` gives it; and for each l = 1..n the shift table: the
+    column of m*x_l by the column of m, over those m."""
     ring = PolyRing.get(n)
     xs = [ring.var_mono(ring.x_var(l)) for l in range(1, n + 1)]
     monos, layer = {ONE}, {ONE}
@@ -115,11 +127,10 @@ def _fiber_columns(n: int) -> tuple:
         layer = {mono_mul(m, x) for m in layer for x in xs}
         monos |= layer
     column = {m: c for c, m in enumerate(sorted(monos))}
-    shifts = tuple(
-        {column[m]: column[mono_mul(m, x)] for m in column if mono_degree(m, n) <= 2}
-        for x in xs
-    )
-    return column, shifts
+    low = [m for m in column if mono_degree(m, n) <= 2]
+    place = {m: (column[m], 2 - mono_degree(m, n)) for m in low}
+    shifts = tuple({column[m]: column[mono_mul(m, x)] for m in low} for x in xs)
+    return len(column), place, shifts
 
 
 def fiber_check(family: tuple, n: int) -> FiberReport:
@@ -127,15 +138,40 @@ def fiber_check(family: tuple, n: int) -> FiberReport:
     point (as ``family_at`` gives it), and whether 1, x_1, ..., x_n survive
     as a basis.
 
-    Each generator of the family becomes a row over the columns of
-    ``_fiber_columns``, its x_l multiples the same row through the shift
-    table of x_l; ``pivot_keys`` scales each row to a primitive integer row.
-    The pivots in the last n+1 columns are the collapses of the basis: the
-    leading monomials of degree <= 1."""
-    column, shifts = _fiber_columns(n)
-    rows = [{column[m]: c for m, c in coeffs.items()} for coeffs in family]
-    rows += [{shift[c]: v for c, v in row.items()} for shift in shifts for row in rows]
-    linear = len(column) - (n + 1)  # the first column of degree <= 1
+    With s the lcm of the denominators of the family's coefficients, each
+    generator becomes the row c*s^(2 - deg m) over the columns of
+    ``_fiber_columns``: s^2 times the generator in the coordinates y = s*x.
+    Its values are ints, because s is a multiple of every denominator and
+    the coefficient of x_i x_j is 1, so it is monic; its y_l multiples are
+    the same rows re-keyed through the shift table of l, and no
+    ``Fraction`` is read past the generators.  The first multiple to lead
+    with each cubic monomial goes in before the others, the only rows that
+    can reduce to a collapse, so every pivot row of degree 2 or 3 stays
+    monic.  The scaling multiplies each column by a nonzero constant, which
+    keeps the leading monomials of the row space, so ``pivot_keys`` returns
+    the pivots of the family in x.  The pivots in the last n+1 columns are
+    the collapses of the basis: the leading monomials of degree <= 1."""
+    width, place, shifts = _fiber_columns(n)
+    s = lcm(*(c.denominator for coeffs in family for c in coeffs.values()))
+    power = (1, s, s * s)
+    rows = []
+    for coeffs in family:
+        row = {}
+        for m, c in coeffs.items():
+            col, e = place[m]
+            row[col] = c.numerator * (power[e] // c.denominator)
+        rows.append(row)
+    firsts, repeats = {}, []  # by leading column: the first multiple, the others
+    for shift in shifts:
+        for row in rows:
+            lead = shift[min(row)]  # times x_l keeps the order of monomials
+            multiple = {shift[c]: v for c, v in row.items()}
+            if lead in firsts:
+                repeats.append(multiple)
+            else:
+                firsts[lead] = multiple
+    rows += [*firsts.values(), *repeats]
+    linear = width - (n + 1)  # the first column of degree <= 1
     collapsed = sum(1 for piv in pivot_keys(rows) if piv >= linear)
     return FiberReport(dimension=n + 1 - collapsed, basis_ok=collapsed == 0)
 

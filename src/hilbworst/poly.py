@@ -174,12 +174,11 @@ def var_cas_text(v: VarId) -> str:
 
 
 def mono_text(m: Monomial, n: int, cas: bool = False) -> str:
-    render = var_cas_text if cas else var_text
-    variables = PolyRing.get(n).variables
+    names = PolyRing.get(n).names[cas]
     pieces = []
     for p, run in groupby(m[1:]):
         e = len(list(run))
-        pieces.append(render(variables[p]) + ("^%d" % e if e > 1 else ""))
+        pieces.append(names[p] + ("^%d" % e if e > 1 else ""))
     return "*".join(pieces)
 
 
@@ -478,6 +477,15 @@ class PolyRing:
     @cached_property
     def position(self) -> dict:
         return {v: p for p, v in enumerate(self.variables)}
+
+    @cached_property
+    def names(self) -> tuple:
+        """The variables' names by position: plain (``var_text``) at index 0
+        (False), CAS (``var_cas_text``) at index 1 (True)."""
+        return (
+            tuple(var_text(v) for v in self.variables),
+            tuple(var_cas_text(v) for v in self.variables),
+        )
 
     def var_mono(self, v: VarId) -> Monomial:
         """The monomial of one variable."""

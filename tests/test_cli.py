@@ -496,6 +496,29 @@ def test_export_commands_refuse_n_past_the_ceiling(command, capsys, tmp_path):
         assert not out.exists()
 
 
+def test_subspaces_refuses_n_past_the_ceiling(capsys, tmp_path):
+    # subspaces runs up to MAX_SUBSPACES_N, past the n = 16 of the paper's
+    # reducible example; past it, a usage error and no output
+    from hilbworst.cli import MAX_SUBSPACES_N
+
+    assert main(["subspaces", "--n", str(MAX_SUBSPACES_N), "--list", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == MAX_SUBSPACES_N >= 16
+    assert doc["reducible_flag"] and len(doc["subspaces"]) == 1
+    out = tmp_path / "out.json"
+    for n in (MAX_SUBSPACES_N + 1, 100_000):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["subspaces", "--n", str(n), "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert f"must be at most {MAX_SUBSPACES_N}, got {n}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def test_verify_missing_certificate_is_a_failed_check(capsys, monkeypatch):
     # cubic queries answered as non-members: the syzygy and flatness
     # certificates go missing, and verify reports that instead of raising;

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,7 +20,7 @@ from hilbworst.ideal import (
     vanishes_at,
 )
 from hilbworst.lifting import family_at, universal_family
-from hilbworst.linalg import EchelonSpan
+from hilbworst.linalg import EchelonSpan, pivot_keys
 from hilbworst.oracle import (
     BasisCriterionError,
     FiberReport,
@@ -380,6 +381,89 @@ def test_fiber_check_agrees_with_substitution(n):
     assert reports == [_fiber_by_substitution(tvals, n) for tvals in points]
     assert [r.basis_ok for r in reports[:4]] == [True, True, True, False]
     assert all(r.dimension == n + 1 for r in reports[:3])
+
+
+def _scale(family):
+    """Test-side: the lcm of the denominators of the family's coefficients."""
+    return lcm(*(c.denominator for g in family for c in g.values()))
+
+
+def _wide_configuration(rng, n):
+    """A configuration point whose coordinates have denominators that are
+    products of three of 7, 11, 13 and 17."""
+    primes = (7, 11, 13, 17)
+
+    def coordinate():
+        den = rng.choice(primes) * rng.choice(primes) * rng.choice(primes)
+        return Fraction(rng.randint(-99, 99), den)
+
+    while True:
+        pts = [[coordinate() for _ in range(n)] for _ in range(n + 1)]
+        try:
+            return point_from_configuration(pts)
+        except BasisCriterionError:
+            continue
+
+
+def _off_subspace(rng, n):
+    """A subspace point with one coordinate outside the subspace set to a
+    nonzero rational."""
+    spec = random_partition_spec(rng, n)
+    tvals = random_subspace_point(rng, spec)
+    inside = set(spec.parameters())
+    outside = [v for v in PolyRing.get(n).t_variables() if v not in inside]
+    tvals[rng.choice(outside)[1:]] = _step(rng)
+    return tvals
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fiber_check_is_scale_free(n):
+    # the scale s of the coordinates y = s*x spans past 2^64 at configuration
+    # points, is 1 at the origin, and neither changes the answer
+    rng = random.Random(800 + n)
+    configurations = [_wide_configuration(rng, n) for _ in range(2)]
+    moved = [_off_subspace(rng, n) for _ in range(3)]
+    reports = []
+    for tvals in configurations + [{}] + moved:
+        family = family_at(n, tvals)
+        reports.append(fiber_check(family, n))
+        assert reports[-1] == _fiber_by_substitution(tvals, n)
+        if tvals in configurations:
+            assert _scale(family) > 2**64
+    assert _scale(family_at(n, {})) == 1
+    assert reports[:3] == [FiberReport(dimension=n + 1, basis_ok=True)] * 3
+    assert not all(r.basis_ok for r in reports[3:])
+
+
+def test_fiber_rows_are_monic_int_rows(monkeypatch):
+    # every generator row and every shifted row reaches the elimination as
+    # ints with 1 at its least key, the leading monomial; and one row per
+    # leading monomial comes before any row repeats a leading monomial, so
+    # every pivot row of degree 2 or 3 is one of these monic rows
+    import hilbworst.oracle as oracle
+
+    seen = []
+
+    def capturing(rows):
+        seen.append(list(rows))
+        return pivot_keys(rows)
+
+    monkeypatch.setattr(oracle, "pivot_keys", capturing)
+    n = 4
+    rng = random.Random(900)
+    points = [_wide_configuration(rng, n), {}, _off_subspace(rng, n)]
+    points += _with_moved_members(rng, n)
+    for tvals in points:
+        seen.clear()
+        family = family_at(n, tvals)
+        fiber_check(family, n)
+        (rows,) = seen
+        assert len(rows) == len(family) * (n + 1)
+        assert all(type(v) is int for row in rows for v in row.values())
+        assert all(row[min(row)] == 1 for row in rows)
+        leads = [min(row) for row in rows]
+        distinct = len(set(leads))
+        assert len(set(leads[:distinct])) == distinct
 
 
 def test_agreement_trial_never_substitutes(monkeypatch):
