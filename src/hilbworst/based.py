@@ -11,7 +11,11 @@ index 0 included.
 ``structure_to_params`` / ``params_to_structure`` are the ring homomorphisms
 that project the structure constants onto the deformation parameters and
 embed them back; the projection eliminates the unit rows outright and sends
-the k=0 column to the (normalized) diagonal quadric sums.  The composite is
+the k=0 column to the (normalized) diagonal quadric sums.  The projection's
+values are polynomials, so it works by substitution (``Poly.substitute``);
+the embedding, and the reduction modulo the unit and symmetry relations,
+only rename variables or set them to 0 or 1, so they work by renaming
+(``Poly.renamed``) through tables of variable positions.  The composite is
 the identity on every parameter, and both maps respect the two ideals,
 certified generator by generator in ``verify_structure_correspondence``:
 a projected generator by a ``membership`` certificate in the chart ideal,
@@ -24,8 +28,11 @@ keep one tracked ``EchelonSpan`` of their own.  The based generators are
 plain (generator, label) pairs.
 
 Multiplication tables (``MulTable``) hold rational or symbolic entries.
-``associativity_residual`` lists every associator coordinate of any table,
-by the sum that gives ``associator_coeff`` (``_associator``);
+One associator formula, ``_associator``, lists the signed pairs of
+structure-constant indices whose products give a coordinate:
+``associator_coeff`` sums them as monomials of s-variable positions, and
+``associativity_residual`` lists every coordinate of any table as the sum
+of the products of the table's values;
 ``is_associative`` decides a rational table exactly, by testing whether its
 multiplication operators commute.  ``table_from_point`` reads the table of
 the fiber algebra off the universal family at a rational point, using the
@@ -49,7 +56,7 @@ from .ideal import (
     orbit_memberships,
 )
 from .linalg import EchelonSpan
-from .poly import ONE, Poly, PolyRing, exact
+from .poly import ONE, S_KIND, Poly, PolyRing, exact
 from .taylor import basis_pairs, pair
 
 
@@ -63,22 +70,34 @@ def _unit_row_value(i: int, j: int, k: int):
     return int((i or j) == k) if i == 0 or j == 0 else None
 
 
-def _associator(value, n: int, i: int, j: int, k: int, l: int):
-    """Coefficient of v_l in (v_j v_i) v_k - v_j (v_i v_k) for the
-    structure constants s = ``value``: the sum over lam = 0..n of
-    s(i,j,lam) s(k,lam,l) - s(i,k,lam) s(j,lam,l), added term by term."""
-    total = 0
+def _associator(n: int, i: int, j: int, k: int, l: int) -> list:
+    """Coefficient of v_l in (v_j v_i) v_k - v_j (v_i v_k), as the signed
+    pairs of structure constants whose products it sums: (a, b, sign) for
+    s(a) s(b), with a and b index triples, over lam = 0..n, +s(i,j,lam)
+    s(k,lam,l) then -s(i,k,lam) s(j,lam,l)."""
+    pairs = []
     for lam in range(n + 1):
-        total = total + value(i, j, lam) * value(k, lam, l)
-        total = total - value(i, k, lam) * value(j, lam, l)
-    return total
+        pairs.append(((i, j, lam), (k, lam, l), 1))
+        pairs.append(((i, k, lam), (j, lam, l), -1))
+    return pairs
 
 
 @lru_cache(maxsize=None)
 def associator_coeff(n: int, i: int, j: int, k: int, l: int) -> Poly:
     """The associator coordinate (``_associator``) of the generic structure
-    constants, a ``Poly``."""
-    return _associator(PolyRing.get(n).s, n, i, j, k, l)
+    constants, a ``Poly``.  Each product is one monomial in the
+    s-variables, so the signs are summed per monomial, as
+    ``ideal.obstruction_quadric`` sums its products."""
+    position = PolyRing.get(n).position
+    terms: dict = {}
+    for a, b, sign in _associator(n, i, j, k, l):
+        m = (-2, *sorted((position[(S_KIND, *a)], position[(S_KIND, *b)])))
+        c = terms.get(m, 0) + sign
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
+    return Poly(n, terms)
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +165,13 @@ class MulTable:
 def associativity_residual(table: MulTable) -> dict:
     """Per index triple, the coordinates of (v_j v_i) v_k - v_j (v_i v_k);
     the table is associative iff every residual vector vanishes."""
-    indices = range(table.n + 1)
+    n, value = table.n, table.value
+    indices = range(n + 1)
     return {
-        (i, j, k): tuple(_associator(table.value, table.n, i, j, k, l) for l in indices)
+        (i, j, k): tuple(
+            sum(value(*a) * value(*b) * s for a, b, s in _associator(n, i, j, k, l))
+            for l in indices
+        )
         for i, j, k in product(indices, repeat=3)
     }
 
@@ -239,39 +262,46 @@ def structure_to_params(p: Poly, n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _sigma_table(n: int) -> dict:
+    """The position of each t(i,j,k) -> the position of s(i,j,k)."""
     ring = PolyRing.get(n)
-    return {v: ring.s(v[1], v[2], v[3]) for v in ring.t_variables()}
+    position = ring.position
+    return {position[v]: position[(S_KIND, *v[1:])] for v in ring.t_variables()}
 
 
 def params_to_structure(p: Poly, n: int) -> Poly:
-    """Section of the projection: t(i,j,k) -> s(i,j,k).  A t-variable is
-    stored with i <= j, so the image holds only s(i,j,k) with 1 <= i <= j
-    and k >= 1, which ``reduce_unit_sym`` leaves fixed."""
+    """Section of the projection: t(i,j,k) -> s(i,j,k), a renaming
+    (``Poly.renamed``).  A t-variable is stored with i <= j, so the image
+    holds only s(i,j,k) with 1 <= i <= j and k >= 1, which
+    ``reduce_unit_sym`` leaves fixed."""
     if p.degree("x") or p.degree("s"):
         raise ValueError("embedding acts on pure parameter polynomials")
-    return p.substitute(_sigma_table(n))
+    return p.renamed(_sigma_table(n))
 
 
 @lru_cache(maxsize=None)
-def _unit_sym_table(n: int) -> dict:
-    """Substitution witnessing the sub-ideal of unit and symmetry relations:
-    kernel of this map is exactly that sub-ideal."""
+def _unit_sym_table(n: int) -> tuple:
+    """The renaming that witnesses the sub-ideal of unit and symmetry
+    relations, whose kernel is exactly that sub-ideal, as the two maps of
+    ``Poly.renamed``: the position of each s(i,j,k) with i > j -> that of
+    s(j,i,k), and the position of each unit-row s(i,j,k) -> its int
+    value."""
     ring = PolyRing.get(n)
-    sub = {}
+    position = ring.position
+    image, constants = {}, {}
     for v in ring.s_variables():
         _, i, j, k = v
         unit = _unit_row_value(i, j, k)
         if unit is not None:
-            sub[v] = ring.const(unit)
+            constants[position[v]] = unit
         elif i > j:
-            sub[v] = ring.s(j, i, k)
-    return sub
+            image[position[v]] = position[(S_KIND, j, i, k)]
+    return image, constants
 
 
 def reduce_unit_sym(p: Poly, n: int) -> Poly:
     """Canonical form modulo the unit and symmetry relations; a zero result
     is an exact witness of membership in the sub-ideal they generate."""
-    return p.substitute(_unit_sym_table(n))
+    return p.renamed(*_unit_sym_table(n))
 
 
 # -- certified correspondence ---------------------------------------------------------

@@ -358,6 +358,14 @@ MAX_VERIFY_N = 10
 # subspaces has about 0.28*n digits; at n = 1000 the report takes
 # milliseconds (README)
 MAX_SUBSPACES_N = 1000
+# the most subspaces that subspaces --list prints: each prints n indices,
+# so the list's time and memory grow with both; at n = 1000 the whole
+# list takes under a second and under 100 MB (README)
+MAX_SUBSPACES_LIST = 1000
+# the most oracle samples that verify draws: each sample is one agreement
+# trial, so the oracle route's time grows linearly with them; at n = 10 it
+# takes about a minute (README)
+MAX_SAMPLES = 1000
 
 
 def _out_path(text: str) -> str:
@@ -410,13 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(3, MAX_VERIFY_N), required=True)
     p.add_argument("--route", choices=(*_ROUTES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_int_at_least(1), default=100)
+    p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES), default=100)
 
     p = command("subspaces", cmd_subspaces, "linear subspace report")
     p.add_argument("--n", type=_int_at_least(3, MAX_SUBSPACES_N), required=True)
     p.add_argument(
         "--list",
-        type=_int_at_least(0),
+        type=_int_at_least(0, MAX_SUBSPACES_LIST),
         default=0,
         help="enumerate up to this many optimal subspaces",
     )

@@ -30,7 +30,10 @@ t(i,j,k) (``permuted``), so a certificate carries over to the permuted
 query (``transported``).  ``orbit_memberships`` uses that to ask
 ``membership`` one query per S_n orbit of a family of cubics; a carried
 certificate counts only once ``Membership.verify`` passes for its own
-query.
+query.  Likewise ``compare_spans`` certifies a generator that the other
+presentation holds up to sign by that generator's index, read from the
+presentation's signed index, and asks ``membership`` only for the rest;
+that certificate, too, counts only once it multiplies back out.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class IdealPresentation:
     # presentation; outside equality, hashing and repr
     _spans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # each generator and its negation -> (index, sign), filled on the first
-    # ``transported`` call
+    # ``_signed_index`` call
     _signed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # indices of the generators that ``span(2)`` found independent of the
     # earlier ones, in order; filled when that span is built
@@ -521,16 +524,23 @@ def permuted(p: Poly, sigma: tuple) -> Poly:
     return Poly(p.n, {(m[0], *sorted(image[q] for q in m[1:])): c for m, c in terms})
 
 
+def _signed_index(pres: IdealPresentation) -> dict:
+    """Each generator of ``pres`` and its negation -> (index, sign), filled
+    into ``pres._signed`` on the first call."""
+    signed = pres._signed
+    if not signed:
+        for idx, g in enumerate(pres.generators):
+            signed[g], signed[-g] = (idx, 1), (idx, -1)
+    return signed
+
+
 def transported(cert: Membership, sigma: tuple, pres: IdealPresentation):
     """A candidate certificate of σ(p) from the certificate ``cert`` of a
     member p: a multiplier m on generator g becomes ε·σ(m) on the generator
     g' with σ(g) = ε·g'.  None when some σ(g) is not ± a generator.  The
     candidate counts only once ``Membership.verify`` passes for the query
     it is meant for."""
-    signed = pres._signed
-    if not signed:
-        for idx, g in enumerate(pres.generators):
-            signed[g], signed[-g] = (idx, 1), (idx, -1)
+    signed = _signed_index(pres)
     mults = {}
     for idx, m in cert.multipliers.items():
         image = signed.get(permuted(pres.generators[idx], sigma))
@@ -584,15 +594,33 @@ def orbit_memberships(queries, pres: IdealPresentation) -> list:
     return records
 
 
+def _shared_certificate(g: Poly, pres: IdealPresentation):
+    """The certificate of a generator g that ``pres`` holds up to sign, read
+    from its signed index (``_signed_index``): the constant multiplier ±1 on
+    that generator.  None when ``pres`` holds neither g nor -g."""
+    found = _signed_index(pres).get(g)
+    if found is None:
+        return None
+    idx, sign = found
+    mults = {idx: Poly(pres.n, {ONE: sign})}
+    return Membership(member=True, degree=2, multipliers=mults)
+
+
 def compare_spans(a: IdealPresentation, b: IdealPresentation) -> list:
     """Mutual containment of the degree-2 spans of two presentations: one
     ``certified`` record per generator, part ("a", index) for the
-    generators of a in b, then ("b", index) for those of b in a."""
-    return [
-        certified((side, idx), g, dst, membership(g, dst))
-        for side, src, dst in (("a", a, b), ("b", b, a))
-        for idx, g in enumerate(src.generators)
-    ]
+    generators of a in b, then ("b", index) for those of b in a.
+
+    A generator that the other presentation holds up to sign is certified
+    by that index (``_shared_certificate``), with no elimination; only the
+    others are asked of ``membership``.  Either certificate counts only
+    once ``certified`` multiplies it back out to the generator."""
+    records = []
+    for side, src, dst in (("a", a, b), ("b", b, a)):
+        for idx, g in enumerate(src.generators):
+            cert = _shared_certificate(g, dst) or membership(g, dst)
+            records.append(certified((side, idx), g, dst, cert))
+    return records
 
 
 def vanishes_at(pres: IdealPresentation, tvals: dict) -> bool:

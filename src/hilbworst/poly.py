@@ -380,6 +380,34 @@ class Poly:
             items.append((num, a, values[-1] if len(values) > 1 else one))
         return sum_products(n, items)
 
+    def renamed(self, image: Mapping[int, int], constants=None) -> "Poly":
+        """The substitution that renames variables: each variable at a
+        position q of ``image`` becomes the one at position image[q], each
+        at a position of ``constants`` the int constants[q], and the others
+        stay.  Each term is one monomial times its coefficient, so the terms
+        are summed per monomial, as ``substitute`` would sum them."""
+        constants = constants or {}
+        out: dict = {}
+        for mono, c in self._terms.items():
+            kept = []
+            for p in mono[1:]:
+                q = image.get(p)
+                if q is not None:
+                    kept.append(q)
+                elif p in constants:
+                    c *= constants[p]
+                else:
+                    kept.append(p)
+            if not c:
+                continue
+            m = (-len(kept), *sorted(kept))
+            total = out.get(m, 0) + c
+            if total:
+                out[m] = total if type(total) is int else exact(total)
+            else:
+                del out[m]
+        return Poly(self.n, out)
+
     def evaluate(self, assignment: Mapping[VarId, object]):
         """Substitute; collapse to a Fraction when the result is constant."""
         r = self.substitute(assignment)

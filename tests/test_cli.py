@@ -496,6 +496,37 @@ def test_export_commands_refuse_n_past_the_ceiling(command, capsys, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, ceiling",
+    [
+        (["subspaces", "--n", "1000", "--list"], "MAX_SUBSPACES_LIST"),
+        (["verify", "--n", "10", "--route", "oracle", "--samples"], "MAX_SAMPLES"),
+    ],
+    ids=["list", "samples"],
+)
+def test_counts_refuse_values_past_the_ceiling(argv, ceiling, capsys, tmp_path):
+    # subspaces --list and verify --samples parse up to their ceilings;
+    # past them, a usage error before any work, no output and no file
+    # written.  The work at the ceilings is measured in the README, not here
+    import hilbworst.cli as cli
+
+    high = getattr(cli, ceiling)
+    dest = argv[-1].lstrip("-")
+    assert getattr(build_parser().parse_args([*argv, str(high)]), dest) == high
+    out = tmp_path / "out.json"
+    for value in (high + 1, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(value), "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert f"must be at most {high}, got {value}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def test_subspaces_refuses_n_past_the_ceiling(capsys, tmp_path):
     # subspaces runs up to MAX_SUBSPACES_N, past the n = 16 of the paper's
     # reducible example; past it, a usage error and no output
@@ -631,19 +662,27 @@ def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
 )
 def test_verify_reverifies_span_certificates(route, span_checks, capsys, monkeypatch):
     # compare_spans handed forged certificates (member, but no
-    # multipliers): every span check fails, every other check still passes;
-    # the cubics, asked of the same function, get real answers
+    # multipliers), both from membership and for the generators the other
+    # presentation shares, which it certifies by index: every span check
+    # fails, every other check still passes; the cubics, asked of the same
+    # function, get real answers
     import hilbworst.ideal as ideal
     from hilbworst.ideal import Membership
 
-    real = ideal.membership
+    real, real_shared = ideal.membership, ideal._shared_certificate
 
     def forged(p, pres):
         if p.degree("t") == 3:
             return real(p, pres)
         return Membership(member=True, degree=2)
 
+    def forged_shared(g, pres):
+        if real_shared(g, pres) is None:
+            return None
+        return Membership(member=True, degree=2)
+
     monkeypatch.setattr(ideal, "membership", forged)
+    monkeypatch.setattr(ideal, "_shared_certificate", forged_shared)
     rc = main(["verify", "--n", "3", "--route", route])
     captured = capsys.readouterr()
     assert rc == 1

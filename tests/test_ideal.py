@@ -217,6 +217,70 @@ def test_compare_spans_names_generators_by_index():
     assert all(r.ok for r in records)
 
 
+def _asked(monkeypatch) -> list:
+    """The queries that ``ideal.membership`` is asked from now on."""
+    asked, real = [], ideal.membership
+
+    def spy(p, pres):
+        asked.append(p)
+        return real(p, pres)
+
+    monkeypatch.setattr(ideal, "membership", spy)
+    return asked
+
+
+def test_compare_spans_certifies_shared_generators_by_index(monkeypatch):
+    # b holds the generators of a negated and in reverse order: each is
+    # certified by its index in the other presentation with the constant
+    # multiplier -1, and no membership query is asked
+    a = ideal_generators(3)
+    count = len(a.generators)
+    b = IdealPresentation(3, "hilbert", tuple(-g for g in reversed(a.generators)))
+    asked = _asked(monkeypatch)
+    records = compare_spans(a, b)
+    assert asked == []
+    assert all(r.ok for r in records)
+    for r in records:
+        side, idx = r.part
+        assert r.cert.multipliers == {count - 1 - idx: -1}
+        (mult,) = r.cert.multipliers.values()
+        assert mult.terms_dict() == {ONE: -1}
+    # the same presentation shares every generator with sign +1
+    assert [r.cert.multipliers for r in compare_spans(a, a)] == [
+        {idx: 1} for _ in ("a", "b") for idx in range(count)
+    ]
+
+
+def test_compare_spans_asks_membership_for_a_changed_generator(monkeypatch):
+    # a generator with one coefficient doubled is not held by the other
+    # presentation, so it goes to membership; the unchanged ones do not
+    main = ideal_generators(3)
+    g = main.generators[0]
+    terms = g.terms_dict()
+    mono = next(iter(terms))
+    terms[mono] *= 2
+    changed = Poly(3, terms)
+    a = IdealPresentation(3, "hilbert", (changed, *main.generators[1:]))
+    asked = _asked(monkeypatch)
+    records = compare_spans(a, main)
+    assert asked == [changed, g]  # ("a", 0), then ("b", 0) in a
+    answer = membership(changed, main)
+    assert records[0].cert == answer
+    assert records[0].ok == answer.verify(changed, main)
+    assert all(r.ok for r in records[1 : len(a)])
+
+
+def test_compare_spans_fails_on_a_corrupted_signed_index():
+    # a signed index that names the wrong generator, or the wrong sign,
+    # gives a certificate that does not multiply back out
+    main = ideal_generators(3)
+    for corrupt in ((1, 1), (0, -1)):
+        dst = IdealPresentation(3, "hilbert", main.generators)
+        ideal._signed_index(dst)[main.generators[0]] = corrupt
+        records = compare_spans(main, dst)
+        assert [r.part for r in records if not r.ok] == [("a", 0)]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_orbit_enumerates_the_distinct_orderings(n):
     # against the reference, every ordering deduplicated, on the sorted

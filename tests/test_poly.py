@@ -459,6 +459,59 @@ def _ref_substitute(p, assignment) -> dict:
     return total
 
 
+def _as_assignment(n, image, constants=None) -> dict:
+    """The substitution that a renaming of ``Poly.renamed`` stands for: the
+    variable at each position of ``image`` -> the variable at its image, and
+    at each position of ``constants`` -> its int."""
+    ring = PolyRing.get(n)
+    variables = ring.variables
+    assignment = {variables[p]: ring.var_poly(variables[q]) for p, q in image.items()}
+    for p, c in (constants or {}).items():
+        assignment[variables[p]] = c
+    return assignment
+
+
+def test_renamed_agrees_with_substitute():
+    rng = random.Random(2718)
+    for n in (3, 4):
+        R = PolyRing.get(n)
+        count = len(R.variables)
+        for _ in range(40):
+            p = _random_exact_poly(rng, R, nterms=rng.randint(1, 8))
+            present = sorted({q for m in p.terms_dict() for q in m[1:]})
+            # rename some variables of p, onto other variables of p too, so
+            # that two terms can merge, and set some to the constants 0 and 1
+            image, constants = {}, {}
+            for q in rng.sample(present, rng.randint(0, len(present))):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    constants[q] = rng.choice([0, 1])
+                elif kind == 1:
+                    constants[q] = rng.randint(-3, 3)
+                elif kind == 2:
+                    image[q] = rng.choice(present)
+                else:
+                    image[q] = rng.randrange(count)
+            got = p.renamed(image, constants)
+            want = _ref_substitute(p, _as_assignment(n, image, constants))
+            assert _ref(got) == want and _exact_form(got)
+    # two terms merge into one, or cancel, under the renaming x(2) -> x(1)
+    x1, x2, t = R3.x(1), R3.x(2), R3.t(1, 2, 3)
+    merge = {R3.position[R3.x_var(2)]: R3.position[R3.x_var(1)]}
+    assert (x1 * t + x2 * t * 3).renamed(merge) == x1 * t * 4
+    assert (x1 * t - x2 * t + x2).renamed(merge) == x1
+    # two halves merge into an int coefficient
+    merged = (x1 * Fraction(1, 2) + x2 * Fraction(1, 2)).renamed(merge)
+    assert merged == x1 and _exact_form(merged)
+    # the constants 0 and 1: a term set to 0 goes, one set to 1 drops the
+    # variable and can meet a term it then cancels
+    s = R3.position[R3.s_var(0, 1, 1)]
+    p = R3.s(0, 1, 1) * t - t + R3.s(0, 1, 2) * x1
+    zero_one = {s: 1, R3.position[R3.s_var(0, 1, 2)]: 0}
+    assert p.renamed({}, zero_one).is_zero
+    assert p.renamed({}, {s: 0}) == -t + R3.s(0, 1, 2) * x1
+
+
 def test_substitute_matches_term_by_term_reference():
     rng = random.Random(5772)
     R = PolyRing.get(4)
@@ -481,20 +534,25 @@ def test_substitute_matches_term_by_term_reference():
         assignment = {v: value() for v in chosen}
         got = p.substitute(assignment)
         assert _ref(got) == _ref_substitute(p, assignment) and _exact_form(got)
-    # the based route's three substitution tables
+    # the based route's substitution table, and its two renamings as the
+    # substitutions they stand for
     for n in (3, 4):
         polys = [
             based.associator_coeff(n, 1, 2, k, l)
             for k in range(1, n + 1)
             for l in range(n + 1)
         ]
-        for table in (based._pi_table(n), based._unit_sym_table(n)):
-            for p in polys:
-                got = p.substitute(table)
-                assert _ref(got) == _ref_substitute(p, table) and _exact_form(got)
+        unit_sym = _as_assignment(n, *based._unit_sym_table(n))
+        for p in polys:
+            got = p.substitute(based._pi_table(n))
+            assert _ref(got) == _ref_substitute(p, based._pi_table(n))
+            assert _exact_form(got)
+            got = p.renamed(*based._unit_sym_table(n))
+            assert _ref(got) == _ref_substitute(p, unit_sym) and _exact_form(got)
+        sigma = _as_assignment(n, based._sigma_table(n))
         for g in ideal_generators(n).generators[:40]:
-            got = g.substitute(based._sigma_table(n))
-            assert _ref(got) == _ref_substitute(g, based._sigma_table(n))
+            got = g.renamed(based._sigma_table(n))
+            assert _ref(got) == _ref_substitute(g, sigma)
     with pytest.raises(UniverseMismatchError):
         R3.x(1).substitute({R3.x_var(1): PolyRing.get(4).x(1)})
     with pytest.raises(UniverseMismatchError):
