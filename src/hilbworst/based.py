@@ -54,6 +54,7 @@ from .ideal import (
     identity,
     membership,
     orbit_memberships,
+    scaled_certificate,
 )
 from .linalg import EchelonSpan
 from .poly import ONE, S_KIND, Poly, PolyRing, exact
@@ -273,7 +274,9 @@ def params_to_structure(p: Poly, n: int) -> Poly:
     (``Poly.renamed``).  A t-variable is stored with i <= j, so the image
     holds only s(i,j,k) with 1 <= i <= j and k >= 1, which
     ``reduce_unit_sym`` leaves fixed."""
-    if p.degree("x") or p.degree("s"):
+    lo, hi = PolyRing.get(n).bounds["t"]
+    # positions are sorted, so the first and the last bound the rest
+    if any(m[0] and (m[1] < lo or m[-1] >= hi) for m in p.terms_dict()):
         raise ValueError("embedding acts on pure parameter polynomials")
     return p.renamed(_sigma_table(n))
 
@@ -369,7 +372,7 @@ def verify_structure_correspondence(n: int) -> list:
         if lab in cubics:
             records.append(next(certified_cubics))
         else:
-            cert = membership(img, chart)
+            cert = scaled_certificate(img, chart) or membership(img, chart)
             records.append(certified(("projection", lab), img, chart, cert))
 
     assoc, span = _reduced_associators(n)

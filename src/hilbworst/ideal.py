@@ -30,10 +30,16 @@ t(i,j,k) (``permuted``), so a certificate carries over to the permuted
 query (``transported``).  ``orbit_memberships`` uses that to ask
 ``membership`` one query per S_n orbit of a family of cubics; a carried
 certificate counts only once ``Membership.verify`` passes for its own
-query.  Likewise ``compare_spans`` certifies a generator that the other
-presentation holds up to sign by that generator's index, read from the
-presentation's signed index, and asks ``membership`` only for the rest;
-that certificate, too, counts only once it multiplies back out.
+query.  Which generator σ sends a generator to, and with which sign, is
+read from tables that ``deduplicated`` fills as it drops duplicates: the
+signed index (each generator and its negation -> (index, sign)) and, for
+the chart presentations, whose raw generators are named by index tuples,
+the key table (every key -> (index, sign)), where σ acts on the key
+instead of the polynomial.  ``scaled_certificate`` reads a query that is
+a scalar multiple c·g of one generator from the signed index, as the
+constant multiplier c on g; ``compare_spans``, the flatness x-coefficients
+and the based projections ask it first and ``membership`` only for the
+rest.  Those certificates, too, count only once they multiply back out.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm
+from itertools import product, repeat
+from math import gcd, lcm
 
 from .linalg import EchelonSpan
 from .poly import ONE, Poly, PolyRing, exact, mono_mul, mono_multidegree, sum_products
@@ -82,11 +88,13 @@ def obstruction_quadric(n: int, i: int, j: int, k: int, l: int) -> Poly:
     return Poly(n, terms)
 
 
+@lru_cache(maxsize=None)
 def diagonal_sum(n: int, i: int, j: int) -> Poly:
     """Sum over lam of the quadrics with repeated trailing index lam.
 
     Symmetric in (i, j) as an exact polynomial identity; appears (divided by
-    n-1) as the constant tail of the universal family generators.
+    n-1) as the constant tail of the universal family generators, and as
+    the factors of the cubic syzygies.
     """
     one = PolyRing.get(n).one()
     return sum_products(
@@ -107,9 +115,14 @@ class IdealPresentation:
     # t-degree -> GradedSpan, built on first use and dropped with the
     # presentation; outside equality, hashing and repr
     _spans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # each generator and its negation -> (index, sign), filled on the first
-    # ``_signed_index`` call
+    # each generator and its negation -> (index, sign), filled by
+    # ``deduplicated``, or on the first ``_signed_index`` call
     _signed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the key of each generator, and every key -> (index, sign) of the
+    # generator that the raw generator of that key is up to sign; filled by
+    # ``deduplicated`` when it is given keys, empty otherwise
+    _keys: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _aliases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # indices of the generators that ``span(2)`` found independent of the
     # earlier ones, in order; filled when that span is built
     _independent: list = field(
@@ -193,17 +206,36 @@ class IdealPresentation:
                     span.insert(key, prod, ((-1, pos), idx))
 
 
-def deduplicated(n: int, flavor: str, labeled) -> IdealPresentation:
+def deduplicated(n: int, flavor: str, labeled, keys=None) -> IdealPresentation:
     """Presentation of the (generator, label) pairs in order, dropping zeros
-    and exact duplicates or negations of an earlier generator."""
-    gens, labels, seen = [], [], set()
-    for g, label in labeled:
-        if g.is_zero or g in seen or -g in seen:
+    and exact duplicates or negations of an earlier generator.
+
+    The dict that finds those, each kept generator and its negation ->
+    (index, sign), is the presentation's signed index.  ``keys``, when
+    given, names each pair, in order, by an index tuple: a family tag, then
+    points of 1..n, so that σ in S_n acts on it as on the indices of the
+    generator's formula.  The presentation then records the key of each
+    kept generator and every key of a nonzero pair -> the (index, sign) of
+    the kept generator that pair's generator is up to sign, the table
+    ``transported`` reads."""
+    gens, labels, signed, kept, aliases = [], [], {}, [], {}
+    for (g, label), key in zip(labeled, keys or repeat(None)):
+        if g.is_zero:
             continue
-        seen.add(g)
-        gens.append(g)
-        labels.append(label)
-    return IdealPresentation(n, flavor, tuple(gens), tuple(labels))
+        found = signed.get(g)
+        if found is None:
+            found = signed[g] = (len(gens), 1)
+            signed[-g] = (len(gens), -1)
+            gens.append(g)
+            labels.append(label)
+            kept.append(key)
+        aliases[key] = found
+    pres = IdealPresentation(n, flavor, tuple(gens), tuple(labels))
+    pres._signed.update(signed)
+    if keys is not None:
+        pres._keys.extend(kept)
+        pres._aliases.update(aliases)
+    return pres
 
 
 @lru_cache(maxsize=None)
@@ -222,23 +254,34 @@ def set_diagonal_zero(p: Poly) -> Poly:
 
 
 def miniversal_restriction(pres: IdealPresentation) -> IdealPresentation:
-    """The presentation with t(i,i,i) set to 0, deduplicated again."""
+    """The presentation with t(i,i,i) set to 0, deduplicated again.  The
+    restriction commutes with S_n, so the keys of ``pres`` carry over: a
+    key that ``pres`` aliased to a generator names that generator's
+    image."""
     labeled = zip(map(set_diagonal_zero, pres.generators), pres.labels)
-    return deduplicated(pres.n, "miniversal", labeled)
+    mini = deduplicated(pres.n, "miniversal", labeled, pres._keys or None)
+    for key, (idx, sign) in pres._aliases.items():
+        found = mini._aliases.get(pres._keys[idx])
+        if found is not None:
+            mini._aliases[key] = (found[0], sign * found[1])
+    return mini
 
 
 @lru_cache(maxsize=None)
 def _quadric_generators(n: int, swapped: bool) -> IdealPresentation:
-    """Quadrics q(i,j,k|l) for j,k,l distinct, then the differences
-    q(i,j,k|k) - q(a,b,l|l) for j != k, b != l, where (a, b) is (i, j), or
-    (j, i) when swapped."""
+    """Quadrics q(i,j,k|l) for j,k,l distinct, key (0, i, j, k, l), then
+    the differences q(i,j,k|k) - q(a,b,l|l) for j != k, b != l, key
+    (1, i, j, k, l), where (a, b) is (i, j), or (j, i) when swapped.  Both
+    families are closed under S_n, and σ of a generator is the generator
+    of σ applied to its key."""
     if n < 3:
         raise ValueError(f"ambient n must be >= 3, got {n}")
-    labeled = []
+    labeled, keys = [], []
     indices = list(product(range(1, n + 1), repeat=4))
     for i, j, k, l in indices:
         if j != k and k != l and j != l:
             labeled.append((obstruction_quadric(n, i, j, k, l), f"q({i},{j},{k}|{l})"))
+            keys.append((0, i, j, k, l))
     for i, j, k, l in indices:
         a, b = (j, i) if swapped else (i, j)
         if j != k and b != l:
@@ -246,7 +289,8 @@ def _quadric_generators(n: int, swapped: bool) -> IdealPresentation:
                 n, a, b, l, l
             )
             labeled.append((diff, f"q({i},{j},{k}|{k})-q({a},{b},{l}|{l})"))
-    return deduplicated(n, "hilbert", labeled)
+            keys.append((1, i, j, k, l))
+    return deduplicated(n, "hilbert", labeled, keys)
 
 
 @lru_cache(maxsize=None)
@@ -525,8 +569,9 @@ def permuted(p: Poly, sigma: tuple) -> Poly:
 
 
 def _signed_index(pres: IdealPresentation) -> dict:
-    """Each generator of ``pres`` and its negation -> (index, sign), filled
-    into ``pres._signed`` on the first call."""
+    """Each generator of ``pres`` and its negation -> (index, sign):
+    ``pres._signed``, as ``deduplicated`` filled it, or filled here on the
+    first call for a presentation built without it."""
     signed = pres._signed
     if not signed:
         for idx, g in enumerate(pres.generators):
@@ -534,20 +579,31 @@ def _signed_index(pres: IdealPresentation) -> dict:
     return signed
 
 
+def _image(pres: IdealPresentation, idx: int, sigma: tuple):
+    """(index, sign) of the generator g' with σ(g) = sign·g' for the
+    generator g at ``idx``; None when σ(g) is not ± a generator.  Read from
+    the key table when ``pres`` has one (σ applied to the points of g's
+    key), else from the signed index of ``permuted(g, σ)``."""
+    if pres._keys:
+        tag, *points = pres._keys[idx]
+        return pres._aliases.get((tag, *(sigma[i - 1] for i in points)))
+    return _signed_index(pres).get(permuted(pres.generators[idx], sigma))
+
+
 def transported(cert: Membership, sigma: tuple, pres: IdealPresentation):
     """A candidate certificate of σ(p) from the certificate ``cert`` of a
     member p: a multiplier m on generator g becomes ε·σ(m) on the generator
-    g' with σ(g) = ε·g'.  None when some σ(g) is not ± a generator.  The
-    candidate counts only once ``Membership.verify`` passes for the query
-    it is meant for."""
-    signed = _signed_index(pres)
+    g' with σ(g) = ε·g' (``_image``).  None when some σ(g) is not ± a
+    generator.  The candidate counts only once ``Membership.verify`` passes
+    for the query it is meant for."""
     mults = {}
     for idx, m in cert.multipliers.items():
-        image = signed.get(permuted(pres.generators[idx], sigma))
+        image = _image(pres, idx, sigma)
         if image is None:
             return None
         target, sign = image
-        mults[target] = permuted(m, sigma) * sign
+        m = permuted(m, sigma)
+        mults[target] = m if sign == 1 else -m
     return Membership(
         member=True, degree=cert.degree, multipliers=dict(sorted(mults.items()))
     )
@@ -594,15 +650,28 @@ def orbit_memberships(queries, pres: IdealPresentation) -> list:
     return records
 
 
-def _shared_certificate(g: Poly, pres: IdealPresentation):
-    """The certificate of a generator g that ``pres`` holds up to sign, read
-    from its signed index (``_signed_index``): the constant multiplier ±1 on
-    that generator.  None when ``pres`` holds neither g nor -g."""
-    found = _signed_index(pres).get(g)
+def scaled_certificate(q: Poly, pres: IdealPresentation):
+    """The certificate of a query q = c·g, for a rational c and a generator
+    g of ``pres``, read from its signed index (``_signed_index``): the
+    constant multiplier c on g.  q is divided by its content, the gcd of its
+    numerators over the lcm of its denominators, and that primitive
+    quadric is looked up; the chart's generators are primitive, so each of
+    their multiples is found.  None when q is zero or is found nowhere."""
+    terms = q.terms_dict()
+    if not terms:
+        return None
+    num = gcd(*(c.numerator for c in terms.values()))
+    den = lcm(*(c.denominator for c in terms.values()))
+    if num == den == 1:
+        primitive = q
+    else:
+        scale = {m: c.numerator * (den // c.denominator) // num for m, c in terms.items()}
+        primitive = Poly(q.n, scale)
+    found = _signed_index(pres).get(primitive)
     if found is None:
         return None
     idx, sign = found
-    mults = {idx: Poly(pres.n, {ONE: sign})}
+    mults = {idx: Poly(pres.n, {ONE: exact(Fraction(sign * num, den))})}
     return Membership(member=True, degree=2, multipliers=mults)
 
 
@@ -611,14 +680,15 @@ def compare_spans(a: IdealPresentation, b: IdealPresentation) -> list:
     ``certified`` record per generator, part ("a", index) for the
     generators of a in b, then ("b", index) for those of b in a.
 
-    A generator that the other presentation holds up to sign is certified
-    by that index (``_shared_certificate``), with no elimination; only the
-    others are asked of ``membership``.  Either certificate counts only
-    once ``certified`` multiplies it back out to the generator."""
+    A generator that is a scalar multiple of one generator of the other
+    presentation is certified by that index (``scaled_certificate``), with
+    no elimination; only the others are asked of ``membership``.  Either
+    certificate counts only once ``certified`` multiplies it back out to
+    the generator."""
     records = []
     for side, src, dst in (("a", a, b), ("b", b, a)):
         for idx, g in enumerate(src.generators):
-            cert = _shared_certificate(g, dst) or membership(g, dst)
+            cert = scaled_certificate(g, dst) or membership(g, dst)
             records.append(certified((side, idx), g, dst, cert))
     return records
 

@@ -43,8 +43,8 @@ from .ideal import (
     ideal_generators,
     identity,
     membership,
-    obstruction_quadric,
     orbit_memberships,
+    scaled_certificate,
     set_diagonal_zero,
 )
 from .poly import ONE, Poly, PolyRing, sum_products
@@ -281,15 +281,16 @@ def family_at(n: int, tvals: dict) -> tuple:
 
 def syzygy_cubic(n: int, i: int, j: int, k: int) -> Poly:
     """sum over l, lam of t(i,j,l) q(k,l,lam|lam) - t(i,k,l) q(j,l,lam|lam);
-    a cubic that lies in the ideal for every j != k."""
+    a cubic that lies in the ideal for every j != k.  The inner sums over
+    lam are the diagonal sums D(k,l) and D(j,l) (``diagonal_sum``), so it is
+    summed as sum over l of t(i,j,l) D(k,l) - t(i,k,l) D(j,l)."""
     if j == k:
         raise ValueError("requires j != k")
     ring = PolyRing.get(n)
     items = []
     for l in range(1, n + 1):
-        for lam in range(1, n + 1):
-            items.append((1, ring.t(i, j, l), obstruction_quadric(n, k, l, lam, lam)))
-            items.append((-1, ring.t(i, k, l), obstruction_quadric(n, j, l, lam, lam)))
+        items.append((1, ring.t(i, j, l), diagonal_sum(n, k, l)))
+        items.append((-1, ring.t(i, k, l), diagonal_sum(n, j, l)))
     return sum_products(n, items)
 
 
@@ -333,7 +334,8 @@ def flatness_residual(n: int) -> list:
             if xmono == ONE:
                 raise AssertionError("unexpected x-free t-degree-2 part")
             part = f"x_{ring.variables[xmono[1]][1]}-coefficient of the t-degree-2 part"
-            records.append(certified((sym, part), q, pres, membership(q, pres)))
+            cert = scaled_certificate(q, pres) or membership(q, pres)
+            records.append(certified((sym, part), q, pres, cert))
         part = "t-degree-3 part as the cubic syzygy over n-1"
         records.append(identity((sym, part), pieces[3] == cubic.query))
         records.append(cubic)

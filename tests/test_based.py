@@ -189,6 +189,25 @@ def test_embedding_substitutes_structure_constants():
     assert params_to_structure(R3.t(1, 2, 3), 3) == R3.s(1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        R3.t(1, 2, 3) * R3.x(2),
+        R3.x(1),
+        R3.t(1, 1, 1) ** 2 - R3.s(1, 2, 3),
+        R3.s(0, 0, 0) * R3.t(3, 3, 3),
+    ],
+    ids=["x-times-t", "x", "t-minus-s", "s-times-t"],
+)
+def test_embedding_refuses_x_and_s_polynomials(p):
+    # a monomial holding an x- or an s-variable is refused, whether that
+    # variable comes before or after the t-variables
+    with pytest.raises(ValueError, match="pure parameter polynomials"):
+        params_to_structure(p, 3)
+    # constants and t-polynomials are embedded
+    assert params_to_structure(R3.t(1, 1, 1) ** 2 + 5, 3) == R3.s(1, 1, 1) ** 2 + 5
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_embedded_chart_generators_are_unit_sym_normal(n):
     # the embedding only names s(i,j,k) with 1 <= i <= j and k >= 1, which

@@ -652,6 +652,21 @@ def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
     )
 
 
+def _forged_scaled(real):
+    """``scaled_certificate`` with every certificate it finds replaced by
+    a forged one: the multiplier it found, plus one."""
+    from hilbworst.ideal import Membership
+
+    def forged(q, pres):
+        cert = real(q, pres)
+        if cert is None:
+            return None
+        mults = {idx: m + 1 for idx, m in cert.multipliers.items()}
+        return Membership(member=True, degree=2, multipliers=mults)
+
+    return forged
+
+
 @pytest.mark.parametrize(
     "route, span_checks",
     [
@@ -662,27 +677,24 @@ def test_verify_reverifies_cubic_certificates(capsys, monkeypatch):
 )
 def test_verify_reverifies_span_certificates(route, span_checks, capsys, monkeypatch):
     # compare_spans handed forged certificates (member, but no
-    # multipliers), both from membership and for the generators the other
-    # presentation shares, which it certifies by index: every span check
-    # fails, every other check still passes; the cubics, asked of the same
-    # function, get real answers
+    # multipliers), both from membership and for the generators that are a
+    # multiple of one of the other presentation, which it certifies by
+    # index: every span check fails, every other check still passes; the
+    # cubics, asked of the same function, get real answers
     import hilbworst.ideal as ideal
     from hilbworst.ideal import Membership
 
-    real, real_shared = ideal.membership, ideal._shared_certificate
+    real = ideal.membership
 
     def forged(p, pres):
         if p.degree("t") == 3:
             return real(p, pres)
         return Membership(member=True, degree=2)
 
-    def forged_shared(g, pres):
-        if real_shared(g, pres) is None:
-            return None
-        return Membership(member=True, degree=2)
-
     monkeypatch.setattr(ideal, "membership", forged)
-    monkeypatch.setattr(ideal, "_shared_certificate", forged_shared)
+    monkeypatch.setattr(
+        ideal, "scaled_certificate", _forged_scaled(ideal.scaled_certificate)
+    )
     rc = main(["verify", "--n", "3", "--route", route])
     captured = capsys.readouterr()
     assert rc == 1
@@ -701,7 +713,9 @@ def run_based_detail(capsys) -> str:
 
 
 def test_verify_reverifies_projection_certificates(capsys, monkeypatch):
-    # forged projection certificates (member, but no multipliers) do not count
+    # forged projection certificates do not count: from membership (member,
+    # but no multipliers), and from the index for the images that are a
+    # multiple of a chart generator (the multiplier off by one)
     import hilbworst.based as based
     from hilbworst.ideal import Membership
 
@@ -709,8 +723,44 @@ def test_verify_reverifies_projection_certificates(capsys, monkeypatch):
         return Membership(member=True, degree=2)
 
     monkeypatch.setattr(based, "membership", forged)
+    monkeypatch.setattr(
+        based, "scaled_certificate", _forged_scaled(based.scaled_certificate)
+    )
     detail = run_based_detail(capsys)
     assert detail.startswith("projection:") and "embedding:" not in detail
+
+
+def test_verify_reverifies_scaled_projection_certificates(capsys, monkeypatch):
+    # the projections that are a multiple of a chart generator get a forged
+    # certificate from the index, its multiplier off by one: they do not
+    # count.  At n=3 those are the 27 nonzero quadric images, of
+    # assoc(i,j,k|l) with l >= 1; the cubics, of l = 0, still pass
+    import hilbworst.based as based
+
+    forged = _forged_scaled(based.scaled_certificate)
+    monkeypatch.setattr(based, "scaled_certificate", forged)
+    parts = run_based_detail(capsys).split("; ")
+    assert len(parts) == 27
+    assert all(p.startswith("projection:assoc(") and "|0)" not in p for p in parts)
+
+
+def test_verify_reverifies_flatness_coefficient_certificates(capsys, monkeypatch):
+    # the x-coefficient queries that are a multiple of a generator get a
+    # forged certificate from the index, its multiplier off by one: the
+    # flatness check fails on the first of them, and no other check does
+    import hilbworst.lifting as lifting
+
+    forged = _forged_scaled(lifting.scaled_certificate)
+    monkeypatch.setattr(lifting, "scaled_certificate", forged)
+    rc = main(["verify", "--n", "3", "--route", "classical"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    docs = {d["check"]: d for d in map(json.loads, captured.out.splitlines())}
+    assert docs["flatness"]["detail"] == (
+        "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
+        "first e[1,1]^e[1,2] (x_1-coefficient of the t-degree-2 part)"
+    )
+    assert [name for name, d in docs.items() if d["status"] != "ok"] == ["flatness"]
 
 
 @pytest.mark.parametrize("used", [{}, {0: Fraction(1)}], ids=["empty", "wrong"])
@@ -770,6 +820,44 @@ def test_forged_transport_falls_back_to_membership(
     assert main(argv) == 0
     assert capsys.readouterr().out == want
     assert len(asked) == 24
+
+
+@pytest.mark.parametrize("route", ["classical", "based"])
+def test_wrong_alias_in_the_key_table_falls_back_to_membership(
+    route, capsys, monkeypatch
+):
+    # the chart's key table maps the first key that a transport reads to
+    # its generator with the wrong sign: each candidate that reads it fails
+    # the multiply-back, its cubic is asked of membership, and verify
+    # prints the same lines
+    import hilbworst.ideal as ideal
+
+    argv = ["verify", "--n", "4", "--route", route]
+    pres = ideal.ideal_generators(4)
+    read, real_image = [], ideal._image
+
+    def recording(pres, idx, sigma):
+        tag, *points = pres._keys[idx]
+        read.append((tag, *(sigma[i - 1] for i in points)))
+        return real_image(pres, idx, sigma)
+
+    monkeypatch.setattr(ideal, "_image", recording)
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.undo()
+    target, sign = pres._aliases[read[0]]
+    monkeypatch.setitem(pres._aliases, read[0], (target, -sign))
+    real_membership, asked = ideal.membership, []
+
+    def counting(p, pres):
+        if p.degree("t") == 3:
+            asked.append(p)
+        return real_membership(p, pres)
+
+    monkeypatch.setattr(ideal, "membership", counting)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert 2 < len(asked) < 24
 
 
 def test_verify_classical_queries_one_cubic_per_orbit(capsys, monkeypatch):

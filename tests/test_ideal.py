@@ -27,6 +27,7 @@ from hilbworst.ideal import (
     obstruction_quadric,
     orbit_memberships,
     permuted,
+    scaled_certificate,
     set_diagonal_zero,
     transported,
     vanishes_at,
@@ -624,6 +625,107 @@ def test_transport_needs_generators_mapped_to_generators():
     assert cert.member
     assert transported(cert, (2, 1, 3), pres) is None
     assert transported(cert, (1, 2, 3), pres).verify(g * R.t(1, 1, 1), pres)
+
+
+def _sigmas(n):
+    """Every σ in S_n for n <= 4; past that, a transposition, an n-cycle
+    and seeded random permutations."""
+    if n <= 4:
+        return list(itertools.permutations(range(1, n + 1)))
+    rng = random.Random(n)
+    sigmas = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)]
+    return sigmas + [tuple(rng.sample(range(1, n + 1), n)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("flavor", ["hilbert", "miniversal", "alternate"])
+def test_key_table_is_equivariant(n, flavor):
+    # σ applied to the points of a generator's key names, in the key table,
+    # the generator that permuting its polynomial finds up to sign in the
+    # signed index, for every chart generator
+    pres = alternate_generators(n) if flavor == "alternate" else ideal_generators(n, flavor)
+    assert len(pres._keys) == len(pres)
+    signed = ideal._signed_index(pres)
+    for sigma in _sigmas(n):
+        for (tag, *points), g in zip(pres._keys, pres.generators):
+            image = pres._aliases[(tag, *(sigma[i - 1] for i in points))]
+            assert image == signed[permuted(g, sigma)]
+
+
+def test_keyed_and_bare_transport_agree():
+    # a presentation built without keys transports through permuted and
+    # the signed index, and gives the certificate the key table gives
+    n = 4
+    pres = ideal_generators(n)
+    bare = _fresh_copy(pres)
+    assert bare._keys == [] and bare._aliases == {}
+    cert = membership(lifting.syzygy_cubic(n, 1, 2, 3), pres)
+    for sigma in _sigmas(n):
+        keyed = transported(cert, sigma, pres)
+        assert keyed == transported(cert, sigma, bare)
+        image = tuple(sigma[i - 1] for i in (1, 2, 3))
+        assert keyed.verify(lifting.syzygy_cubic(n, *image), pres)
+
+
+def test_scaled_certificate_reads_one_generator_and_its_scalar():
+    # every chart generator is primitive, so the index finds it at its own
+    # index with multiplier 1, and each multiple with its scalar
+    for chart in (ideal_generators(4, "miniversal"), alternate_generators(4)):
+        for idx, g in enumerate(chart.generators):
+            assert scaled_certificate(g, chart).multipliers == {idx: 1}
+    pres = ideal_generators(4)
+    R = PolyRing.get(4)
+    for idx, g in enumerate(pres.generators):
+        assert scaled_certificate(-g, pres).multipliers == {idx: -1}
+    for idx in (0, 7, len(pres) - 1):
+        g = pres.generators[idx]
+        for c in (Fraction(3, 2), -1, 1, 6, Fraction(-5, 7)):
+            cert = scaled_certificate(g * c, pres)
+            assert cert.multipliers == {idx: c}
+            assert cert.verify(g * c, pres)
+        # one monomial more, or a second generator, is no multiple of one
+        extra = g * Fraction(3, 2) + R.t(1, 2, 3) * R.t(4, 4, 4)
+        assert scaled_certificate(extra, pres) is None
+        other = pres.generators[(idx + 1) % len(pres)]
+        assert scaled_certificate(g * 2 + other, pres) is None
+    assert scaled_certificate(R.zero(), pres) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_scaled_certificate_never_answers_a_non_member(n):
+    # seeded quadrics that membership refuses: the index finds none of them
+    rng = random.Random(n)
+    pres = ideal_generators(n)
+    R = PolyRing.get(n)
+    tvars = R.t_variables()
+    refused = 0
+    for _ in range(200):
+        g = pres.generators[rng.randrange(len(pres))]
+        p = g * rng.randint(1, 4)
+        p = p + R.var_poly(rng.choice(tvars)) * R.var_poly(rng.choice(tvars))
+        if not membership(p, pres).member:
+            refused += 1
+            assert scaled_certificate(p, pres) is None
+    assert refused > 100
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_scaled_certificate_agrees_with_membership(n):
+    # every degree-2 query of the flatness x-coefficients and of the based
+    # projection: a certificate read from the index multiplies back out,
+    # and membership finds the query a member too
+    from hilbworst.based import verify_structure_correspondence
+
+    pres = ideal_generators(n)
+    records = lifting.flatness_residual(n) + verify_structure_correspondence(n)
+    queries = [r.query for r in records if r.query is not None and r.query.degree() == 2]
+    found = 0
+    for q in queries:
+        cert = scaled_certificate(q, pres)
+        if cert is not None:
+            found += 1
+            assert cert.verify(q, pres) and membership(q, pres).member
+    assert 0 < found < len(queries)
 
 
 def _cubic_family(n, family):

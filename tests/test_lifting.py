@@ -237,8 +237,9 @@ def _verify_details(n, capsys):
 
 
 def test_flatness_failure_names_the_x_coefficient(monkeypatch, capsys):
-    # t-degree-2 queries answered as non-members: the first wedge fails on
-    # its lowest x-coefficient, which is checked before its cubic
+    # t-degree-2 queries answered as non-members, and none found as a
+    # multiple of a generator: the first wedge fails on its lowest
+    # x-coefficient, which is checked before its cubic
     import hilbworst.lifting as lifting
     from hilbworst.ideal import Membership
 
@@ -248,6 +249,7 @@ def test_flatness_failure_names_the_x_coefficient(monkeypatch, capsys):
         return membership(p, pres)
 
     monkeypatch.setattr(lifting, "membership", no_quadrics)
+    monkeypatch.setattr(lifting, "scaled_certificate", lambda q, pres: None)
     assert _verify_details(3, capsys)["flatness"] == (
         "flatness certification failed at n=3: 9 of 9 shared-index wedges, "
         "first e[1,1]^e[1,2] (x_1-coefficient of the t-degree-2 part)"
