@@ -15,9 +15,10 @@ nonzero residual, which is a proof of non-membership.  Both are returned as
 pivot is zero, and the inserted vectors are independent.  So they do not
 depend on how the stored rows are scaled.
 
-``pivot_keys`` runs the same loop without combinations, for the one
-question that needs no certificate: which keys lead the rows of an echelon
-basis.
+``pivot_keys`` answers the one question that needs no certificate: which
+keys lead the rows of an echelon basis.  It stores a row whose least key
+leads no stored row as it comes, without elimination, and runs the same
+loop, without combinations, only on a row whose lead is held already.
 """
 
 from __future__ import annotations
@@ -142,19 +143,33 @@ def pivot_keys(rows) -> set:
     """The pivot keys of the row space of sparse rational vectors: the least
     key of each row of an echelon basis.
 
-    Each vector is scaled to a primitive integer vector on entry, which
-    keeps the numbers of the elimination small, and reduced by
-    ``_eliminate``; a nonzero residual is divided by its content and stored
-    under its least key."""
+    A row whose least key no stored row leads with is already an echelon
+    row, since its other keys sort after its lead, so it is stored as it
+    comes, divided by its content only when its lead entry is not 1.  Only
+    a row whose lead is held already is eliminated, as a copy, by
+    ``_eliminate``, and a nonzero residual is stored the same way under its
+    least key.  The leading keys of an echelon basis are the least keys of
+    the row space whichever basis it is, so the rows stored need not be
+    reduced.  An int row with no zero value is read as it is, and may be
+    stored as the caller's own dict, which is never written; any other row
+    is first scaled to a primitive int vector by ``_integral``."""
     echelon: dict = {}  # pivot key -> primitive int row, pivot entry > 0
     for vec in rows:
-        v, _ = _integral(vec)
-        if not v:
+        if not all(type(x) is int and x for x in vec.values()):
+            vec, _ = _integral(vec)
+            if vec:
+                vec = _divided(vec, gcd(*vec.values()))
+        if not vec:
             continue
-        v = _divided(v, gcd(*v.values()))
-        _eliminate(v, echelon, None, None)
-        if v:
-            p = min(v)
-            content = gcd(*v.values())
-            echelon[p] = _divided(v, content if v[p] > 0 else -content)
+        p = min(vec)
+        if p in echelon:
+            vec = dict(vec)
+            _eliminate(vec, echelon, None, None)
+            if not vec:
+                continue
+            p = min(vec)
+        if vec[p] != 1:
+            content = gcd(*vec.values())
+            vec = _divided(vec, content if vec[p] > 0 else -content)
+        echelon[p] = vec
     return set(echelon)

@@ -14,21 +14,27 @@ point, and each is exact:
     in integers over one common denominator.
   * geometric (``fiber_check``): the fiber of the instantiated family is an
     (n+1)-dimensional algebra in which the residue classes of 1, x_1, ...,
-    x_n stay a basis.  It row-reduces the instantiated family generators
-    together with all their degree-3 multiples, fraction-free in integers
+    x_n stay a basis.  It takes the leading monomials of the row space of
+    the instantiated family generators together with all their degree-3
+    multiples, eliminating fraction-free in integers
     (``linalg.pivot_keys``); because every quadratic and cubic monomial is
     a leading term of such a row, the residue classes of 1 and the x_i span
     the truncated quotient, and any echelon row whose leading monomial has
     degree <= 1 is exactly a collapse of that basis.  The rows are the
     family in the coordinates y = s*x, with s the lcm of the denominators
     of its coefficients: there each generator is monic with int
-    coefficients.  With the first multiple to reach each cubic monomial
-    eliminated before the other multiples, every echelon row led by a
-    monomial of degree 2 or 3 is one of these monic rows, so the
-    elimination rescales a row only against a collapse, and at a point of
-    the chart, which has none, never.  Scaling the coordinates scales each
-    monomial's column by a nonzero constant, which leaves the leading
-    monomials of the row space, and with them the answer, as they are.
+    coefficients.  Each generator leads with its own quadratic monomial,
+    and the first multiple to reach each cubic monomial goes in before the
+    other multiples, so each of these monic rows comes with a leading
+    monomial that no earlier row has and is stored as it comes, without
+    elimination.  They lead with every quadratic and cubic monomial, so
+    every echelon row led by a monomial of degree 2 or 3 is one of them.
+    Only the other multiples are eliminated; against monic rows that needs
+    no rescaling, so a row is rescaled only against a collapse, and at a
+    point of the chart, which has none, never.  Scaling the coordinates
+    scales each monomial's column by a nonzero constant, which leaves the
+    leading monomials of the row space, and with them the answer, as they
+    are.
 
 None of the three calls another or a helper of another: the first
 evaluates the chart generators, the second multiplies matrices of table
@@ -144,10 +150,14 @@ def fiber_check(family: tuple, n: int) -> FiberReport:
     Its values are ints, because s is a multiple of every denominator and
     the coefficient of x_i x_j is 1, so it is monic; its y_l multiples are
     the same rows re-keyed through the shift table of l, and no
-    ``Fraction`` is read past the generators.  The first multiple to lead
-    with each cubic monomial goes in before the others, the only rows that
-    can reduce to a collapse, so every pivot row of degree 2 or 3 stays
-    monic.  The scaling multiplies each column by a nonzero constant, which
+    ``Fraction`` is read past the generators.  Each generator leads with
+    its own quadratic monomial, and the first multiple to lead with each
+    cubic monomial goes in before the others, so ``pivot_keys`` stores
+    every one of these monic rows as it comes, without elimination; they
+    lead with every monomial of degree 2 and 3, so every pivot row of those
+    degrees is one of them.  Only the other
+    multiples are eliminated, and only they can reduce to a collapse.  The
+    scaling multiplies each column by a nonzero constant, which
     keeps the leading monomials of the row space, so ``pivot_keys`` returns
     the pivots of the family in x.  The pivots in the last n+1 columns are
     the collapses of the basis: the leading monomials of degree <= 1."""

@@ -274,3 +274,45 @@ def test_pivot_keys_match_echelon_span_pivots(case):
             den = lcm(*(Fraction(x).denominator for x in row.values()))
             ints.append({k: int(6 * den * x) for k, x in row.items()})
         assert pivot_keys(ints) == set(span.pivots())
+
+
+def _led_row(rng, lead, kind):
+    """A row with least key ``lead``, of the named kind."""
+    later = range(lead + 1, 14)
+    row = {lead: 1}  # monic
+    for k in rng.sample(later, rng.randint(0, min(4, len(later)))):
+        row[k] = rng.randint(-5, 5) or 1
+    if kind == "lead -1":
+        row[lead] = -1
+    elif kind == "lead -c":
+        row[lead] = -rng.randint(2, 9)
+    elif kind == "non-primitive":
+        c = rng.choice([2, 6, -4])
+        row = {k: c * x for k, x in row.items()}
+    elif kind == "zero entry":  # a zero at a key before the lead
+        row[lead - 1] = 0
+    elif kind == "fraction":
+        row = {k: Fraction(x, rng.choice([1, 2, 3, 7])) for k, x in row.items()}
+    return row
+
+
+def test_pivot_keys_stored_as_they_come_match_echelon_span():
+    # rows with a new lead are stored without elimination, and may be the
+    # caller's own dicts; rows repeating a lead are eliminated as copies
+    rng = random.Random(3107)
+    kinds = ["monic", "lead -1", "lead -c", "non-primitive", "zero entry", "fraction"]
+    for _ in range(60):
+        rows, leads = [], []
+        for _ in range(rng.randint(1, 14)):
+            if leads and rng.random() < 0.4:
+                lead = rng.choice(leads)  # repeats an earlier lead
+            else:
+                lead = rng.randint(1, 12)
+            leads.append(lead)
+            rows.append(_led_row(rng, lead, rng.choice(kinds)))
+        before = [dict(row) for row in rows]
+        span = EchelonSpan()
+        for row in rows:
+            span.insert(row)
+        assert pivot_keys(rows) == set(span.pivots())
+        assert rows == before

@@ -466,6 +466,40 @@ def test_fiber_rows_are_monic_int_rows(monkeypatch):
         assert len(set(leads[:distinct])) == distinct
 
 
+def test_fiber_check_eliminates_only_repeated_leads(monkeypatch):
+    # a row whose leading monomial no earlier row leads with is stored as it
+    # comes; only the rows that repeat a leading monomial are eliminated, at
+    # member and non-member points alike
+    import hilbworst.linalg as linalg
+    import hilbworst.oracle as oracle
+
+    seen, calls = [], []
+    eliminate = linalg._eliminate
+
+    def capturing(rows):
+        seen.append(list(rows))
+        return pivot_keys(rows)
+
+    def counting(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(oracle, "pivot_keys", capturing)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    n = 4
+    rng = random.Random(900)
+    points = [_wide_configuration(rng, n), {}, _off_subspace(rng, n)]
+    points += _with_moved_members(rng, n)
+    members = set()
+    for tvals in points:
+        seen.clear()
+        calls.clear()
+        members.add(fiber_check(family_at(n, tvals), n).basis_ok)
+        (rows,) = seen
+        assert len(calls) == len(rows) - len({min(row) for row in rows})
+    assert members == {True, False}
+
+
 def test_agreement_trial_never_substitutes(monkeypatch):
     # the trial path runs on compiled integer forms only
     n = 4
